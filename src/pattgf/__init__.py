@@ -1,5 +1,7 @@
-"""Exact generating functions and brute-force oracles for 132-avoiding
-permutations that avoid, or contain exactly once, one extra pattern."""
+"""Exact generating functions for 132-avoiding permutations that avoid,
+or contain exactly once, one extra pattern, with two independent numeric
+oracles: a polynomial-time counting DP (``count``/``series``) and
+brute-force enumeration of S_n(132) (``enumerate_avoiders``)."""
 
 from .algebra import (
     BivariateSeries,

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("oracle", help="brute-force count table")
+    p = sub.add_parser("oracle", help="exact count table from the counting DP")
     p.add_argument("pattern")
     p.add_argument("--mode", choices=("avoid", "once"), default="avoid")
     p.add_argument("--max-n", type=int, default=8)

@@ -172,13 +172,21 @@ def avoid_gf_closed(spec) -> RationalFunction:
 def compute_gf(pat: Sequence[int], mode: str = "avoid", method: str = "auto") -> RationalFunction:
     """Unified entry point: ``mode`` avoid/once, ``method`` recursion,
     closed-form, or auto (closed form when one applies, else recursion).
+
+    Exactly-once series exist only as closed forms, so ``mode="once"``
+    with ``method="recursion"`` raises UnsupportedPattern.
     """
     if mode not in ("avoid", "once"):
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("auto", "recursion", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
     if mode == "once":
-        # every supported once-family is a closed form already
+        # every supported once-family is a closed form; none has a recursion
+        if method == "recursion":
+            raise UnsupportedPattern(
+                "no exactly-once recursion is implemented; use method "
+                "'closed-form' or 'auto', or the oracle for numeric tables"
+            )
         return once_gf(pat)
     if method == "recursion":
         return avoid_gf(pat)

@@ -19,4 +19,4 @@ class UnsupportedPattern(ValueError):
 
 
 class EnumerationCapExceeded(ValueError):
-    """Requested n above the brute-force safety cap."""
+    """Requested n above an oracle safety cap."""

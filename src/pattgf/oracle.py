@@ -1,15 +1,16 @@
-"""Ground-truth brute force over S_n(132).
+"""Independent counts over S_n(132).
 
 ``enumerate_avoiders`` streams the 132-avoiding permutations of length
 n by placing the maximum at every position and recursing on both sides
 (the left part takes the values directly below the maximum, so the
-total count is Catalan(n)); ``count``/``series`` evaluate avoid and
-contain-exactly/at-least constraints over that stream through the
-selected counting kernel.
+total count is Catalan(n)); with ``patterns.occurrence_count`` it is the
+brute-force ground truth.  ``count``/``series`` evaluate avoid and
+contain-exactly/at-least constraints with the polynomial-time counting
+DP of ``kernels``, which never lists a permutation.
 
-Safety caps guard the exponential sweeps: enumeration at n <= 12 and
-constraint counting at n <= 10 by default; the PATTGF_ORACLE_CAP
-environment variable raises (or lowers) both.
+Safety caps bound both: enumeration at n <= 12 and constraint counting
+at n <= 30 by default; the PATTGF_ORACLE_CAP environment variable raises
+(or lowers) both.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import EnumerationCapExceeded, PatternError
 from .patterns import as_pattern
 
 DEFAULT_ENUMERATION_CAP = 12
-DEFAULT_COUNT_CAP = 10
+DEFAULT_COUNT_CAP = 30
 
 
 def catalan(n: int) -> int:
@@ -37,7 +38,7 @@ def _cap(default: int) -> int:
         try:
             return int(override)
         except ValueError:
-            raise EnumerationCapExceeded(f"bad PATTGF_ORACLE_CAP value {override!r}")
+            raise ValueError(f"bad PATTGF_ORACLE_CAP value {override!r}") from None
     return default
 
 
@@ -113,7 +114,11 @@ def count(n: int, spec: ConstraintSpec) -> int:
 
 
 def series(spec: ConstraintSpec, n_max: int) -> CountTable:
-    """Counts for every n = 0..n_max as a CountTable."""
+    """Counts for every n = 0..n_max as a CountTable.
+
+    The counting DP keeps the tables of the latest constraint set, so
+    each ``count`` here extends them by one size instead of rebuilding.
+    """
     return CountTable(tuple(count(n, spec) for n in range(n_max + 1)))
 
 

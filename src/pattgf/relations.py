@@ -8,8 +8,8 @@ generating functions:
 - ``thm23``     its layered specialization with R-function boundary
                 terms, checked symbolically from layer tops.
 - ``thm31``     the exactly-once recursion (at least two right-to-left
-                maxima), checked coefficient-wise against brute-force
-                two-pattern tables.
+                maxima), checked coefficient-wise against two-pattern
+                tables from the counting oracle.
 - ``thm33``     the layered form of the same recursion.
 - ``remark31``  the auxiliary recursion satisfied by the two-pattern
                 quantities "avoid the j-th prefix, contain the (j-1)-st
@@ -18,7 +18,7 @@ generating functions:
                 functional equations to truncation order.
 
 Boundary bookkeeping for the numeric checks, derived by re-running the
-place-the-maximum argument and verified against brute force:
+place-the-maximum argument and verified against the oracle:
 
 - the left factor of the first summand constrains the part left of the
   placed maximum by the *prefix closure* (first segment plus its
@@ -31,7 +31,7 @@ place-the-maximum argument and verified against brute force:
 - the right factors avoid two patterns at once: the suffix of the
   contained prefix and the corresponding suffix of the avoided one.
   Writing only the first of the two (as the displayed recursion does)
-  fails brute force already for the layered pattern [4,2,1] at j = 2,
+  fails the oracle already for the layered pattern [4,2,1] at j = 2,
   n = 4 (1 instead of 2 permutations).
 """
 
@@ -66,7 +66,7 @@ def _oracle_series(
     avoid: tuple[tuple[int, ...], ...] = (),
     contain: tuple[int, ...] | None = None,
 ) -> PowerSeries:
-    """Cached brute-force table as an exact power series.
+    """Cached oracle table (counting DP) as an exact power series.
 
     ``contain`` means "exactly once".  Note the oracle handles the
     empty contained pattern combinatorially (every permutation contains

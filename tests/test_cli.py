@@ -74,6 +74,19 @@ def test_oracle_csv_and_json(capsys):
     assert json.loads(out) == ["1", "1", "2", "4"]
 
 
+def test_oracle_cap_limits(capsys, monkeypatch):
+    code, out, _ = run(capsys, "oracle", "21", "--mode", "once", "--max-n", "30")
+    assert code == 0
+    assert out.splitlines()[-1] == "30,1"
+    code, _, err = run(capsys, "oracle", "321", "--max-n", "31")
+    assert code == 1
+    assert "cap" in err
+    monkeypatch.setenv("PATTGF_ORACLE_CAP", "ten")
+    code, _, err = run(capsys, "oracle", "321", "--max-n", "4")
+    assert code == 1
+    assert "PATTGF_ORACLE_CAP" in err
+
+
 def test_oracle_also_avoid(capsys):
     code, out, _ = run(
         capsys, "oracle", "21", "--mode", "once", "--also-avoid", "213", "--max-n", "4"

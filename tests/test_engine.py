@@ -221,6 +221,13 @@ class TestComputeGf:
         with pytest.raises(ValueError):
             compute_gf((1,), method="guess")
 
+    def test_once_honours_method(self):
+        from pattgf.engine import compute_gf
+
+        assert compute_gf((2, 1), mode="once", method="closed-form") == once_gf((2, 1))
+        with pytest.raises(UnsupportedPattern):
+            compute_gf((2, 1), mode="once", method="recursion")
+
 
 class TestBivariateAggregates:
     def test_phi_slices(self):

@@ -1,69 +1,109 @@
-"""Both counting backends must agree everywhere they are asked the same question."""
+"""The counting DP must agree with brute-force enumeration of S_n(132).
 
-import importlib
+The reference lists every permutation with ``enumerate_avoiders`` and
+counts each pattern's occurrences directly, as the order-isomorphic
+subsequences of that permutation; ``occurrence_count`` is checked
+against the same census.
+"""
+
+from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 
-from pattgf import _kernel_py, kernels
+from pattgf import kernels
+from pattgf.oracle import catalan, enumerate_avoiders
+from pattgf.patterns import flatten, occurrence_count
 
-try:
-    from pattgf import _core
-except ImportError:
-    _core = None
-
-GRID = [
-    (n, avoid, contain, t, at_least)
-    for n in range(0, 7)
-    for avoid in [(), ((3, 2, 1),), ((2, 1, 3), (3, 2, 1)), ((1, 3, 2),), ((),)]
-    for contain in [None, (2, 1), (1, 2, 3), ()]
-    for (t, at_least) in [(1, False), (2, False), (1, True), (0, False)]
-]
+N_MAX = 8
+K_MAX = 5
+TAUS = [tau for k in range(K_MAX + 1) for tau in enumerate_avoiders(k)]
+AVOID_SETS = [(), ((3, 2, 1),), ((2, 1, 3), (3, 2, 1)), ((1, 3, 2),), ((),)]
+CONTAINED = [None, (2, 1), (1, 2, 3), ()]
+GRID_MODES = [(1, False), (2, False), (1, True), (0, False)]
 
 
-@pytest.mark.skipif(_core is None, reason="compiled kernel not built")
-def test_backends_agree_on_grid():
-    for n, avoid, contain, t, at_least in GRID:
-        a = _kernel_py.count_constrained(n, avoid, contain, t, at_least)
-        b = _core.count_constrained(n, avoid, contain, t, at_least)
-        assert a == b, (n, avoid, contain, t, at_least)
+class _Flattened(dict):
+    """flatten() memoized: the same value sequences recur across permutations."""
+
+    def __missing__(self, values):
+        pat = self[values] = flatten(values)
+        return pat
 
 
-def test_python_kernel_totals_are_catalan():
-    from pattgf.oracle import catalan
+@pytest.fixture(scope="module")
+def census():
+    """census[n][i][τ]: occurrences of τ, |τ| <= K_MAX, in the i-th
+    permutation of S_n(132) (patterns that never occur count 0)."""
+    flat = _Flattened()
+    return {
+        n: [
+            Counter(flat[sub] for k in range(K_MAX + 1) for sub in combinations(perm, k))
+            for perm in enumerate_avoiders(n)
+        ]
+        for n in range(N_MAX + 1)
+    }
 
-    for n in range(0, 9):
-        assert _kernel_py.count_constrained(n, (), None, 0, False) == catalan(n)
+
+def test_census_matches_occurrence_count(census):
+    for n in range(6):
+        for perm, occ in zip(enumerate_avoiders(n), census[n]):
+            for tau in TAUS:
+                assert occurrence_count(perm, tau) == occ[tau], (perm, tau)
+
+
+def test_dp_matches_enumeration_every_small_pattern(census):
+    # avoid, exactly t = 0, 1, 2 and at least t = 1, 2 for every τ ∈ S_k(132), k <= 5
+    for tau in TAUS:
+        hist = [Counter(min(occ[tau], 3) for occ in census[n]) for n in range(N_MAX + 1)]
+        for n, h in enumerate(hist):
+            assert kernels.count_constrained(n, (tau,), None, 0, False) == h[0], (n, tau)
+        for t in (0, 1, 2):
+            for n, h in enumerate(hist):
+                assert kernels.count_constrained(n, (), tau, t, False) == h[t], (n, tau, t)
+        for t in (1, 2):
+            for n, h in enumerate(hist):
+                want = sum(m for occ, m in h.items() if occ >= t)
+                assert kernels.count_constrained(n, (), tau, t, True) == want, (n, tau, t)
+
+
+def test_dp_matches_enumeration_on_grid(census):
+    # two avoided patterns, a pattern containing 132 and the empty pattern
+    for avoid in AVOID_SETS:
+        for contain in CONTAINED:
+            # occurrences of `contain` in the permutations that avoid `avoid`
+            hists = [
+                Counter(occ[contain] if contain is not None else 0 for occ in rows
+                        if not any(occ[p] for p in avoid))
+                for rows in census.values()
+            ]
+            for t, at_least in GRID_MODES:
+                for n, h in enumerate(hists):
+                    if contain is None:
+                        want = sum(h.values())
+                    elif at_least:
+                        want = sum(m for c, m in h.items() if c >= t)
+                    else:
+                        want = h[t]
+                    got = kernels.count_constrained(n, avoid, contain, t, at_least)
+                    assert got == want, (n, avoid, contain, t, at_least)
+
+
+def test_dp_totals_are_catalan():
+    for n in range(31):
+        assert kernels.count_constrained(n, (), None, 0, False) == catalan(n)
+
+
+def test_dp_spot_values_at_30():
+    assert kernels.count_constrained(30, ((3, 2, 1),), None, 0, False) == 1 + comb(30, 2)
+    # 2 1 3 4 ... n is the only 132-avoider with a single inversion
+    assert kernels.count_constrained(30, (), (2, 1), 1, False) == 1
 
 
 def test_empty_pattern_semantics():
     # the empty pattern occurs exactly once in every permutation
-    assert _kernel_py.count_constrained(4, ((),), None, 0, False) == 0
-    assert _kernel_py.count_constrained(4, (), (), 1, False) == 14
-    assert _kernel_py.count_constrained(4, (), (), 2, False) == 0
+    assert kernels.count_constrained(4, ((),), None, 0, False) == 0
+    assert kernels.count_constrained(4, (), (), 1, False) == 14
+    assert kernels.count_constrained(4, (), (), 2, False) == 0
 
-
-@pytest.mark.skipif(_core is None, reason="compiled kernel not built")
-def test_compiled_kernel_guards():
-    with pytest.raises(ValueError):
-        _core.count_constrained(40, (), None, 0, False)
-
-
-def test_env_override_selects_python_backend(monkeypatch):
-    monkeypatch.setenv("PATTGF_PURE_PYTHON", "1")
-    fresh = importlib.reload(kernels)
-    try:
-        assert fresh.BACKEND_NAME == "python"
-    finally:
-        monkeypatch.delenv("PATTGF_PURE_PYTHON")
-        importlib.reload(kernels)
-
-
-def test_benchmark_module_imports():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert hasattr(module, "main")

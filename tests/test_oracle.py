@@ -56,7 +56,15 @@ def test_count_examples():
 
 def test_count_cap_guard():
     with pytest.raises(EnumerationCapExceeded):
-        count(11, ConstraintSpec())
+        count(31, ConstraintSpec())
+    assert count(30, ConstraintSpec()) == catalan(30)
+
+
+def test_malformed_cap_override_is_usage_error(monkeypatch):
+    monkeypatch.setenv("PATTGF_ORACLE_CAP", "ten")
+    with pytest.raises(ValueError, match="PATTGF_ORACLE_CAP") as info:
+        count(4, ConstraintSpec())
+    assert not isinstance(info.value, EnumerationCapExceeded)
 
 
 def test_series_examples():
