@@ -1,7 +1,7 @@
 """Exact polynomial, rational-function and truncated-series arithmetic.
 
-All coefficients are ``fractions.Fraction`` over arbitrary-precision
-integers; every equality used anywhere in the package is exact.
+Coefficients are ``int``s, and ``fractions.Fraction``s only where a value
+is not integral; every equality used anywhere in the package is exact.
 
 Representations:
 
@@ -23,23 +23,37 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coeff(c) -> Rational:
+    """An exact coefficient: ``int`` when integral, else ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _div(a, b) -> Rational:
+    """The exact quotient a / b: ``int`` when b divides a, else ``Fraction``."""
+    return a // b if a % b == 0 else Fraction(a) / b
+
+
+def _cleared(coeffs: Sequence[Rational]) -> list[int]:
+    """The coefficients times the lcm of their denominators."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
 class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        coeffs = [_coeff(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -63,10 +77,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
+    def coefficient(self, i: int) -> Rational:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Rational:
         return self.coefficient(0)
 
     def __eq__(self, other) -> bool:
@@ -97,7 +111,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -105,25 +119,25 @@ class Polynomial:
         return Polynomial(out)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         return Polynomial([c * a for a in self.coeffs])
 
     def shift(self, power: int) -> "Polynomial":
         """Multiply by x**power."""
         if self.is_zero:
             return self
-        return Polynomial([_ZERO] * power + list(self.coeffs))
+        return Polynomial([0] * power + list(self.coeffs))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [_ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
+        q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.coeffs[-1]
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i]:
-                f = rem[i] / lead
+                f = _div(rem[i], lead)
                 q[i - d] = f
                 for j, c in enumerate(other.coeffs):
                     rem[i - d + j] -= f * c
@@ -136,15 +150,8 @@ class Polynomial:
         return q
 
 
-def _int_coeffs(p: Polynomial) -> list[int]:
-    scale = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return [int(c * scale) for c in p.coeffs]
-
-
 def _primitive(ints: list[int]) -> list[int]:
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     if ints and ints[-1] < 0:
@@ -154,7 +161,7 @@ def _primitive(ints: list[int]) -> list[int]:
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Primitive gcd via the fraction-free (primitive) Euclidean remainder sequence."""
-    A, B = _primitive(_int_coeffs(a)), _primitive(_int_coeffs(b))
+    A, B = _primitive(_cleared(a.coeffs)), _primitive(_cleared(b.coeffs))
     while B:
         # pseudo-remainder of A by B, all over the integers
         rem = list(A)
@@ -188,22 +195,15 @@ class RationalFunction:
             return Polynomial(), Polynomial.one()
         g = polynomial_gcd(num, den)
         if g.degree > 0:
+            # stays in Z[x] for integral inputs: g is primitive (Gauss's lemma)
             num, den = num.exact_div(g), den.exact_div(g)
-        # clear to integers jointly, reduce joint content, fix the sign
-        scale = lcm(*(c.denominator for c in list(num.coeffs) + list(den.coeffs)))
-        n_int = [int(c * scale) for c in num.coeffs]
-        d_int = [int(c * scale) for c in den.coeffs]
-        content = 0
-        for c in n_int + d_int:
-            content = gcd(content, abs(c))
-        if content > 1:
-            n_int = [c // content for c in n_int]
-            d_int = [c // content for c in d_int]
-        low = next(c for c in d_int if c)
-        if low < 0:
-            n_int = [-c for c in n_int]
-            d_int = [-c for c in d_int]
-        return Polynomial(n_int), Polynomial(d_int)
+        ints = _cleared(num.coeffs + den.coeffs)
+        split = len(num.coeffs)
+        content = gcd(*ints)
+        if next(c for c in ints[split:] if c) < 0:
+            content = -content
+        ints = [c // content for c in ints]
+        return Polynomial(ints[:split]), Polynomial(ints[split:])
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -220,7 +220,7 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
-        return cls(Polynomial((Fraction(c),)), Polynomial.one())
+        return cls(Polynomial((c,)), Polynomial.one())
 
     @classmethod
     def from_polys(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -241,10 +241,10 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def value_at_zero(self) -> Fraction:
+    def value_at_zero(self) -> Rational:
         if self.den.constant_term() == 0:
             raise ZeroDivisionError("denominator vanishes at 0")
-        return self.num.constant_term() / self.den.constant_term()
+        return _div(self.num.constant_term(), self.den.constant_term())
 
     # -- arithmetic ----------------------------------------------------
     @staticmethod
@@ -305,8 +305,8 @@ class RationalFunction:
     def as_json_dict(self) -> dict:
         """Coefficient arrays low degree first, as decimal strings (bit-exact)."""
         return {
-            "numerator": [str(int(c)) for c in self.num.coeffs],
-            "denominator": [str(int(c)) for c in self.den.coeffs],
+            "numerator": [str(c) for c in self.num.coeffs],
+            "denominator": [str(c) for c in self.den.coeffs],
         }
 
     @classmethod
@@ -317,7 +317,7 @@ class RationalFunction:
         return f"\\frac{{{polynomial_latex(self.num)}}}{{{polynomial_latex(self.den)}}}"
 
 
-def _term_str(c: Fraction, i: int, latex: bool) -> str:
+def _term_str(c: Rational, i: int, latex: bool) -> str:
     if i == 0:
         return str(c)
     if i == 1:
@@ -362,18 +362,18 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple([_coeff(c) for c in coeffs])
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the constant term")
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
-        return cls([_ZERO] * (order + 1))
+        return cls([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
-        return cls([_ONE] + [_ZERO] * order)
+        return cls([1] + [0] * order)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "PowerSeries":
@@ -388,7 +388,7 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Rational:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i]
@@ -423,7 +423,7 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = self._align(other)
-        out = [_ZERO] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a:
                 for j in range(n + 1 - i):
@@ -433,12 +433,12 @@ class PowerSeries:
         return PowerSeries(out)
 
     def scale(self, c) -> "PowerSeries":
-        c = Fraction(c)
+        c = _coeff(c)
         return PowerSeries([c * a for a in self.coeffs])
 
     def mul_x_power(self, p: int) -> "PowerSeries":
         """Shift up; the truncation order grows by p (nothing is lost)."""
-        return PowerSeries([_ZERO] * p + list(self.coeffs))
+        return PowerSeries([0] * p + list(self.coeffs))
 
     def div_x_exact(self, p: int) -> "PowerSeries":
         """Shift down by x**p; the low coefficients must vanish.
@@ -458,10 +458,10 @@ class PowerSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        out = [_ONE / c0]
+        out = [_div(1, c0)]
         for n in range(1, self.order + 1):
             s = sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
-            out.append(-s / c0)
+            out.append(_div(-s, c0))
         return PowerSeries(out)
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
@@ -475,10 +475,10 @@ class PowerSeries:
         """
         if self.coeffs[0] != 1:
             raise ValueError("series square root requires constant term 1")
-        out = [_ONE]
+        out = [1]
         for n in range(1, self.order + 1):
             s = sum(out[i] * out[n - i] for i in range(1, n))
-            out.append((self.coeffs[n] - s) / 2)
+            out.append(_div(self.coeffs[n] - s, 2))
         return PowerSeries(out)
 
 
@@ -503,10 +503,10 @@ class BivariateSeries:
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], object], nx: int, ny: int) -> "BivariateSeries":
         """Exact polynomial data {(x_deg, y_deg): coeff} at the given orders."""
-        rows = [[_ZERO] * (nx + 1) for _ in range(ny + 1)]
+        rows = [[0] * (nx + 1) for _ in range(ny + 1)]
         for (i, j), c in terms.items():
             if j <= ny and i <= nx:
-                rows[j][i] = Fraction(c)
+                rows[j][i] = c
         return cls([PowerSeries(row) for row in rows])
 
     # -- basics ----------------------------------------------------------
@@ -522,7 +522,7 @@ class BivariateSeries:
     def is_zero(self) -> bool:
         return all(level.is_zero for level in self.levels)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
+    def coefficient(self, i: int, j: int) -> Rational:
         return self.levels[j].coefficient(i)
 
     def slice_y(self, j: int) -> PowerSeries:
@@ -636,12 +636,12 @@ def series_of(f: RationalFunction, order: int) -> PowerSeries:
     q0 = f.den.constant_term()
     if q0 == 0:
         raise ZeroDivisionError("denominator constant term is zero; no Taylor expansion at 0")
-    coeffs: list[Fraction] = []
+    coeffs: list[Rational] = []
     for n in range(order + 1):
         s = f.num.coefficient(n)
         for j in range(1, min(n, f.den.degree) + 1):
             s -= f.den.coefficient(j) * coeffs[n - j]
-        coeffs.append(s / q0)
+        coeffs.append(_div(s, q0))
     return PowerSeries(coeffs)
 
 

@@ -119,6 +119,8 @@ def _cmd_verify(args) -> int:
                 reports.append(relations.verify_relation(rel, tops, terms=terms))
     else:
         raise PatternError(f"unknown relation {rel!r}")
+    if not reports:
+        raise ValueError(f"{rel}: --range {args.range} has no instances")
     failures = [r for r in reports if not r.passed]
     for r in failures:
         print("\n".join(r.lines()))
@@ -128,6 +130,9 @@ def _cmd_verify(args) -> int:
 
 def _identities(max_index: int) -> int:
     results = sweep_identities(max_index)
+    empty = [part for part, (_, total) in sorted(results.items()) if total == 0]
+    if empty:
+        raise ValueError(f"no instances over 1..{max_index} for identity part(s) {', '.join(empty)}")
     good = sum(1 for passes, total in results.values() if passes == total)
     for part, (passes, total) in sorted(results.items()):
         if passes != total:

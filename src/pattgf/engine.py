@@ -118,10 +118,6 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
     return value
 
 
-def _v(p: int) -> Polynomial:
-    return v_poly(p)
-
-
 def _three_layer_closed(k: int, m1: int, m2: int) -> RationalFunction:
     """Closed form for the three-layer pattern [k, m1, m2], radical free.
 
@@ -136,8 +132,8 @@ def _three_layer_closed(k: int, m1: int, m2: int) -> RationalFunction:
     second numerator term and nothing else.
     """
     a, b, c = k - m1, m1 - m2, m2
-    num = _v(a + b) * _v(a + c - 1) * _v(b + c) + (_v(b - 1) * _v(b)).shift(a + c)
-    den = _v(a + b) * _v(a + c) * _v(b + c)
+    num = v_poly(a + b) * v_poly(a + c - 1) * v_poly(b + c) + (v_poly(b - 1) * v_poly(b)).shift(a + c)
+    den = v_poly(a + b) * v_poly(a + c) * v_poly(b + c)
     return RationalFunction.from_polys(num, den)
 
 
@@ -227,16 +223,16 @@ def _once_dispatch(pat: tuple[int, ...]) -> RationalFunction:
         return _X
     fam = classify(pat)
     if fam.kind == "layered" and len(fam.params) == 1:
-        return RationalFunction.from_polys(Polynomial.one().shift(k), _v(k) * _v(k))
+        return RationalFunction.from_polys(Polynomial.one().shift(k), v_poly(k) * v_poly(k))
     if fam.kind == "layered" and len(fam.params) == 2:
         m = min(fam.params[1], k - fam.params[1])
-        den = _v(k) * _v(m) * _v(k - m - 1)
+        den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
         return RationalFunction.from_polys(Polynomial.one().shift(k), den)
     if fam.kind == "wedge-top":
         _, m, p = fam.params
         q = max(p, m - p)
-        num = (_v(m) * _v(m)).shift(k)
-        den = _v(k) * _v(k) * _v(q - 1) * _v(q) * _v(m - q) * _v(m - q)
+        num = (v_poly(m) * v_poly(m)).shift(k)
+        den = v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q)
         return RationalFunction.from_polys(num, den)
     d = canonical_decompose(pat)
     if d.r == 0:

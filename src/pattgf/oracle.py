@@ -119,6 +119,8 @@ def series(spec: ConstraintSpec, n_max: int) -> CountTable:
     The counting DP keeps the tables of the latest constraint set, so
     each ``count`` here extends them by one size instead of rebuilding.
     """
+    if n_max < 0:
+        raise EnumerationCapExceeded(f"n_max={n_max} is negative")
     return CountTable(tuple(count(n, spec) for n in range(n_max + 1)))
 
 

@@ -84,10 +84,6 @@ def _oracle_series(
     return hit
 
 
-def _rf_series(f: RationalFunction, n: int) -> PowerSeries:
-    return series_of(f, n)
-
-
 def _xshift(s: PowerSeries, n: int) -> PowerSeries:
     return s.mul_x_power(1).truncate(n)
 
@@ -176,7 +172,7 @@ def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:
     if r < 1:
         raise PatternError("the exactly-once recursion needs at least two maxima")
     once_counts = _oracle_series(n, contain=pat)
-    lhs_mult = _rf_series(
+    lhs_mult = series_of(
         RationalFunction.one()
         - RationalFunction.x() * avoid_gf(prefix_pattern(d, 0))
         - RationalFunction.x() * avoid_gf(suffix_pattern(d, r)),
@@ -204,7 +200,7 @@ def _check_thm33(tops: tuple[int, ...], n: int) -> RelationReport:
     x = RationalFunction.x()
     tau = expand_layered(tops)
     d01 = m[0] - m[1]
-    lhs_mult = _rf_series(
+    lhs_mult = series_of(
         RationalFunction.one() - x * r_func_or_zero(d01 - 1) - x * r_func_or_zero(m[r]),
         n,
     )
@@ -242,7 +238,7 @@ def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
         self_avoid = (suffix_pattern(d_mu, j - 1), suffix_pattern(d_nu, j))
         lhs_mult = (
             PowerSeries.one(n)
-            - _xshift(_rf_series(avoid_gf(prefix_pattern(d, 0)), n), n)
+            - _xshift(series_of(avoid_gf(prefix_pattern(d, 0)), n), n)
             - _xshift(_oracle_series(n, avoid=self_avoid), n)
         )
         lhs = lhs_mult * gamma

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pattgf.algebra import RationalFunction
 from pattgf.cli import main
 
@@ -87,6 +89,13 @@ def test_oracle_cap_limits(capsys, monkeypatch):
     assert "PATTGF_ORACLE_CAP" in err
 
 
+def test_oracle_negative_max_n_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "21", "--max-n", "-1")
+    assert code == 1
+    assert out == ""
+    assert "n_max=-1" in err
+
+
 def test_oracle_also_avoid(capsys):
     code, out, _ = run(
         capsys, "oracle", "21", "--mode", "once", "--also-avoid", "213", "--max-n", "4"
@@ -123,3 +132,27 @@ def test_verify_feq(capsys):
     code, out, _ = run(capsys, "verify", "thm32feq", "--terms", "8")
     assert code == 0
     assert out == "thm32feq: 1/1 instances hold"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("identities", "--max", "0"), "part(s) i, ii, iii, iv, v, vi"),
+        (("identities", "--max", "1"), "part(s) i, ii, iii, iv, v, vi"),
+        (("identities", "--max", "2"), "part(s) v"),
+        (("verify", "lemma41", "--max", "-3"), "over 1..-3"),
+        (("verify", "thm31", "--range", "5:2"), "--range 5:2"),
+        (("verify", "thm23", "--range", "1:1"), "--range 1:1"),
+    ],
+)
+def test_empty_sweep_is_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "no instances" in err and named in err
+
+
+def test_smallest_nonempty_identity_sweep(capsys):
+    code, out, _ = run(capsys, "identities", "--max", "3")
+    assert code == 0
+    assert out == "6/6 identities hold over 1..3"

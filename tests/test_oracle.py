@@ -60,6 +60,12 @@ def test_count_cap_guard():
     assert count(30, ConstraintSpec()) == catalan(30)
 
 
+def test_negative_series_length_raises():
+    with pytest.raises(EnumerationCapExceeded):
+        series(ConstraintSpec(), -1)
+    assert series(ConstraintSpec(), 0).counts == (1,)
+
+
 def test_malformed_cap_override_is_usage_error(monkeypatch):
     monkeypatch.setenv("PATTGF_ORACLE_CAP", "ten")
     with pytest.raises(ValueError, match="PATTGF_ORACLE_CAP") as info:
