@@ -8,9 +8,7 @@ from .algebra import (
     Polynomial,
     PowerSeries,
     RationalFunction,
-    exact_divide_by_var,
     series_of,
-    series_sqrt,
 )
 from .chebyshev import chebyshev_u, check_identity, r_func, sweep_identities, v_poly
 from .engine import (
@@ -70,7 +68,6 @@ __all__ = [
     "compute_gf",
     "count",
     "enumerate_avoiders",
-    "exact_divide_by_var",
     "flatten",
     "format_pattern",
     "is_wedge",
@@ -84,7 +81,6 @@ __all__ = [
     "r_func",
     "series",
     "series_of",
-    "series_sqrt",
     "suffix_pattern",
     "sweep_identities",
     "v_poly",

@@ -222,10 +222,6 @@ class RationalFunction:
     def constant(cls, c) -> "RationalFunction":
         return cls(Polynomial((c,)), Polynomial.one())
 
-    @classmethod
-    def from_polys(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        return cls(num, den)
-
     # -- basics --------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -643,21 +639,3 @@ def series_of(f: RationalFunction, order: int) -> PowerSeries:
             s -= f.den.coefficient(j) * coeffs[n - j]
         coeffs.append(_div(s, q0))
     return PowerSeries(coeffs)
-
-
-def series_sqrt(s):
-    """Square root of a univariate or bivariate truncated series (constant term 1)."""
-    return s.sqrt()
-
-
-def exact_divide_by_var(s, var: str = "x", power: int = 1):
-    """Divide a series by ``var**power``; the low coefficients must be zero."""
-    if isinstance(s, PowerSeries):
-        if var != "x":
-            raise ValueError("univariate series only has the variable x")
-        return s.div_x_exact(power)
-    if var == "x":
-        return s.div_x_exact(power)
-    if var == "y":
-        return s.div_y_exact(power)
-    raise ValueError(f"unknown variable {var!r}")

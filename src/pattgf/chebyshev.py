@@ -68,7 +68,7 @@ def r_func(p: int) -> RationalFunction:
     """
     if p < 1:
         raise ValueError(f"index must be at least 1: {p}")
-    return RationalFunction.from_polys(v_poly(p - 1), v_poly(p))
+    return RationalFunction(v_poly(p - 1), v_poly(p))
 
 
 def r_func_or_zero(p: int) -> RationalFunction:
@@ -85,7 +85,7 @@ def _rf(num_polys, den_polys, x_power: int = 0) -> RationalFunction:
     den = Polynomial((1,))
     for q in den_polys:
         den = den * q
-    return RationalFunction.from_polys(num.shift(x_power), den)
+    return RationalFunction(num.shift(x_power), den)
 
 
 def check_identity(which: str, **params: int) -> bool:

@@ -37,10 +37,6 @@ EXIT_NOT_IN_CLASS = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _gf_for(pat, mode: str) -> RationalFunction:
-    return engine.compute_gf(pat, mode=mode)
-
-
 def _known_v_quotient(f: RationalFunction, limit: int = 24) -> str | None:
     for p in range(1, limit + 1):
         if f == r_func(p):
@@ -61,13 +57,13 @@ def _render_gf(pat, mode: str, f: RationalFunction, fmt: str) -> str:
 
 def _cmd_gf(args) -> int:
     pat = parse_pattern(args.pattern)
-    print(_render_gf(pat, args.mode, _gf_for(pat, args.mode), args.format))
+    print(_render_gf(pat, args.mode, engine.compute_gf(pat, args.mode), args.format))
     return EXIT_OK
 
 
 def _cmd_series(args) -> int:
     pat = parse_pattern(args.pattern)
-    coeffs = engine.series_of(_gf_for(pat, args.mode), args.terms).coeffs
+    coeffs = engine.series_of(engine.compute_gf(pat, args.mode), args.terms).coeffs
     if args.format == "json":
         print(json.dumps({"pattern": format_pattern(pat), "mode": args.mode,
                           "series": [str(int(c)) for c in coeffs]}))
@@ -100,11 +96,13 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
 
 def _cmd_verify(args) -> int:
     rel = args.relation
+    if args.terms is not None and args.terms < 1:
+        raise ValueError(f"--terms must be at least 1, got {args.terms}")
     reports: list[relations.RelationReport] = []
     if rel == "lemma41":
         return _identities(args.max)
     if rel in ("thm22feq", "thm32feq"):
-        reports.append(relations.verify_relation(rel, orders=(args.terms or 10, 8)))
+        reports.append(relations.verify_relation(rel, orders=(10 if args.terms is None else args.terms, 8)))
     elif rel == "thm21":
         lo, hi = _parse_range(args.range, (1, 4))
         for k in range(lo, hi + 1):
@@ -112,7 +110,7 @@ def _cmd_verify(args) -> int:
                 reports.append(relations.verify_relation("thm21", perm))
     elif rel in ("thm23", "thm33", "thm31", "remark31"):
         lo, hi = _parse_range(args.range, (2, 5))
-        terms = args.terms or 9
+        terms = 9 if args.terms is None else args.terms
         min_layers = 3 if rel == "remark31" else 2
         for k in range(lo, hi + 1):
             for tops in iter_layered_specs(k, min_layers=min_layers):
@@ -179,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("thm21", "thm22feq", "thm23", "thm31", "remark31",
                             "thm32feq", "thm33", "lemma41"))
     p.add_argument("--range", default="", help="pattern-size range A:B for sweeps")
-    p.add_argument("--terms", type=int, default=0, help="series order for numeric checks")
+    p.add_argument("--terms", type=int, default=None,
+                   help="series order for numeric checks (default 9; 10 for thm22feq/thm32feq)")
     p.add_argument("--max", type=int, default=12, help="index bound for lemma41")
     p.set_defaults(func=_cmd_verify)
 

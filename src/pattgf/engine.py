@@ -8,7 +8,11 @@ resulting equation mentions the unknown on both sides, so each level is
 solved linearly (the divisor has constant term 1 and is never zero)
 and recursion only ever descends to strictly shorter flattened
 prefixes and suffixes, which guarantees termination.  Results are
-memoized per flattened pattern.
+memoized per flattened pattern.  Every avoidance answer, including
+``compute_gf``'s and the CLI's, comes from this recursion;
+``avoid_gf_closed`` states the closed forms for layered, wedge-top and
+wedge patterns and serves only as a reference the tests compare the
+recursion against.
 
 ``once_gf`` produces the analogous series for "contains tau exactly
 once".  Exact closed forms exist for the families below (V_p denotes
@@ -134,7 +138,7 @@ def _three_layer_closed(k: int, m1: int, m2: int) -> RationalFunction:
     a, b, c = k - m1, m1 - m2, m2
     num = v_poly(a + b) * v_poly(a + c - 1) * v_poly(b + c) + (v_poly(b - 1) * v_poly(b)).shift(a + c)
     den = v_poly(a + b) * v_poly(a + c) * v_poly(b + c)
-    return RationalFunction.from_polys(num, den)
+    return RationalFunction(num, den)
 
 
 def avoid_gf_closed(spec) -> RationalFunction:
@@ -142,10 +146,13 @@ def avoid_gf_closed(spec) -> RationalFunction:
     wedge-top and general wedge patterns.
 
     Accepts a FamilySpec or a pattern in one-line notation; wedge
-    patterns of size k all share the series R_k.
+    patterns of size k all share the series R_k.  These are the closed
+    forms stated as theorems; ``avoid_gf`` never calls them, and the
+    tests compare the two.
     """
     if not isinstance(spec, FamilySpec):
         pat = as_pattern(spec)
+        _require_132_avoiding(pat)
         if is_wedge(pat):
             return r_func(len(pat))
         spec = classify(pat)
@@ -165,33 +172,16 @@ def avoid_gf_closed(spec) -> RationalFunction:
     raise UnsupportedPattern(f"no closed avoidance form for {spec}")
 
 
-def compute_gf(pat: Sequence[int], mode: str = "avoid", method: str = "auto") -> RationalFunction:
-    """Unified entry point: ``mode`` avoid/once, ``method`` recursion,
-    closed-form, or auto (closed form when one applies, else recursion).
-
-    Exactly-once series exist only as closed forms, so ``mode="once"``
-    with ``method="recursion"`` raises UnsupportedPattern.
+def compute_gf(pat: Sequence[int], mode: str = "avoid") -> RationalFunction:
+    """Unified entry point: ``mode="avoid"`` is ``avoid_gf`` (the
+    recursion, exact for every pattern in S_k(132)), ``mode="once"`` is
+    ``once_gf``.
     """
-    if mode not in ("avoid", "once"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if method not in ("auto", "recursion", "closed-form"):
-        raise ValueError(f"unknown method {method!r}")
+    if mode == "avoid":
+        return avoid_gf(pat)
     if mode == "once":
-        # every supported once-family is a closed form; none has a recursion
-        if method == "recursion":
-            raise UnsupportedPattern(
-                "no exactly-once recursion is implemented; use method "
-                "'closed-form' or 'auto', or the oracle for numeric tables"
-            )
         return once_gf(pat)
-    if method == "recursion":
-        return avoid_gf(pat)
-    if method == "closed-form":
-        return avoid_gf_closed(pat)
-    try:
-        return avoid_gf_closed(pat)
-    except UnsupportedPattern:
-        return avoid_gf(pat)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def once_gf(pat: Sequence[int]) -> RationalFunction:
@@ -223,17 +213,17 @@ def _once_dispatch(pat: tuple[int, ...]) -> RationalFunction:
         return _X
     fam = classify(pat)
     if fam.kind == "layered" and len(fam.params) == 1:
-        return RationalFunction.from_polys(Polynomial.one().shift(k), v_poly(k) * v_poly(k))
+        return RationalFunction(Polynomial.one().shift(k), v_poly(k) * v_poly(k))
     if fam.kind == "layered" and len(fam.params) == 2:
         m = min(fam.params[1], k - fam.params[1])
         den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
-        return RationalFunction.from_polys(Polynomial.one().shift(k), den)
+        return RationalFunction(Polynomial.one().shift(k), den)
     if fam.kind == "wedge-top":
         _, m, p = fam.params
         q = max(p, m - p)
         num = (v_poly(m) * v_poly(m)).shift(k)
         den = v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q)
-        return RationalFunction.from_polys(num, den)
+        return RationalFunction(num, den)
     d = canonical_decompose(pat)
     if d.r == 0:
         head = prefix_pattern(d, 0)

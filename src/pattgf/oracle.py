@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import kernels
 from .errors import EnumerationCapExceeded, PatternError
@@ -122,16 +122,3 @@ def series(spec: ConstraintSpec, n_max: int) -> CountTable:
     if n_max < 0:
         raise EnumerationCapExceeded(f"n_max={n_max} is negative")
     return CountTable(tuple(count(n, spec) for n in range(n_max + 1)))
-
-
-def avoid_series(patterns: Sequence[Sequence[int]], n_max: int) -> CountTable:
-    """Avoidance count table: permutations avoiding every given pattern."""
-    return series(ConstraintSpec(avoid=tuple(tuple(p) for p in patterns)), n_max)
-
-
-def once_series(pattern: Sequence[int], n_max: int, *, also_avoid: Sequence[Sequence[int]] = ()) -> CountTable:
-    """Exactly-once count table, optionally restricted by avoided patterns."""
-    return series(
-        ConstraintSpec(avoid=tuple(tuple(p) for p in also_avoid), contain=tuple(pattern), t=1),
-        n_max,
-    )

@@ -46,11 +46,12 @@ from .engine import (
     phi_functional_equation_residual,
     psi_functional_equation_residual,
 )
-from .errors import PatternError
+from .errors import NotIn132Class, PatternError
 from .oracle import ConstraintSpec, series as oracle_series
 from .patterns import (
     as_pattern,
     canonical_decompose,
+    contains_132,
     expand_layered,
     increasing,
     prefix_closure_pattern,
@@ -160,9 +161,15 @@ def _layered_subspecs(tops: tuple[int, ...]) -> set[tuple[int, ...]]:
 def _resolve_pattern(params) -> tuple[int, ...]:
     """Accept a pattern in one-line notation or layered layer tops."""
     seq = tuple(int(v) for v in params)
-    if sorted(seq) == list(range(1, len(seq) + 1)):
-        return as_pattern(seq)
-    return expand_layered(seq)
+    if sorted(seq) != list(range(1, len(seq) + 1)):
+        return expand_layered(seq)
+    pat = as_pattern(seq)
+    if contains_132(pat):
+        raise NotIn132Class(
+            f"pattern {pat} contains (1,3,2); the relations hold only for "
+            "patterns that avoid it"
+        )
+    return pat
 
 
 def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:
@@ -271,6 +278,8 @@ def verify_relation(relation: str, params=None, terms: int = 9, orders: tuple[in
     functional-equation checks, which use ``orders`` instead.
     ``terms`` bounds the coefficient-wise checks.
     """
+    if params is None and relation in ("thm21", "thm23", "thm31", "thm33", "remark31"):
+        raise PatternError(f"relation {relation!r} needs a pattern or layer tops")
     if relation == "thm21":
         return _check_thm21(_resolve_pattern(params))
     if relation == "thm23":

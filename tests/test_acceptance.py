@@ -122,13 +122,13 @@ def test_criterion_09_once_closed_forms():
     one = Polynomial.one()
     # single increasing run, k <= 10
     for k in range(1, 11):
-        target = RationalFunction.from_polys(one.shift(k), v_poly(k) * v_poly(k))
+        target = RationalFunction(one.shift(k), v_poly(k) * v_poly(k))
         assert once_gf(increasing(k)) == target, k
     # two layers, k <= 8, both orientations against the small-layer target
     for k in range(2, 9):
         for m in range(1, k):
             mm = min(m, k - m)
-            target = RationalFunction.from_polys(
+            target = RationalFunction(
                 one.shift(k), v_poly(k) * v_poly(mm) * v_poly(k - mm - 1)
             )
             assert once_gf(expand_layered((k, m))) == target, (k, m)
@@ -137,7 +137,7 @@ def test_criterion_09_once_closed_forms():
         for m in range(2, k):
             for p in range(1, m):
                 q = max(p, m - p)
-                target = RationalFunction.from_polys(
+                target = RationalFunction(
                     (v_poly(m) * v_poly(m)).shift(k),
                     v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q),
                 )

@@ -9,11 +9,9 @@ from pattgf.algebra import (
     Polynomial,
     PowerSeries,
     RationalFunction,
-    exact_divide_by_var,
     polynomial_gcd,
     polynomial_str,
     series_of,
-    series_sqrt,
 )
 
 
@@ -169,16 +167,16 @@ class TestPowerSeries:
         rng = random.Random(9)
         for _ in range(25):
             s = PowerSeries([1] + [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(10)])
-            t = series_sqrt(s)
+            t = s.sqrt()
             assert t * t == s
         with pytest.raises(ValueError):
             PowerSeries((2, 1)).sqrt()
 
     def test_divide_by_var(self):
         s = PowerSeries((0, 0, 1, 1))
-        assert exact_divide_by_var(s, "x", 1) == PowerSeries((0, 1, 1))
+        assert s.div_x_exact(1) == PowerSeries((0, 1, 1))
         with pytest.raises(ValueError):
-            exact_divide_by_var(PowerSeries((1, 1)), "x", 1)
+            PowerSeries((1, 1)).div_x_exact(1)
 
     def test_inverse(self):
         s = PowerSeries((1, -1, 0, 0, 0))
@@ -211,17 +209,17 @@ class TestBivariateSeries:
         terms = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(7) for j in range(5)}
         terms[(0, 0)] = Fraction(1)
         s = BivariateSeries.from_terms(terms, 6, 4)
-        t = series_sqrt(s)
+        t = s.sqrt()
         assert t * t == s
 
     def test_divide_by_y(self):
         s = BivariateSeries.from_terms({(0, 1): 1, (2, 2): 5}, 3, 3)
-        q = exact_divide_by_var(s, "y", 1)
+        q = s.div_y_exact(1)
         assert q.order_y == 2
         assert q.coefficient(0, 0) == 1
         assert q.coefficient(2, 1) == 5
         with pytest.raises(ValueError):
-            exact_divide_by_var(s, "y", 2)
+            s.div_y_exact(2)
 
     def test_unit_division(self):
         one = BivariateSeries.from_terms({(0, 0): 1}, 5, 4)

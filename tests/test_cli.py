@@ -134,6 +134,22 @@ def test_verify_feq(capsys):
     assert out == "thm32feq: 1/1 instances hold"
 
 
+@pytest.mark.parametrize("relation", ["thm31", "thm22feq"])
+@pytest.mark.parametrize("terms", ["0", "-2"])
+def test_verify_terms_below_one_is_usage_error(capsys, relation, terms):
+    code, out, err = run(capsys, "verify", relation, "--range", "2:3", "--terms", terms)
+    assert code == 1
+    assert out == ""
+    assert f"--terms must be at least 1, got {terms}" in err
+
+
+def test_verify_default_terms(capsys):
+    assert run(capsys, "verify", "thm31", "--range", "2:3") == run(
+        capsys, "verify", "thm31", "--range", "2:3", "--terms", "9"
+    )
+    assert run(capsys, "verify", "thm22feq") == run(capsys, "verify", "thm22feq", "--terms", "10")
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

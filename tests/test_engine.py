@@ -118,6 +118,25 @@ class TestAvoidGfClosed:
     def test_decreasing_spec_small(self):
         assert avoid_gf_closed(FamilySpec("decreasing", (3,))) == avoid_gf((3, 2, 1))
 
+    def test_every_closed_form_matches_recursion(self):
+        # avoid_gf_closed is a reference only: wherever it answers, it
+        # must equal the recursion that serves every avoidance request
+        answered = 0
+        for k in range(1, 9):
+            for tau in enumerate_avoiders(k):
+                try:
+                    f = avoid_gf_closed(tau)
+                except UnsupportedPattern:
+                    continue
+                answered += 1
+                assert f == avoid_gf(tau), tau
+        assert answered == 311
+
+    def test_rejects_132_containers(self):
+        for pat in [(1, 3, 2), (1, 4, 3, 2), (2, 4, 1, 3)]:
+            with pytest.raises(NotIn132Class):
+                avoid_gf_closed(pat)
+
     def test_unsupported(self):
         with pytest.raises(UnsupportedPattern):
             avoid_gf_closed(FamilySpec("layered", (4, 3, 2, 1)))
@@ -136,7 +155,7 @@ class TestOnceGf:
     def test_wedge_top_example(self):
         num = (v_poly(4) * v_poly(4)).shift(5)
         den = v_poly(5) * v_poly(5) * v_poly(1) * v_poly(2) * v_poly(2) * v_poly(2)
-        assert once_gf((3, 4, 1, 2, 5)) == RationalFunction.from_polys(num, den)
+        assert once_gf((3, 4, 1, 2, 5)) == RationalFunction(num, den)
 
     def test_oracle_match_chain_pattern(self):
         # (2,1,3,4): strips to (2,1,3) = wedge-top then to [2,1]
@@ -170,7 +189,7 @@ class TestOnceGf:
     def test_two_layer_large_reading_fails_oracle(self):
         """The same product evaluated at the larger layer, x^3/(V_3 V_2 V_0),
         predicts 3 permutations at n = 4 where brute force counts 2."""
-        large = RationalFunction.from_polys(
+        large = RationalFunction(
             Polynomial.one().shift(3), v_poly(3) * v_poly(2) * v_poly(0)
         )
         assert coeffs(large, 4)[4] == 3
@@ -180,7 +199,7 @@ class TestOnceGf:
         """The one-square product x^k V_m / (V_k^2 V_{m-p-1} V_p) disagrees
         with brute force already at {3,2,1} (n=4: 3 vs 2); the implemented
         closed form keeps the squares from the boundary step."""
-        plain = RationalFunction.from_polys(
+        plain = RationalFunction(
             Polynomial.one().shift(3) * v_poly(2),
             v_poly(3) * v_poly(3) * v_poly(0) * v_poly(1),
         )
@@ -211,22 +230,17 @@ class TestComputeGf:
         from pattgf.engine import compute_gf
 
         assert compute_gf((3, 2, 1)) == avoid_gf((3, 2, 1))
-        assert compute_gf(expand_layered((6, 3)), method="closed-form") == r_func(6)
-        assert compute_gf(expand_layered((6, 3)), method="recursion") == r_func(6)
-        # auto falls back to the recursion when no closed form applies
+        # a closed-form family is served by the recursion with the same value
+        assert compute_gf(expand_layered((6, 3))) == r_func(6)
         assert compute_gf((3, 2, 1, 4)) == avoid_gf((3, 2, 1, 4))
         assert compute_gf((2, 1), mode="once") == once_gf((2, 1))
         with pytest.raises(ValueError):
             compute_gf((1,), mode="maybe")
-        with pytest.raises(ValueError):
-            compute_gf((1,), method="guess")
-
-    def test_once_honours_method(self):
-        from pattgf.engine import compute_gf
-
-        assert compute_gf((2, 1), mode="once", method="closed-form") == once_gf((2, 1))
+        for mode in ("avoid", "once"):
+            with pytest.raises(NotIn132Class):
+                compute_gf((1, 3, 2), mode=mode)
         with pytest.raises(UnsupportedPattern):
-            compute_gf((2, 1), mode="once", method="recursion")
+            compute_gf((3, 2, 1), mode="once")
 
 
 class TestBivariateAggregates:

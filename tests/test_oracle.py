@@ -8,11 +8,9 @@ from pattgf.errors import EnumerationCapExceeded, PatternError
 from pattgf.oracle import (
     ConstraintSpec,
     CountTable,
-    avoid_series,
     catalan,
     count,
     enumerate_avoiders,
-    once_series,
     series,
 )
 from pattgf.patterns import contains, occurrence_count
@@ -81,8 +79,8 @@ def test_series_examples():
 
 
 def test_once_series_helper():
-    assert once_series((2, 1), 5).counts == (0, 0, 1, 1, 1, 1)
-    assert once_series((2, 1), 4, also_avoid=((3, 1, 2),)).counts[:3] == (0, 0, 1)
+    assert series(ConstraintSpec(contain=(2, 1)), 5).counts == (0, 0, 1, 1, 1, 1)
+    assert series(ConstraintSpec(avoid=((3, 1, 2),), contain=(2, 1)), 4).counts[:3] == (0, 0, 1)
 
 
 def test_at_least_mode_complements_avoid():
@@ -115,8 +113,8 @@ def test_constraint_spec_validation():
 
 
 def test_avoid_series_helper():
-    assert avoid_series([(3, 2, 1)], 5).counts == (1, 1, 2, 4, 7, 11)
-    assert avoid_series([(2, 1, 3), (3, 2, 1)], 4).counts[4] == count(
+    assert series(ConstraintSpec(avoid=((3, 2, 1),)), 5).counts == (1, 1, 2, 4, 7, 11)
+    assert series(ConstraintSpec(avoid=((2, 1, 3), (3, 2, 1))), 4).counts[4] == count(
         4, ConstraintSpec(avoid=((2, 1, 3), (3, 2, 1)))
     )
 

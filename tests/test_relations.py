@@ -1,6 +1,6 @@
 import pytest
 
-from pattgf.errors import PatternError
+from pattgf.errors import NotIn132Class, PatternError
 from pattgf.patterns import expand_layered
 from pattgf.relations import verify_relation
 
@@ -74,3 +74,18 @@ def test_report_lines():
     rep = verify_relation("thm21", (3, 2, 1))
     lines = rep.lines()
     assert lines[0].startswith("thm21") and lines[0].endswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "relation, pat",
+    [("thm21", (1, 3, 2)), ("thm31", (1, 3, 2)), ("thm31", (2, 4, 1, 3)), ("remark31", (1, 4, 3, 2))],
+)
+def test_132_containing_pattern_is_refused(relation, pat):
+    with pytest.raises(NotIn132Class):
+        verify_relation(relation, pat, terms=6)
+
+
+@pytest.mark.parametrize("relation", ["thm21", "thm23", "thm31", "thm33", "remark31"])
+def test_pattern_relation_without_params(relation):
+    with pytest.raises(PatternError, match=relation):
+        verify_relation(relation)
