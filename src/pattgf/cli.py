@@ -62,6 +62,8 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.terms < 0:
+        raise ValueError(f"--terms must be at least 0, got {args.terms}")
     pat = parse_pattern(args.pattern)
     coeffs = engine.series_of(engine.compute_gf(pat, args.mode), args.terms).coeffs
     if args.format == "json":
@@ -78,7 +80,7 @@ def _cmd_oracle(args) -> int:
     if args.mode == "avoid":
         spec = ConstraintSpec(avoid=(pat,) + also)
     else:
-        spec = ConstraintSpec(avoid=also, contain=pat, t=1, mode="exactly")
+        spec = ConstraintSpec(avoid=also, contain=pat)
     table = oracle.series(spec, args.max_n)
     if args.format == "json":
         print(json.dumps(table.to_json()))
@@ -105,7 +107,7 @@ def _cmd_verify(args) -> int:
         reports.append(relations.verify_relation(rel, orders=(10 if args.terms is None else args.terms, 8)))
     elif rel == "thm21":
         lo, hi = _parse_range(args.range, (1, 4))
-        for k in range(lo, hi + 1):
+        for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
             for perm in oracle.enumerate_avoiders(k):
                 reports.append(relations.verify_relation("thm21", perm))
     elif rel in ("thm23", "thm33", "thm31", "remark31"):

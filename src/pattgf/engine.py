@@ -54,7 +54,6 @@ from .algebra import BivariateSeries, Polynomial, RationalFunction, series_of
 from .chebyshev import r_func, v_poly
 from .errors import NotIn132Class, UnsupportedPattern
 from .patterns import (
-    FamilySpec,
     as_pattern,
     canonical_decompose,
     classify,
@@ -141,34 +140,23 @@ def _three_layer_closed(k: int, m1: int, m2: int) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def avoid_gf_closed(spec) -> RationalFunction:
-    """Closed-form avoidance series for layered (up to three layers),
-    wedge-top and general wedge patterns.
+def avoid_gf_closed(pat: Sequence[int]) -> RationalFunction:
+    """Closed-form avoidance series for a pattern in one-line notation
+    that is a wedge or a three-layer pattern.
 
-    Accepts a FamilySpec or a pattern in one-line notation; wedge
-    patterns of size k all share the series R_k.  These are the closed
-    forms stated as theorems; ``avoid_gf`` never calls them, and the
-    tests compare the two.
+    Wedge patterns of size k all share the series R_k; one- and
+    two-layer patterns and wedge-top patterns are wedges.  These are the
+    closed forms stated as theorems; ``avoid_gf`` never calls them, and
+    the tests compare the two.  Any other pattern raises
+    ``UnsupportedPattern``.
     """
-    if not isinstance(spec, FamilySpec):
-        pat = as_pattern(spec)
-        _require_132_avoiding(pat)
-        if is_wedge(pat):
-            return r_func(len(pat))
-        spec = classify(pat)
-    if spec.kind == "wedge-top":
-        return r_func(spec.params[0])
-    if spec.kind == "decreasing":
-        spec = classify(spec.expand())
-    if spec.kind == "layered":
-        tops = spec.params
-        if len(tops) <= 2:
-            return r_func(tops[0])
-        if len(tops) == 3:
-            return _three_layer_closed(*tops)
-        raise UnsupportedPattern(
-            f"no closed avoidance form for layered patterns with {len(tops)} layers"
-        )
+    pat = as_pattern(pat)
+    _require_132_avoiding(pat)
+    if is_wedge(pat):
+        return r_func(len(pat))
+    spec = classify(pat)
+    if spec.kind == "layered" and len(spec.params) == 3:
+        return _three_layer_closed(*spec.params)
     raise UnsupportedPattern(f"no closed avoidance form for {spec}")
 
 

@@ -11,9 +11,9 @@ the rest of it in L.  Summed over the skew cuts of σ,
 
 Close the constraint patterns under these heads and tails.  The state of
 a permutation is the vector of its occurrence counts of the closure, each
-capped at C (t + 1 to count exactly t occurrences, t for at least t, 1
-when nothing is contained).  Capping commutes with sums of products of
-nonnegative integers, so the state of π follows from those of L and R.  The table
+capped at C (2 to count exactly one occurrence, 1 when nothing is
+contained).  Capping commutes with sums of products of nonnegative
+integers, so the state of π follows from those of L and R.  The table
 for size n maps each state to the number of permutations having it.
 Occurrence counts never decrease when a permutation grows, so a state
 that already breaks a constraint is dropped for good.  Patterns that
@@ -52,8 +52,8 @@ class _Table:
     state j (-1 once that state is dropped).
     """
 
-    def __init__(self, avoid, contain, t, at_least):
-        self.key = (avoid, contain, t, at_least)
+    def __init__(self, avoid, contain):
+        self.key = (avoid, contain)
         roots = list(avoid) if contain is None else [*avoid, contain]
         patterns: list[tuple[int, ...]] = []
         index: dict[tuple[int, ...], int] = {}
@@ -67,8 +67,7 @@ class _Table:
         self.rules = [[(index[h], index[r]) for h, r in _splits(p)] for p in patterns]
         self.avoid_ix = [index[tuple(p)] for p in avoid]
         self.contain_ix = None if contain is None else index[tuple(contain)]
-        self.t, self.at_least = t, at_least
-        self.cap = 1 if contain is None else max(1, t if at_least else t + 1)
+        self.cap = 1 if contain is None else 2
         self.states: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
         self.joined: list[dict[int, int]] = []
@@ -81,7 +80,7 @@ class _Table:
         if any(state[i] for i in self.avoid_ix):
             return -1
         c = self.contain_ix
-        if not self.at_least and c is not None and state[c] > self.t:
+        if c is not None and state[c] > 1:
             return -1
         if state not in self.ids:
             self.ids[state] = len(self.states)
@@ -113,13 +112,10 @@ class _Table:
     def count(self, n: int) -> int:
         while len(self.levels) <= n:
             self.levels.append(self._next_level())
-        c, t = self.contain_ix, self.t
+        c = self.contain_ix
         if c is None:
             return sum(self.levels[n].values())
-        return sum(
-            m for i, m in self.levels[n].items()
-            if (self.states[i][c] >= t if self.at_least else self.states[i][c] == t)
-        )
+        return sum(m for i, m in self.levels[n].items() if self.states[i][c] == 1)
 
 
 _current: _Table | None = None  # only the most recent constraint set is kept
@@ -130,18 +126,16 @@ def count_constrained(
     n: int,
     avoid: tuple[tuple[int, ...], ...],
     contain: tuple[int, ...] | None,
-    t: int,
-    at_least: bool,
 ) -> int:
     """Number of 132-avoiding permutations of length n that avoid every
     pattern in ``avoid`` and, unless ``contain`` is None, contain it
-    exactly ``t`` times (at least ``t`` times if ``at_least``).
+    exactly once.
 
     Repeated calls with the same constraints reuse the tables already
     built, so a series for n = 0..N costs one table build.
     """
     global _current
     with _lock:
-        if _current is None or _current.key != (avoid, contain, t, at_least):
-            _current = _Table(avoid, contain, t, at_least)
+        if _current is None or _current.key != (avoid, contain):
+            _current = _Table(avoid, contain)
         return _current.count(n)

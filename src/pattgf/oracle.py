@@ -4,63 +4,46 @@
 n by placing the maximum at every position and recursing on both sides
 (the left part takes the values directly below the maximum, so the
 total count is Catalan(n)); with ``patterns.occurrence_count`` it is the
-brute-force ground truth.  ``count``/``series`` evaluate avoid and
-contain-exactly/at-least constraints with the polynomial-time counting
-DP of ``kernels``, which never lists a permutation.
+brute-force ground truth.  ``count``/``series`` ask the two questions the
+recursions need, "avoid every pattern in a set" and "contain one pattern
+exactly once", of the polynomial-time counting DP of ``kernels``, which
+never lists a permutation.
 
-Safety caps bound both: enumeration at n <= 12 and constraint counting
-at n <= 30 by default; the PATTGF_ORACLE_CAP environment variable raises
-(or lowers) both.
+Fixed safety caps bound both: enumeration at n <= 12 and constraint
+counting at n <= 30.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
 from . import kernels
-from .errors import EnumerationCapExceeded, PatternError
+from .errors import EnumerationCapExceeded
 from .patterns import as_pattern
 
-DEFAULT_ENUMERATION_CAP = 12
-DEFAULT_COUNT_CAP = 30
+ENUMERATION_CAP = 12
+COUNT_CAP = 30
 
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _cap(default: int) -> int:
-    override = os.environ.get("PATTGF_ORACLE_CAP")
-    if override:
-        try:
-            return int(override)
-        except ValueError:
-            raise ValueError(f"bad PATTGF_ORACLE_CAP value {override!r}") from None
-    return default
-
-
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Avoid every pattern in ``avoid``; optionally contain one pattern
-    exactly ``t`` times (``mode="exactly"``) or at least ``t`` times
-    (``mode="at_least"``)."""
+    """Avoid every pattern in ``avoid`` and, unless ``contain`` is None,
+    contain that pattern exactly once.  Every permutation contains the
+    empty pattern exactly once, so ``contain=()`` adds no constraint."""
 
     avoid: tuple[tuple[int, ...], ...] = ()
     contain: tuple[int, ...] | None = None
-    t: int = 1
-    mode: str = "exactly"
 
     def __post_init__(self):
         object.__setattr__(self, "avoid", tuple(as_pattern(p) for p in self.avoid))
         if self.contain is not None:
             object.__setattr__(self, "contain", as_pattern(self.contain))
-        if self.t < 0:
-            raise PatternError(f"occurrence count must be nonnegative: {self.t}")
-        if self.mode not in ("exactly", "at_least"):
-            raise PatternError(f"unknown containment mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +69,8 @@ def enumerate_avoiders(n: int) -> Iterator[tuple[int, ...]]:
     Order is a pure function of n: the position of the maximum moves
     left to right, then both sides recurse the same way.
     """
-    cap = _cap(DEFAULT_ENUMERATION_CAP)
-    if not 0 <= n <= cap:
-        raise EnumerationCapExceeded(f"n={n} outside the enumeration cap [0, {cap}]")
+    if not 0 <= n <= ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"n={n} outside the enumeration cap [0, {ENUMERATION_CAP}]")
 
     def gen(lo: int, size: int) -> Iterator[tuple[int, ...]]:
         if size == 0:
@@ -105,12 +87,9 @@ def enumerate_avoiders(n: int) -> Iterator[tuple[int, ...]]:
 
 def count(n: int, spec: ConstraintSpec) -> int:
     """Number of permutations in S_n(132) meeting all constraints."""
-    cap = _cap(DEFAULT_COUNT_CAP)
-    if not 0 <= n <= cap:
-        raise EnumerationCapExceeded(f"n={n} outside the counting cap [0, {cap}]")
-    return kernels.count_constrained(
-        n, spec.avoid, spec.contain, spec.t, spec.mode == "at_least"
-    )
+    if not 0 <= n <= COUNT_CAP:
+        raise EnumerationCapExceeded(f"n={n} outside the counting cap [0, {COUNT_CAP}]")
+    return kernels.count_constrained(n, spec.avoid, spec.contain)
 
 
 def series(spec: ConstraintSpec, n_max: int) -> CountTable:

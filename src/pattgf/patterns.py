@@ -208,10 +208,12 @@ def prefix_closure_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named pattern family: layered, decreasing, wedge-top or plain.
+    """A pattern family as ``classify`` reports it: layered, wedge-top or
+    plain.
 
-    Parameters: layered -> the layer tops (m_0, ..., m_r); decreasing
-    -> (k,); wedge-top -> (k, m, p) with k > m > p > 0; plain -> ().
+    Parameters: layered -> the layer tops (m_0, ..., m_r); wedge-top ->
+    (k, m, p) with k > m > p > 0; plain -> ().  Decreasing patterns are
+    layered, with all-singleton layers.
     """
 
     kind: str
@@ -222,9 +224,6 @@ class FamilySpec:
             p = self.params
             if not p or any(v <= 0 for v in p) or any(a <= b for a, b in zip(p, p[1:])):
                 raise PatternError(f"layered tops must be strictly decreasing positive: {p}")
-        elif self.kind == "decreasing":
-            if len(self.params) != 1 or self.params[0] < 1:
-                raise PatternError(f"decreasing spec needs one positive size: {self.params}")
         elif self.kind == "wedge-top":
             if len(self.params) != 3:
                 raise PatternError(f"wedge-top spec needs (k, m, p): {self.params}")
@@ -233,15 +232,6 @@ class FamilySpec:
                 raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {self.params}")
         elif self.kind != "plain":
             raise PatternError(f"unknown family kind {self.kind!r}")
-
-    def expand(self) -> tuple[int, ...]:
-        if self.kind == "layered":
-            return expand_layered(self.params)
-        if self.kind == "decreasing":
-            return decreasing(self.params[0])
-        if self.kind == "wedge-top":
-            return expand_wedge_top(*self.params)
-        raise PatternError("a plain family spec does not denote a single pattern")
 
 
 def increasing(k: int) -> tuple[int, ...]:
@@ -457,10 +447,11 @@ def iter_wedges(k: int) -> Iterator[tuple[int, ...]]:
                     yield pat
 
 
-def iter_layered_specs(k: int, min_layers: int = 1, max_layers: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Layer-top tuples of all layered patterns of size k."""
+def iter_layered_specs(k: int, min_layers: int = 1) -> Iterator[tuple[int, ...]]:
+    """Layer-top tuples of all layered patterns of size k with at least
+    ``min_layers`` layers."""
     for comp in _compositions(k):
-        if len(comp) < min_layers or (max_layers is not None and len(comp) > max_layers):
+        if len(comp) < min_layers:
             continue
         tops = []
         top = k

@@ -77,10 +77,7 @@ def _oracle_series(
     key = (tuple(sorted(avoid)), contain, n_max)
     hit = _SERIES_CACHE.get(key)
     if hit is None:
-        spec = ConstraintSpec(avoid=avoid, contain=contain, t=1, mode="exactly")
-        if contain is None:
-            spec = ConstraintSpec(avoid=avoid)
-        hit = PowerSeries(oracle_series(spec, n_max).counts)
+        hit = PowerSeries(oracle_series(ConstraintSpec(avoid, contain), n_max).counts)
         _SERIES_CACHE[key] = hit
     return hit
 

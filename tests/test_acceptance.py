@@ -82,7 +82,9 @@ def test_criterion_04_two_layer_collapse():
 def test_criterion_05_three_layer_closed_form():
     t0 = time.time()
     for k in range(3, 9):
-        for tops in iter_layered_specs(k, min_layers=3, max_layers=3):
+        for tops in iter_layered_specs(k, min_layers=3):
+            if len(tops) > 3:
+                continue
             assert avoid_gf(expand_layered(tops)) == _three_layer_closed(*tops), tops
     report(5, "three-layer closed form exact for all k <= 8", t0)
 
@@ -176,7 +178,9 @@ def test_criterion_12_layered_recursions_numeric():
     t0 = time.time()
     checked = 0
     for k in range(2, 6):
-        for tops in iter_layered_specs(k, min_layers=2, max_layers=4):
+        for tops in iter_layered_specs(k, min_layers=2):
+            if len(tops) > 4:
+                continue
             assert verify_relation("thm31", tops, terms=9).passed, ("thm31", tops)
             assert verify_relation("thm33", tops, terms=9).passed, ("thm33", tops)
             checked += 2

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,14 @@ def test_series_output(capsys):
     assert out == "1 1 2 4 7 11"
 
 
+def test_series_terms(capsys):
+    assert run(capsys, "series", "321", "--terms", "0") == (0, "1", "")
+    code, out, err = run(capsys, "series", "321", "--terms", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--terms must be at least 0, got -1" in err
+
+
 def test_series_equals_oracle_smoke(capsys):
     _, series_out, _ = run(capsys, "series", "{4,3,1}", "--mode", "once", "--terms", "7")
     _, oracle_out, _ = run(capsys, "oracle", "{4,3,1}", "--mode", "once", "--max-n", "7")
@@ -76,17 +87,13 @@ def test_oracle_csv_and_json(capsys):
     assert json.loads(out) == ["1", "1", "2", "4"]
 
 
-def test_oracle_cap_limits(capsys, monkeypatch):
+def test_oracle_cap_limits(capsys):
     code, out, _ = run(capsys, "oracle", "21", "--mode", "once", "--max-n", "30")
     assert code == 0
     assert out.splitlines()[-1] == "30,1"
     code, _, err = run(capsys, "oracle", "321", "--max-n", "31")
     assert code == 1
     assert "cap" in err
-    monkeypatch.setenv("PATTGF_ORACLE_CAP", "ten")
-    code, _, err = run(capsys, "oracle", "321", "--max-n", "4")
-    assert code == 1
-    assert "PATTGF_ORACLE_CAP" in err
 
 
 def test_oracle_negative_max_n_is_usage_error(capsys):
@@ -120,6 +127,10 @@ def test_verify_thm21_sweep(capsys):
     code, out, _ = run(capsys, "verify", "thm21", "--range", "1:3")
     assert code == 0
     assert out == "thm21: 8/8 instances hold"
+    # size 0 holds only the empty pattern, which the sweep skips
+    code, out, _ = run(capsys, "verify", "thm21", "--range", "0:2")
+    assert code == 0
+    assert out == "thm21: 3/3 instances hold"
 
 
 def test_verify_thm23_sweep(capsys):
@@ -159,6 +170,7 @@ def test_verify_default_terms(capsys):
         (("verify", "lemma41", "--max", "-3"), "over 1..-3"),
         (("verify", "thm31", "--range", "5:2"), "--range 5:2"),
         (("verify", "thm23", "--range", "1:1"), "--range 1:1"),
+        (("verify", "thm21", "--range", "0:0"), "--range 0:0"),
     ],
 )
 def test_empty_sweep_is_usage_error(capsys, argv, named):
@@ -172,3 +184,25 @@ def test_smallest_nonempty_identity_sweep(capsys):
     code, out, _ = run(capsys, "identities", "--max", "3")
     assert code == 0
     assert out == "6/6 identities hold over 1..3"
+
+
+def readme_examples():
+    """(argv, expected stdout lines) for each ``$ pattgf`` line of the
+    README's ``sh`` blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *expected = chunk.rstrip("\n").split("\n")
+            argv = shlex.split(command)
+            assert argv[0] == "pattgf", command
+            examples.append((argv[1:], expected))
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) == 5
+    for argv, expected in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == expected, argv

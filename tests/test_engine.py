@@ -16,7 +16,7 @@ from pattgf.engine import (
 )
 from pattgf.errors import NotIn132Class, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, catalan, enumerate_avoiders, series
-from pattgf.patterns import FamilySpec, decreasing, expand_layered, expand_wedge_top, increasing
+from pattgf.patterns import decreasing, expand_layered, expand_wedge_top, increasing
 
 
 def rf(num, den=(1,)):
@@ -104,19 +104,19 @@ class TestAvoidGf:
 
 class TestAvoidGfClosed:
     def test_two_layer_is_r(self):
-        assert avoid_gf_closed(FamilySpec("layered", (4, 2))) == r_func(4)
-        assert avoid_gf_closed(FamilySpec("layered", (4, 2))) == rf((1, -2), (1, -3, 1))
+        assert avoid_gf_closed(expand_layered((4, 2))) == r_func(4)
+        assert avoid_gf_closed(expand_layered((4, 2))) == rf((1, -2), (1, -3, 1))
 
     def test_wedge_pattern_argument(self):
         assert avoid_gf_closed((6, 4, 5, 7, 8, 3, 9, 1, 2)) == r_func(9)
         assert avoid_gf_closed(expand_wedge_top(5, 4, 2)) == r_func(5)
 
     def test_three_layer_matches_recursion(self):
-        assert avoid_gf_closed(FamilySpec("layered", (3, 2, 1))) == avoid_gf((3, 2, 1))
-        assert avoid_gf_closed(FamilySpec("layered", (5, 3, 1))) == avoid_gf(expand_layered((5, 3, 1)))
+        assert avoid_gf_closed(expand_layered((3, 2, 1))) == avoid_gf((3, 2, 1))
+        assert avoid_gf_closed(expand_layered((5, 3, 1))) == avoid_gf(expand_layered((5, 3, 1)))
 
     def test_decreasing_spec_small(self):
-        assert avoid_gf_closed(FamilySpec("decreasing", (3,))) == avoid_gf((3, 2, 1))
+        assert avoid_gf_closed(decreasing(3)) == avoid_gf((3, 2, 1))
 
     def test_every_closed_form_matches_recursion(self):
         # avoid_gf_closed is a reference only: wherever it answers, it
@@ -139,9 +139,9 @@ class TestAvoidGfClosed:
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedPattern):
-            avoid_gf_closed(FamilySpec("layered", (4, 3, 2, 1)))
+            avoid_gf_closed(expand_layered((4, 3, 2, 1)))
         with pytest.raises(UnsupportedPattern):
-            avoid_gf_closed(FamilySpec("decreasing", (5,)))
+            avoid_gf_closed(decreasing(5))
         with pytest.raises(UnsupportedPattern):
             avoid_gf_closed(decreasing(4))  # four singleton layers, not a wedge
 

@@ -21,7 +21,6 @@ K_MAX = 5
 TAUS = [tau for k in range(K_MAX + 1) for tau in enumerate_avoiders(k)]
 AVOID_SETS = [(), ((3, 2, 1),), ((2, 1, 3), (3, 2, 1)), ((1, 3, 2),), ((),)]
 CONTAINED = [None, (2, 1), (1, 2, 3), ()]
-GRID_MODES = [(1, False), (2, False), (1, True), (0, False)]
 
 
 class _Flattened(dict):
@@ -54,18 +53,13 @@ def test_census_matches_occurrence_count(census):
 
 
 def test_dp_matches_enumeration_every_small_pattern(census):
-    # avoid, exactly t = 0, 1, 2 and at least t = 1, 2 for every τ ∈ S_k(132), k <= 5
+    # avoid and contain exactly once, for every τ ∈ S_k(132), k <= 5
     for tau in TAUS:
-        hist = [Counter(min(occ[tau], 3) for occ in census[n]) for n in range(N_MAX + 1)]
+        hist = [Counter(min(occ[tau], 2) for occ in census[n]) for n in range(N_MAX + 1)]
         for n, h in enumerate(hist):
-            assert kernels.count_constrained(n, (tau,), None, 0, False) == h[0], (n, tau)
-        for t in (0, 1, 2):
-            for n, h in enumerate(hist):
-                assert kernels.count_constrained(n, (), tau, t, False) == h[t], (n, tau, t)
-        for t in (1, 2):
-            for n, h in enumerate(hist):
-                want = sum(m for occ, m in h.items() if occ >= t)
-                assert kernels.count_constrained(n, (), tau, t, True) == want, (n, tau, t)
+            assert kernels.count_constrained(n, (tau,), None) == h[0], (n, tau)
+        for n, h in enumerate(hist):
+            assert kernels.count_constrained(n, (), tau) == h[1], (n, tau)
 
 
 def test_dp_matches_enumeration_on_grid(census):
@@ -78,32 +72,25 @@ def test_dp_matches_enumeration_on_grid(census):
                         if not any(occ[p] for p in avoid))
                 for rows in census.values()
             ]
-            for t, at_least in GRID_MODES:
-                for n, h in enumerate(hists):
-                    if contain is None:
-                        want = sum(h.values())
-                    elif at_least:
-                        want = sum(m for c, m in h.items() if c >= t)
-                    else:
-                        want = h[t]
-                    got = kernels.count_constrained(n, avoid, contain, t, at_least)
-                    assert got == want, (n, avoid, contain, t, at_least)
+            for n, h in enumerate(hists):
+                want = sum(h.values()) if contain is None else h[1]
+                got = kernels.count_constrained(n, avoid, contain)
+                assert got == want, (n, avoid, contain)
 
 
 def test_dp_totals_are_catalan():
     for n in range(31):
-        assert kernels.count_constrained(n, (), None, 0, False) == catalan(n)
+        assert kernels.count_constrained(n, (), None) == catalan(n)
 
 
 def test_dp_spot_values_at_30():
-    assert kernels.count_constrained(30, ((3, 2, 1),), None, 0, False) == 1 + comb(30, 2)
+    assert kernels.count_constrained(30, ((3, 2, 1),), None) == 1 + comb(30, 2)
     # 2 1 3 4 ... n is the only 132-avoider with a single inversion
-    assert kernels.count_constrained(30, (), (2, 1), 1, False) == 1
+    assert kernels.count_constrained(30, (), (2, 1)) == 1
 
 
 def test_empty_pattern_semantics():
     # the empty pattern occurs exactly once in every permutation
-    assert kernels.count_constrained(4, ((),), None, 0, False) == 0
-    assert kernels.count_constrained(4, (), (), 1, False) == 14
-    assert kernels.count_constrained(4, (), (), 2, False) == 0
+    assert kernels.count_constrained(4, ((),), None) == 0
+    assert kernels.count_constrained(4, (), ()) == 14
 

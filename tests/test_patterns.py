@@ -141,7 +141,8 @@ def test_family_spec_validation():
         FamilySpec("wedge-top", (3, 1, 2))
     with pytest.raises(PatternError):
         FamilySpec("oval", ())
-    assert FamilySpec("decreasing", (4,)).expand() == (4, 3, 2, 1)
+    with pytest.raises(PatternError):
+        FamilySpec("decreasing", (4,))  # decreasing patterns are layered
 
 
 def test_wedge_examples():
@@ -152,6 +153,13 @@ def test_wedge_examples():
     assert is_wedge(expand_wedge_top(5, 4, 2))
     assert not is_wedge((3, 2, 1))
     assert not is_wedge((1, 3, 2))
+    # one- and two-layer and wedge-top patterns are all wedges
+    for k in range(1, 9):
+        for tops in iter_layered_specs(k):
+            assert is_wedge(expand_layered(tops)) == (len(tops) <= 2), tops
+        for m in range(2, k):
+            for p in range(1, m):
+                assert is_wedge(expand_wedge_top(k, m, p)), (k, m, p)
 
 
 def test_every_wedge_avoids_132():

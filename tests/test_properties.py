@@ -1,8 +1,9 @@
 """Property-based checks.
 
 Symbolic series against the counting DP: patterns are drawn from
-S_k(132), k <= 8, and every generating function the engine returns must
-expand to the DP oracle's table up to n = 20.
+S_k(132), k <= 9, and every generating function the engine returns must
+expand to the DP oracle's table up to n = 25.  Instances of the six
+V/U product identities are drawn with indices up to 24.
 
 Exact algebra: integer and rational polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
@@ -17,14 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pattgf.algebra import Polynomial, PowerSeries, RationalFunction, polynomial_gcd, series_of
-from pattgf.chebyshev import r_func
+from pattgf.chebyshev import check_identity, identity_instances, r_func
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 
-N = 20
-S132 = [list(enumerate_avoiders(k)) for k in range(9)]
-patterns_132 = st.integers(0, 8).flatmap(lambda k: st.sampled_from(S132[k]))
+N = 25
+S132 = [list(enumerate_avoiders(k)) for k in range(10)]
+patterns_132 = st.integers(0, 9).flatmap(lambda k: st.sampled_from(S132[k]))
+identities = st.sampled_from(["i", "ii", "iii", "iv", "v", "vi"]).flatmap(
+    lambda which: st.tuples(st.just(which), st.sampled_from(identity_instances(which, 24)))
+)
 
 
 def coeffs(f) -> tuple[int, ...]:
@@ -39,7 +43,14 @@ def test_gf_series_match_dp(tau):
         once = once_gf(tau)
     except UnsupportedPattern:
         return
-    assert coeffs(once) == series(ConstraintSpec(contain=tau, t=1), N).counts
+    assert coeffs(once) == series(ConstraintSpec(contain=tau), N).counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(identities)
+def test_identity_instances_hold(instance):
+    which, params = instance
+    assert check_identity(which, **params)
 
 
 def integral(f) -> bool:
