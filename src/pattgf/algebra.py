@@ -12,7 +12,9 @@ Representations:
   the lowest nonzero denominator coefficient positive.  Structural
   equality of canonical forms is therefore true equality.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
-  coefficients beyond the stated truncation order.
+  coefficients beyond the stated truncation order.  Division is the one
+  series recurrence: ``series_of`` and the bivariate quotient and square
+  root all call ``PowerSeries.__truediv__``.
 - ``BivariateSeries``: rectangular truncation (Nx, Ny), stored as one
   ``PowerSeries`` in x per power of y.  Operations track how the valid
   rectangle shrinks (division by a variable) or grows (multiplication
@@ -450,19 +452,24 @@ class PowerSeries:
             raise ValueError(f"series not divisible by x^{p}")
         return PowerSeries(self.coeffs[p:])
 
-    def inverse(self) -> "PowerSeries":
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        out = [_div(1, c0)]
-        for n in range(1, self.order + 1):
-            s = sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
-            out.append(_div(-s, c0))
-        return PowerSeries(out)
-
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
+        """Quotient c = a / b, term by term from c*b = a:
+        c_n = (a_n - sum_{0<j<=min(n, last)} b_j c_{n-j}) / b_0, with
+        ``last`` the index of b's last nonzero coefficient.
+        """
         n = self._align(other)
-        return self.truncate(n) * other.truncate(n).inverse()
+        a, b = self.coeffs, other.coeffs
+        b0 = b[0]
+        if b0 == 0:
+            raise ZeroDivisionError("division by a series with zero constant term")
+        last = max(j for j in range(n + 1) if b[j])
+        out: list[Rational] = []
+        for m in range(n + 1):
+            s = a[m]
+            for j in range(1, min(m, last) + 1):
+                s -= b[j] * out[m - j]
+            out.append(_div(s, b0))
+        return PowerSeries(out)
 
     def sqrt(self) -> "PowerSeries":
         """Principal square root of a series with constant term 1.
@@ -592,14 +599,13 @@ class BivariateSeries:
         """Division by a unit (nonzero constant term), level by level."""
         nx, ny = self._align(other)
         u0 = other.levels[0].truncate(nx)
-        inv0 = u0.inverse()
         out: list[PowerSeries] = []
         for m in range(ny + 1):
             acc = self.levels[m].truncate(nx)
             for i in range(1, m + 1):
                 if i <= other.order_y:
                     acc = acc - other.levels[i].truncate(nx) * out[m - i]
-            out.append(acc * inv0)
+            out.append(acc / u0)
         return BivariateSeries(out)
 
     def sqrt(self) -> "BivariateSeries":
@@ -611,31 +617,20 @@ class BivariateSeries:
         if self.levels[0].coeffs[0] != 1:
             raise ValueError("series square root requires constant term 1")
         t0 = self.levels[0].sqrt()
-        inv_2t0 = t0.scale(2).inverse()
+        two_t0 = t0.scale(2)
         out = [t0]
         for m in range(1, self.order_y + 1):
             acc = self.levels[m]
             for i in range(1, m):
                 acc = acc - out[i] * out[m - i]
-            out.append(acc * inv_2t0)
+            out.append(acc / two_t0)
         return BivariateSeries(out)
 
 
 # -- module-level operations -------------------------------------------------
 
 def series_of(f: RationalFunction, order: int) -> PowerSeries:
-    """First ``order``+1 Taylor coefficients of ``f`` at 0.
-
-    Runs the linear recurrence induced by the denominator:
-    sum_j den_j * c_{n-j} = num_n, solvable because den(0) != 0.
-    """
-    q0 = f.den.constant_term()
-    if q0 == 0:
+    """First ``order``+1 Taylor coefficients of ``f`` at 0: num / den as series."""
+    if f.den.constant_term() == 0:
         raise ZeroDivisionError("denominator constant term is zero; no Taylor expansion at 0")
-    coeffs: list[Rational] = []
-    for n in range(order + 1):
-        s = f.num.coefficient(n)
-        for j in range(1, min(n, f.den.degree) + 1):
-            s -= f.den.coefficient(j) * coeffs[n - j]
-        coeffs.append(_div(s, q0))
-    return PowerSeries(coeffs)
+    return PowerSeries.from_polynomial(f.num, order) / PowerSeries.from_polynomial(f.den, order)

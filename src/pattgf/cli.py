@@ -20,7 +20,7 @@ import sys
 
 from . import engine, oracle, relations
 from .algebra import RationalFunction
-from .chebyshev import r_func, sweep_identities
+from .chebyshev import sweep_identities, v_poly
 from .errors import (
     EnumerationCapExceeded,
     NotIn132Class,
@@ -37,9 +37,12 @@ EXIT_NOT_IN_CLASS = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _known_v_quotient(f: RationalFunction, limit: int = 24) -> str | None:
-    for p in range(1, limit + 1):
-        if f == r_func(p):
+def _known_v_quotient(f: RationalFunction) -> str | None:
+    """Name ``f`` if it is some R_p, whose canonical form is (V_{p-1}, V_p)
+    with deg V_p = floor(p/2)."""
+    d = f.den.degree
+    for p in (2 * d, 2 * d + 1):
+        if p >= 1 and f.den == v_poly(p) and f.num == v_poly(p - 1):
             return f"V_{{{p - 1}}}(x) / V_{{{p}}}(x)"
     return None
 
@@ -93,13 +96,18 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
     if not text:
         return default
     lo, _, hi = text.partition(":")
-    return (int(lo), int(hi or lo))
+    try:
+        return (int(lo), int(hi or lo))
+    except ValueError:
+        raise ValueError(f"--range must be A:B or A with integers A, B, got {text!r}") from None
 
 
 def _cmd_verify(args) -> int:
     rel = args.relation
     if args.terms is not None and args.terms < 1:
         raise ValueError(f"--terms must be at least 1, got {args.terms}")
+    if rel in ("thm31", "thm33", "remark31") and args.terms is not None and args.terms > oracle.COUNT_CAP:
+        raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
     reports: list[relations.RelationReport] = []
     if rel == "lemma41":
         return _identities(args.max)

@@ -109,19 +109,28 @@ def contains_132(pat: Sequence[int]) -> bool:
 class CanonicalDecomposition:
     """A pattern written around its right-to-left maxima.
 
-    ``maxima`` is the strictly decreasing run m_0 > ... > m_r of
-    right-to-left maxima (m_0 = k); ``segments`` holds the possibly
-    empty stretches between them, so interleaving segment i before
-    maximum i reconstructs the source pattern.  Every entry of segment
+    ``positions`` indexes the right-to-left maxima of ``pattern``; their
+    values ``maxima`` run m_0 = k > ... > m_r, and ``segments`` are the
+    possibly empty stretches before each, so interleaving segment i
+    before maximum i reconstructs the pattern.  Every entry of segment
     i exceeds maximum i+1 and everything in segment i+1.
     """
 
-    maxima: tuple[int, ...]
-    segments: tuple[tuple[int, ...], ...]
+    pattern: tuple[int, ...]
+    positions: tuple[int, ...]
 
     @property
     def r(self) -> int:
-        return len(self.maxima) - 1
+        return len(self.positions) - 1
+
+    @property
+    def maxima(self) -> tuple[int, ...]:
+        return tuple(self.pattern[i] for i in self.positions)
+
+    @property
+    def segments(self) -> tuple[tuple[int, ...], ...]:
+        starts = (0,) + tuple(i + 1 for i in self.positions)
+        return tuple(self.pattern[a:b] for a, b in zip(starts, self.positions))
 
     def reconstruct(self) -> tuple[int, ...]:
         word: list[int] = []
@@ -147,14 +156,7 @@ def canonical_decompose(pat: Sequence[int]) -> CanonicalDecomposition:
         if pat[i] > best:
             positions.append(i)
             best = pat[i]
-    positions.reverse()
-    maxima = tuple(pat[i] for i in positions)
-    segments = []
-    start = 0
-    for i in positions:
-        segments.append(tuple(pat[start:i]))
-        start = i + 1
-    return CanonicalDecomposition(maxima=maxima, segments=tuple(segments))
+    return CanonicalDecomposition(pat, tuple(reversed(positions)))
 
 
 def prefix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
@@ -165,15 +167,8 @@ def prefix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
     """
     if not -1 <= i <= d.r:
         raise PatternError(f"prefix index {i} out of range [-1, {d.r}]")
-    if i == -1:
-        return ()
-    if i == 0:
-        return flatten(d.segments[0])
-    word: list[int] = []
-    for j in range(i + 1):
-        word.extend(d.segments[j])
-        word.append(d.maxima[j])
-    return flatten(word)
+    end = d.positions[i] + (i > 0) if i >= 0 else 0  # prefix 0 stops before m_0
+    return flatten(d.pattern[:end])
 
 
 def suffix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
@@ -183,11 +178,7 @@ def suffix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
     """
     if not 0 <= i <= d.r + 1:
         raise PatternError(f"suffix index {i} out of range [0, {d.r + 1}]")
-    word: list[int] = []
-    for j in range(i, d.r + 1):
-        word.extend(d.segments[j])
-        word.append(d.maxima[j])
-    return flatten(word)
+    return flatten(d.pattern[d.positions[i - 1] + 1 if i else 0 :])
 
 
 def prefix_closure_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
@@ -199,11 +190,7 @@ def prefix_closure_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]
     """
     if not 0 <= i <= d.r:
         raise PatternError(f"prefix index {i} out of range [0, {d.r}]")
-    word: list[int] = []
-    for j in range(i + 1):
-        word.extend(d.segments[j])
-        word.append(d.maxima[j])
-    return flatten(word)
+    return flatten(d.pattern[: d.positions[i] + 1])
 
 
 @dataclass(frozen=True)

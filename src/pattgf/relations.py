@@ -20,7 +20,8 @@ generating functions:
 Boundary bookkeeping for the numeric checks, derived by re-running the
 place-the-maximum argument and verified against the oracle:
 
-- the left factor of the first summand constrains the part left of the
+- the left factor of the first summand (built, for ``thm31`` and
+  ``remark31`` alike, by ``_left_factor``) constrains the part left of the
   placed maximum by the *prefix closure* (first segment plus its
   maximum), not by the full next prefix.  For layered patterns with a
   nonempty first segment the two readings agree (containing the closure
@@ -49,6 +50,7 @@ from .engine import (
 from .errors import NotIn132Class, PatternError
 from .oracle import ConstraintSpec, series as oracle_series
 from .patterns import (
+    CanonicalDecomposition,
     as_pattern,
     canonical_decompose,
     contains_132,
@@ -84,6 +86,13 @@ def _oracle_series(
 
 def _xshift(s: PowerSeries, n: int) -> PowerSeries:
     return s.mul_x_power(1).truncate(n)
+
+
+def _left_factor(d: CanonicalDecomposition, i: int, n: int) -> PowerSeries:
+    """Left factor of summand i >= 1: avoid prefix i (the prefix closure
+    when i = 1, see the module docstring), contain prefix i-1 once."""
+    avoided = prefix_closure_pattern(d, 0) if i == 1 else prefix_pattern(d, i)
+    return _oracle_series(n, avoid=(avoided,), contain=prefix_pattern(d, i - 1))
 
 
 @dataclass
@@ -185,10 +194,7 @@ def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:
     lhs = lhs_mult * once_counts
     rhs = PowerSeries.zero(n)
     for j in range(1, r + 1):
-        if j == 1:
-            left = _oracle_series(n, avoid=(prefix_closure_pattern(d, 0),), contain=prefix_pattern(d, 0))
-        else:
-            left = _oracle_series(n, avoid=(prefix_pattern(d, j),), contain=prefix_pattern(d, j - 1))
+        left = _left_factor(d, j, n)
         right = _oracle_series(n, avoid=(suffix_pattern(d, j - 1),), contain=suffix_pattern(d, j))
         rhs = rhs + _xshift(left * right, n)
     report.add("coefficients 0..%d" % n, lhs == rhs)
@@ -248,12 +254,7 @@ def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
         lhs = lhs_mult * gamma
         rhs = PowerSeries.zero(n)
         for i in range(1, j):
-            if i == 1:
-                left = _oracle_series(
-                    n, avoid=(prefix_closure_pattern(d, 0),), contain=prefix_pattern(d, 0)
-                )
-            else:
-                left = _oracle_series(n, avoid=(prefix_pattern(d, i),), contain=prefix_pattern(d, i - 1))
+            left = _left_factor(d, i, n)
             right = _oracle_series(
                 n,
                 avoid=(suffix_pattern(d_mu, i - 1), suffix_pattern(d_nu, i)),

@@ -180,9 +180,30 @@ class TestPowerSeries:
 
     def test_inverse(self):
         s = PowerSeries((1, -1, 0, 0, 0))
-        assert [int(c) for c in s.inverse().coeffs] == [1, 1, 1, 1, 1]
+        assert [int(c) for c in (PowerSeries.one(4) / s).coeffs] == [1, 1, 1, 1, 1]
         with pytest.raises(ZeroDivisionError):
-            PowerSeries((0, 1)).inverse()
+            PowerSeries.one(1) / PowerSeries((0, 1))
+
+    def test_division_undoes_multiplication(self):
+        rng = random.Random(17)
+        for b0 in (1, -1, 3):
+            for _ in range(10):
+                a = PowerSeries([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(9)])
+                # trailing zeros: the recurrence stops at the last nonzero b_j
+                low = [b0] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+                b = PowerSeries(low + [0] * (9 - len(low)))
+                assert (a / b) * b == a
+        q = PowerSeries((1, 0, 0, 0)) / PowerSeries((3, 1, 0, 0))
+        assert q.coeffs == (Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27), Fraction(-1, 81))
+
+    def test_zero_constant_divisor_raises(self):
+        a = PowerSeries((1, 2, 3))
+        for b in (PowerSeries((0, 1, 1)), PowerSeries.zero(2)):
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        unit = BivariateSeries.from_terms({(0, 0): 1}, 2, 2)
+        with pytest.raises(ZeroDivisionError):
+            unit / BivariateSeries.from_terms({(1, 0): 1}, 2, 2)
 
     def test_truncation_discipline(self):
         a = PowerSeries((1, 2, 3))

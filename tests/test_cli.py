@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from pattgf.algebra import RationalFunction
-from pattgf.cli import main
+from pattgf.chebyshev import r_func
+from pattgf.cli import _known_v_quotient, main
 
 
 def run(capsys, *argv):
@@ -37,6 +38,19 @@ def test_gf_latex_annotates_known_quotients(capsys):
     assert code == 0
     assert out.startswith("\\frac{")
     assert "V_{3}(x) / V_{4}(x)" in out
+    code, out, _ = run(capsys, "gf", "[30]", "--format", "latex")
+    assert code == 0
+    assert out.endswith("  % = V_{29}(x) / V_{30}(x)")
+    code, out, _ = run(capsys, "gf", "321", "--format", "latex")
+    assert code == 0
+    assert out == "\\frac{1 - 2x + 2x^2}{1 - 3x + 3x^2 - x^3}"
+
+
+def test_known_v_quotient_names_every_r():
+    for p in range(1, 41):
+        assert _known_v_quotient(r_func(p)) == f"V_{{{p - 1}}}(x) / V_{{{p}}}(x)"
+    for f in (RationalFunction.zero(), RationalFunction((1, 1)), RationalFunction((1,), (1, -2))):
+        assert _known_v_quotient(f) is None
 
 
 def test_series_output(capsys):
@@ -152,6 +166,22 @@ def test_verify_terms_below_one_is_usage_error(capsys, relation, terms):
     assert code == 1
     assert out == ""
     assert f"--terms must be at least 1, got {terms}" in err
+
+
+@pytest.mark.parametrize("relation, text", [("thm21", "x"), ("thm31", "2:x"), ("thm23", ":3")])
+def test_verify_malformed_range_is_usage_error(capsys, relation, text):
+    code, out, err = run(capsys, "verify", relation, "--range", text)
+    assert code == 1
+    assert out == ""
+    assert "--range" in err and "A:B" in err and repr(text) in err
+
+
+@pytest.mark.parametrize("relation", ["thm31", "thm33", "remark31"])
+def test_verify_terms_above_count_cap_is_usage_error(capsys, relation):
+    code, out, err = run(capsys, "verify", relation, "--range", "2:3", "--terms", "40")
+    assert code == 1
+    assert out == ""
+    assert "--terms" in err and "oracle.COUNT_CAP = 30" in err and "got 40" in err
 
 
 def test_verify_default_terms(capsys):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from pattgf.errors import PatternError
+from pattgf.oracle import enumerate_avoiders
 from pattgf.patterns import (
     FamilySpec,
     as_pattern,
@@ -117,6 +118,59 @@ def test_prefix_suffix_examples():
     d2 = canonical_decompose((3, 2, 1, 4))
     assert prefix_pattern(d2, 0) == (3, 2, 1)
     assert prefix_closure_pattern(d2, 0) == (3, 2, 1, 4)
+
+
+def _reference_parts(pat):
+    """Right-to-left maxima and the segments before each, by a direct scan."""
+    maxima, segments, seg = [], [], []
+    for i, v in enumerate(pat):
+        if all(v > w for w in pat[i + 1:]):
+            maxima.append(v)
+            segments.append(tuple(seg))
+            seg = []
+        else:
+            seg.append(v)
+    return maxima, segments
+
+
+def _reference_flatten(word):
+    ranked = sorted(word)
+    return tuple(ranked.index(v) + 1 for v in word)
+
+
+def _interleave(maxima, segments, lo, hi):
+    word = []
+    for j in range(lo, hi):
+        word.extend(segments[j])
+        word.append(maxima[j])
+    return _reference_flatten(word)
+
+
+def test_slices_match_interleave_reference():
+    # every tau in S_k(132), k <= 7, every valid index
+    for k in range(1, 8):
+        for pat in enumerate_avoiders(k):
+            maxima, segments = _reference_parts(pat)
+            r = len(maxima) - 1
+            d = canonical_decompose(pat)
+            assert (d.maxima, d.segments, d.r) == (tuple(maxima), tuple(segments), r)
+            assert prefix_pattern(d, -1) == ()
+            assert prefix_pattern(d, 0) == _reference_flatten(segments[0])
+            for i in range(1, r + 1):
+                assert prefix_pattern(d, i) == _interleave(maxima, segments, 0, i + 1)
+            for i in range(r + 1):
+                assert prefix_closure_pattern(d, i) == _interleave(maxima, segments, 0, i + 1)
+            for i in range(r + 2):
+                assert suffix_pattern(d, i) == _interleave(maxima, segments, i, r + 1)
+            for bad in (-2, r + 1):
+                with pytest.raises(PatternError):
+                    prefix_pattern(d, bad)
+            for bad in (-1, r + 1):
+                with pytest.raises(PatternError):
+                    prefix_closure_pattern(d, bad)
+            for bad in (-1, r + 2):
+                with pytest.raises(PatternError):
+                    suffix_pattern(d, bad)
 
 
 def test_classify_families():
