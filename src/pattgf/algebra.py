@@ -10,7 +10,13 @@ Representations:
 - ``RationalFunction``: numerator/denominator pair in canonical form:
   coprime, coefficients cleared to integers with joint content 1, and
   the lowest nonzero denominator coefficient positive.  Structural
-  equality of canonical forms is therefore true equality.
+  equality of canonical forms is therefore true equality.  Four
+  operations build their canonical result directly, without
+  ``_normalize``: ``-f`` is (-num, den); ``f ± p`` for p in Z[x] is
+  (num ± p*den, den), since gcd(num + p*den, den) = gcd(num, den);
+  ``x**k * f`` is (x**k * num, den) when den(0) != 0, since then x does
+  not divide den; and ``1 / f`` is (den, num), both negated when num's
+  lowest nonzero coefficient is negative.  Everything else normalizes.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
   coefficients beyond the stated truncation order.  Division is the one
   series recurrence: ``series_of`` and the bivariate quotient and square
@@ -189,6 +195,13 @@ class RationalFunction:
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         self.num, self.den = self._normalize(num, den)
 
+    @classmethod
+    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair that is already in canonical form; no ``_normalize``."""
+        f = object.__new__(cls)
+        f.num, f.den = num, den
+        return f
+
     @staticmethod
     def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
         if den.is_zero:
@@ -251,14 +264,35 @@ class RationalFunction:
             return v
         return RationalFunction.constant(v)
 
+    def _is_polynomial(self) -> bool:
+        return self.den.coeffs == (1,)
+
+    def _x_power(self) -> int | None:
+        """k when this is x**k, else None."""
+        c = self.num.coeffs
+        if self._is_polynomial() and c and c[-1] == 1 and not any(c[:-1]):
+            return len(c) - 1
+        return None
+
+    def _plus_polynomial(self, p: Polynomial) -> "RationalFunction":
+        """self + p, canonical as is: gcd(num + p*den, den) = gcd(num, den) = 1."""
+        num = self.num + p * self.den
+        if num.is_zero:
+            return RationalFunction._canonical(num, Polynomial.one())
+        return RationalFunction._canonical(num, self.den)
+
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
+        if o._is_polynomial():
+            return self._plus_polynomial(o.num)
+        if self._is_polynomial():
+            return o._plus_polynomial(self.num)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._canonical(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -268,6 +302,11 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         o = self._coerce(other)
+        for f, g in ((self, o), (o, self)):
+            # x**k * g stays canonical when x does not divide g.den
+            k = f._x_power()
+            if k is not None and g.den.coeffs[0]:
+                return RationalFunction._canonical(g.num.shift(k), g.den)
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -276,6 +315,12 @@ class RationalFunction:
         o = self._coerce(other)
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
+        if self.num.coeffs == (1,) and self._is_polynomial():
+            # 1 / o is (o.den, o.num), negated if that den's lowest coefficient is negative
+            num, den = o.den, o.num
+            if next(c for c in den.coeffs if c) < 0:
+                num, den = -num, -den
+            return RationalFunction._canonical(num, den)
         return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":

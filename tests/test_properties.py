@@ -7,7 +7,8 @@ V/U product identities are drawn with indices up to 24.
 
 Exact algebra: integer and rational polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
-field laws, survive JSON, and never produce a float.
+field laws, survive JSON, and never produce a float; the operations that
+skip ``_normalize`` must return what it would.
 """
 
 import json
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pattgf.algebra import Polynomial, PowerSeries, RationalFunction, polynomial_gcd, series_of
 from pattgf.chebyshev import check_identity, identity_instances, r_func
@@ -79,15 +80,62 @@ functions = st.builds(RationalFunction, polys, nonzero_polys)
 ALGEBRA = settings(max_examples=60, deadline=None)
 
 
+def assert_canonical(f):
+    assert all(type(x) is int for x in f.num.coeffs + f.den.coeffs)
+    assert polynomial_gcd(f.num, f.den).degree == 0
+    assert gcd(*f.num.coeffs, *f.den.coeffs) == 1
+    assert next(x for x in f.den.coeffs if x) > 0
+
+
 @ALGEBRA
 @given(polys, nonzero_polys, nonzero_polys)
 def test_canonical_form(a, b, c):
     f = RationalFunction(a * c, b * c)
     assert f == RationalFunction(a, b)
-    assert all(type(x) is int for x in f.num.coeffs + f.den.coeffs)
-    assert polynomial_gcd(f.num, f.den).degree == 0
-    assert gcd(*f.num.coeffs, *f.den.coeffs) == 1
-    assert next(x for x in f.den.coeffs if x) > 0
+    assert_canonical(f)
+
+
+# functions whose denominator is 1 (f - f hits the zero result) or divisible by x
+# (x**k * f must fall back to _normalize), besides the general ones
+fast_path_functions = (
+    functions
+    | int_polys.map(RationalFunction)
+    | st.builds(lambda a, b, j: RationalFunction(a, b.shift(j)), polys, nonzero_polys, st.integers(1, 2))
+)
+
+
+@ALGEBRA
+@given(fast_path_functions, st.integers(-6, 6) | int_polys, st.integers(0, 3))
+@example(RationalFunction((1,), (0, 1)), 2, 1)  # x * (1/x): x divides den
+@example(RationalFunction((-2, 1), (1, 1)), Polynomial((0, 3)), 0)  # 1/f flips both signs
+@example(RationalFunction((2, 1)), Polynomial((2, 1)), 2)  # f - p = 0 = f - f
+def test_fast_paths_match_normalize(f, c, k):
+    """Results that skip _normalize equal the raw pair sent through it."""
+    p = c if isinstance(c, Polynomial) else Polynomial((c,))
+    q, xk = RationalFunction(p), RationalFunction.x(k)
+    num, den = f.num, f.den
+    cases = [
+        (-f, -num, den),
+        (f + q, num + p * den, den),
+        (q + f, p * den + num, den),
+        (f - q, num - p * den, den),
+        (q - f, p * den - num, den),
+        (f - f, Polynomial(), den),
+        (xk * f, num.shift(k), den),
+        (f * xk, num.shift(k), den),
+    ]
+    if not isinstance(c, Polynomial):
+        cases += [
+            (f + c, num + p * den, den),
+            (c + f, p * den + num, den),
+            (f - c, num - p * den, den),
+            (c - f, p * den - num, den),
+        ]
+    if not f.is_zero:
+        cases += [(RationalFunction.one() / f, den, num), (1 / f, den, num)]
+    for got, raw_num, raw_den in cases:
+        assert got == RationalFunction(raw_num, raw_den)
+        assert_canonical(got)
 
 
 @ALGEBRA
