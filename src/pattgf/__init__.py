@@ -14,7 +14,6 @@ from .chebyshev import chebyshev_u, check_identity, r_func, sweep_identities, v_
 from .engine import (
     avoid_gf,
     avoid_gf_closed,
-    compute_gf,
     once_gf,
     phi_closed_series,
     psi_closed_series,
@@ -65,7 +64,6 @@ __all__ = [
     "chebyshev_u",
     "check_identity",
     "classify",
-    "compute_gf",
     "count",
     "enumerate_avoiders",
     "flatten",

@@ -16,7 +16,9 @@ Representations:
   (num ± p*den, den), since gcd(num + p*den, den) = gcd(num, den);
   ``x**k * f`` is (x**k * num, den) when den(0) != 0, since then x does
   not divide den; and ``1 / f`` is (den, num), both negated when num's
-  lowest nonzero coefficient is negative.  Everything else normalizes.
+  lowest nonzero coefficient is negative.  The literals ``zero``,
+  ``one``, ``x`` and integer constants are canonical as written.
+  Everything else normalizes.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
   coefficients beyond the stated truncation order.  Division is the one
   series recurrence: ``series_of`` and the bivariate quotient and square
@@ -223,18 +225,20 @@ class RationalFunction:
     # -- constructors --------------------------------------------------
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls((), (1,))
+        return cls._canonical(Polynomial(), Polynomial.one())
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls((1,), (1,))
+        return cls._canonical(Polynomial.one(), Polynomial.one())
 
     @classmethod
     def x(cls, power: int = 1) -> "RationalFunction":
-        return cls(Polynomial.x(power), Polynomial.one())
+        return cls._canonical(Polynomial.x(power), Polynomial.one())
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
+        if isinstance(c, int):
+            return cls._canonical(Polynomial((c,)), Polynomial.one())
         return cls(Polynomial((c,)), Polynomial.one())
 
     # -- basics --------------------------------------------------------

@@ -68,7 +68,9 @@ def r_func(p: int) -> RationalFunction:
     """
     if p < 1:
         raise ValueError(f"index must be at least 1: {p}")
-    return RationalFunction(v_poly(p - 1), v_poly(p))
+    # canonical as is: gcd(V_p, V_{p-1}) = gcd(V_{p-1}, x V_{p-2}) = ... = 1
+    # since every V_q(0) = 1, which also makes the content 1 and the sign right
+    return RationalFunction._canonical(v_poly(p - 1), v_poly(p))
 
 
 def r_func_or_zero(p: int) -> RationalFunction:

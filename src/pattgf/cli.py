@@ -5,7 +5,7 @@ Subcommands::
     gf <pattern> --mode avoid|once [--format plain|latex|json]
     series <pattern> --mode avoid|once --terms N [--format ...]
     oracle <pattern> --mode avoid|once --max-n N [--also-avoid <pattern>] [--format ...]
-    verify <relation-id> [--range A:B] [--terms N] [--max M]
+    verify <relation-id> [--range A:B] [--terms N]
     identities --max M
 
 Exit codes: 0 success, 1 usage error, 2 unsupported pattern,
@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import engine, oracle, relations
-from .algebra import RationalFunction
+from .algebra import RationalFunction, series_of
 from .chebyshev import sweep_identities, v_poly
 from .errors import (
     EnumerationCapExceeded,
@@ -58,9 +58,14 @@ def _render_gf(pat, mode: str, f: RationalFunction, fmt: str) -> str:
     return str(f)
 
 
+def _gf(pat, mode: str) -> RationalFunction:
+    # looked up on ``engine`` at call time, so a rebound entry point is used
+    return engine.avoid_gf(pat) if mode == "avoid" else engine.once_gf(pat)
+
+
 def _cmd_gf(args) -> int:
     pat = parse_pattern(args.pattern)
-    print(_render_gf(pat, args.mode, engine.compute_gf(pat, args.mode), args.format))
+    print(_render_gf(pat, args.mode, _gf(pat, args.mode), args.format))
     return EXIT_OK
 
 
@@ -68,7 +73,7 @@ def _cmd_series(args) -> int:
     if args.terms < 0:
         raise ValueError(f"--terms must be at least 0, got {args.terms}")
     pat = parse_pattern(args.pattern)
-    coeffs = engine.series_of(engine.compute_gf(pat, args.mode), args.terms).coeffs
+    coeffs = series_of(_gf(pat, args.mode), args.terms).coeffs
     if args.format == "json":
         print(json.dumps({"pattern": format_pattern(pat), "mode": args.mode,
                           "series": [str(int(c)) for c in coeffs]}))
@@ -109,8 +114,6 @@ def _cmd_verify(args) -> int:
     if rel in ("thm31", "thm33", "remark31") and args.terms is not None and args.terms > oracle.COUNT_CAP:
         raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
     reports: list[relations.RelationReport] = []
-    if rel == "lemma41":
-        return _identities(args.max)
     if rel in ("thm22feq", "thm32feq"):
         reports.append(relations.verify_relation(rel, orders=(10 if args.terms is None else args.terms, 8)))
     elif rel == "thm21":
@@ -136,7 +139,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
-def _identities(max_index: int) -> int:
+def _cmd_identities(args) -> int:
+    max_index = args.max
     results = sweep_identities(max_index)
     empty = [part for part, (_, total) in sorted(results.items()) if total == 0]
     if empty:
@@ -147,10 +151,6 @@ def _identities(max_index: int) -> int:
             print(f"identity ({part}): {passes}/{total} instances hold")
     print(f"{good}/{len(results)} identities hold over 1..{max_index}")
     return EXIT_OK if good == len(results) else EXIT_VERIFY_FAILED
-
-
-def _cmd_identities(args) -> int:
-    return _identities(args.max)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,11 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a structural relation")
     p.add_argument("relation",
                    choices=("thm21", "thm22feq", "thm23", "thm31", "remark31",
-                            "thm32feq", "thm33", "lemma41"))
+                            "thm32feq", "thm33"))
     p.add_argument("--range", default="", help="pattern-size range A:B for sweeps")
     p.add_argument("--terms", type=int, default=None,
                    help="series order for numeric checks (default 9; 10 for thm22feq/thm32feq)")
-    p.add_argument("--max", type=int, default=12, help="index bound for lemma41")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identities", help="exact product-identity sweep")

@@ -8,17 +8,16 @@ resulting equation mentions the unknown on both sides, so each level is
 solved linearly (the divisor has constant term 1 and is never zero)
 and recursion only ever descends to strictly shorter flattened
 prefixes and suffixes, which guarantees termination.  Results are
-memoized per flattened pattern.  Every avoidance answer, including
-``compute_gf``'s and the CLI's, comes from this recursion;
-``avoid_gf_closed`` states the closed forms for layered, wedge-top and
-wedge patterns and serves only as a reference the tests compare the
-recursion against.
+memoized per flattened pattern.  Every avoidance answer, the CLI's
+included, comes from this recursion; ``avoid_gf_closed`` states the
+closed forms for layered, wedge-top and wedge patterns and serves only
+as a reference the tests compare the recursion against.
 
 ``once_gf`` produces the analogous series for "contains tau exactly
-once".  Exact closed forms exist for the families below (V_p denotes
-the companion polynomials from ``pattgf.chebyshev``):
+once".  It tries, in this order, the base case [1] = x, the closed
+families below (V_p denotes the companion polynomials from
+``pattgf.chebyshev``), then the chain step:
 
-- single increasing run [k]:        x^k / V_k^2
 - two layers [k,m]:                 x^k / (V_k * V_m' * V_{k-m'-1}),
   where m' = min(m, k-m).  Inverting a permutation preserves both
   132-avoidance and occurrence counts while swapping [k,m] with
@@ -34,9 +33,14 @@ the companion polynomials from ``pattgf.chebyshev``):
   {3,2,1}, n = 4: 3 instead of 2) because stripping the last maximum
   from {m+1,m,p} leaves a pattern with a unique occurrence inside it,
   which invalidates the unrestricted-chain shortcut at that step.
-- any other pattern ending in its maximum whose prefix occurs at least
-  twice in it: the chain step G = x*F*G'/(1 - x*F') is then exact and
-  recursion continues on the stripped pattern.
+- the chain step, for tau of size k ending in k-1, k:
+  G = x*F*G'/(1 - x*F'), where F, F' are the avoidance series of tau
+  and its head tau' = tau[:-1] and G' is the once series of tau'.  It
+  is exact when tau' occurs at least twice in tau, which is exactly
+  this shape: an occurrence other than tau' itself uses k, tau's last
+  and largest entry, for the last entry of tau', which must then be
+  k-1.  The increasing run [k] is reached this way from [1] and gets
+  x^k / V_k^2.
 
 Everything else raises UnsupportedPattern (use the oracle for numeric
 tables: ``pattgf oracle <pattern> --mode once``).
@@ -60,7 +64,6 @@ from .patterns import (
     contains_132,
     flatten,
     is_wedge,
-    occurrence_count,
     prefix_pattern,
     suffix_pattern,
 )
@@ -160,18 +163,6 @@ def avoid_gf_closed(pat: Sequence[int]) -> RationalFunction:
     raise UnsupportedPattern(f"no closed avoidance form for {spec}")
 
 
-def compute_gf(pat: Sequence[int], mode: str = "avoid") -> RationalFunction:
-    """Unified entry point: ``mode="avoid"`` is ``avoid_gf`` (the
-    recursion, exact for every pattern in S_k(132)), ``mode="once"`` is
-    ``once_gf``.
-    """
-    if mode == "avoid":
-        return avoid_gf(pat)
-    if mode == "once":
-        return once_gf(pat)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def once_gf(pat: Sequence[int]) -> RationalFunction:
     """Rational series counting S_n(132) permutations containing ``pat``
     exactly once; see the module docstring for the supported families.
@@ -190,41 +181,32 @@ def _once(pat: tuple[int, ...]) -> RationalFunction:
     hit = _ONCE_MEMO.get(pat)
     if hit is not None:
         return hit
-    value = _once_dispatch(pat)
-    _ONCE_MEMO[pat] = value
-    return value
-
-
-def _once_dispatch(pat: tuple[int, ...]) -> RationalFunction:
     k = len(pat)
     if k == 1:
-        return _X
-    fam = classify(pat)
-    if fam.kind == "layered" and len(fam.params) == 1:
-        return RationalFunction(Polynomial.one().shift(k), v_poly(k) * v_poly(k))
-    if fam.kind == "layered" and len(fam.params) == 2:
-        m = min(fam.params[1], k - fam.params[1])
-        den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
-        return RationalFunction(Polynomial.one().shift(k), den)
-    if fam.kind == "wedge-top":
-        _, m, p = fam.params
-        q = max(p, m - p)
-        num = (v_poly(m) * v_poly(m)).shift(k)
-        den = v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q)
-        return RationalFunction(num, den)
-    d = canonical_decompose(pat)
-    if d.r == 0:
-        head = prefix_pattern(d, 0)
-        # The chain step is exact only when stripping the maximum leaves
-        # a pattern occurring at least twice in pat; otherwise the head
-        # factor would need a two-pattern series we cannot close.
-        if occurrence_count(pat, head, cap=2) >= 2:
-            f_head = _avoid(head)
-            return _X * _avoid(pat) * _once(head) / (_ONE - _X * f_head)
-    raise UnsupportedPattern(
-        f"no exact once-series for pattern {pat}; the oracle can tabulate it "
-        "(CLI: pattgf oracle <pattern> --mode once)"
-    )
+        value = _X
+    else:
+        fam = classify(pat)
+        if fam.kind == "layered" and len(fam.params) == 2:
+            m = min(fam.params[1], k - fam.params[1])
+            den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
+            value = RationalFunction(Polynomial.one().shift(k), den)
+        elif fam.kind == "wedge-top":
+            _, m, p = fam.params
+            q = max(p, m - p)
+            num = (v_poly(m) * v_poly(m)).shift(k)
+            den = v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q)
+            value = RationalFunction(num, den)
+        elif pat[-2:] == (k - 1, k):
+            # chain step: the head pat[:-1] occurs at least twice in pat
+            head = pat[:-1]
+            value = _X * _avoid(pat) * _once(head) / (_ONE - _X * _avoid(head))
+        else:
+            raise UnsupportedPattern(
+                f"no exact once-series for pattern {pat}; the oracle can tabulate it "
+                "(CLI: pattgf oracle <pattern> --mode once)"
+            )
+    _ONCE_MEMO[pat] = value
+    return value
 
 
 # -- bivariate closed forms ---------------------------------------------------
@@ -305,7 +287,6 @@ def psi_functional_equation_residual(order_x: int, order_y: int) -> BivariateSer
 __all__ = [
     "avoid_gf",
     "avoid_gf_closed",
-    "compute_gf",
     "once_gf",
     "phi_closed_series",
     "psi_closed_series",

@@ -91,6 +91,8 @@ def test_usage_exit_code(capsys):
     assert code == 1
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+    code, _, _ = run(capsys, "verify", "lemma41")  # removed alias of `identities`
+    assert code == 1
 
 
 def test_oracle_csv_and_json(capsys):
@@ -123,12 +125,6 @@ def test_oracle_also_avoid(capsys):
     )
     assert code == 0
     assert [line.split(",")[1] for line in out.splitlines()] == ["0", "0", "1", "0", "0"]
-
-
-def test_verify_lemma41_line(capsys):
-    code, out, _ = run(capsys, "verify", "lemma41", "--max", "12")
-    assert code == 0
-    assert out == "6/6 identities hold over 1..12"
 
 
 def test_identities_alias(capsys):
@@ -197,7 +193,7 @@ def test_verify_default_terms(capsys):
         (("identities", "--max", "0"), "part(s) i, ii, iii, iv, v, vi"),
         (("identities", "--max", "1"), "part(s) i, ii, iii, iv, v, vi"),
         (("identities", "--max", "2"), "part(s) v"),
-        (("verify", "lemma41", "--max", "-3"), "over 1..-3"),
+        (("identities", "--max", "-3"), "over 1..-3"),
         (("verify", "thm31", "--range", "5:2"), "--range 5:2"),
         (("verify", "thm23", "--range", "1:1"), "--range 1:1"),
         (("verify", "thm21", "--range", "0:0"), "--range 0:0"),

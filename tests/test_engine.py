@@ -16,7 +16,7 @@ from pattgf.engine import (
 )
 from pattgf.errors import NotIn132Class, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, catalan, enumerate_avoiders, series
-from pattgf.patterns import decreasing, expand_layered, expand_wedge_top, increasing
+from pattgf.patterns import decreasing, expand_layered, expand_wedge_top, increasing, occurrence_count
 
 
 def rf(num, den=(1,)):
@@ -169,8 +169,9 @@ class TestOnceGf:
             once_gf(())
         with pytest.raises(UnsupportedPattern):
             once_gf((3, 2, 1))  # three singleton layers: no closed once-form
-        with pytest.raises(UnsupportedPattern):
-            once_gf((3, 4, 2, 1, 5))  # strips to [4,2,1], unsupported
+        # its head is [4,2,1]; the refusal names the pattern asked for, not the head
+        with pytest.raises(UnsupportedPattern, match=r"pattern \(3, 4, 2, 1, 5\);"):
+            once_gf((3, 4, 2, 1, 5))
 
     def test_trivial_prefix_zero(self):
         for pat in [increasing(4), expand_layered((4, 2)), expand_wedge_top(5, 3, 1)]:
@@ -224,23 +225,30 @@ class TestOnceGf:
                 assert coeffs(f, 9) == list(series(ConstraintSpec(contain=tau), 9).counts), tau
         assert supported == 25
 
+    def test_chain_shape_is_double_head_occurrence(self):
+        # the chain step's test: for tau of size k ending in k, the head
+        # tau[:-1] occurs at least twice in tau exactly when tau ends in k-1, k
+        checked = 0
+        for k in range(2, 10):
+            for tau in enumerate_avoiders(k):
+                if tau[-1] == k:
+                    checked += 1
+                    twice = occurrence_count(tau, tau[:-1], cap=2) >= 2
+                    assert twice == (tau[-2] == k - 1), tau
+        assert checked == 2055
 
-class TestComputeGf:
-    def test_dispatch(self):
-        from pattgf.engine import compute_gf
-
-        assert compute_gf((3, 2, 1)) == avoid_gf((3, 2, 1))
-        # a closed-form family is served by the recursion with the same value
-        assert compute_gf(expand_layered((6, 3))) == r_func(6)
-        assert compute_gf((3, 2, 1, 4)) == avoid_gf((3, 2, 1, 4))
-        assert compute_gf((2, 1), mode="once") == once_gf((2, 1))
-        with pytest.raises(ValueError):
-            compute_gf((1,), mode="maybe")
-        for mode in ("avoid", "once"):
-            with pytest.raises(NotIn132Class):
-                compute_gf((1, 3, 2), mode=mode)
-        with pytest.raises(UnsupportedPattern):
-            compute_gf((3, 2, 1), mode="once")
+    def test_coverage_census(self):
+        supported = []
+        for k in range(1, 9):
+            n = 0
+            for tau in enumerate_avoiders(k):
+                try:
+                    once_gf(tau)
+                except UnsupportedPattern:
+                    continue
+                n += 1
+            supported.append(n)
+        assert supported == [1, 2, 4, 7, 11, 16, 22, 29]
 
 
 class TestBivariateAggregates:

@@ -7,8 +7,8 @@ V/U product identities are drawn with indices up to 24.
 
 Exact algebra: integer and rational polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
-field laws, survive JSON, and never produce a float; the operations that
-skip ``_normalize`` must return what it would.
+field laws, survive JSON, and never produce a float; the operations and
+literals that skip ``_normalize`` must return what it would.
 """
 
 import json
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pattgf.algebra import Polynomial, PowerSeries, RationalFunction, polynomial_gcd, series_of
-from pattgf.chebyshev import check_identity, identity_instances, r_func
+from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
@@ -133,6 +133,28 @@ def test_fast_paths_match_normalize(f, c, k):
         ]
     if not f.is_zero:
         cases += [(RationalFunction.one() / f, den, num), (1 / f, den, num)]
+    for got, raw_num, raw_den in cases:
+        assert got == RationalFunction(raw_num, raw_den)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("p", range(1, 61))
+def test_literals_match_normalize(p):
+    """R_p, x**p and integer constants skip _normalize too; so do zero
+    and one, while a non-integer constant still normalizes."""
+    one, c = Polynomial.one(), p - 30
+    cases = [
+        (r_func(p), v_poly(p - 1), v_poly(p)),
+        (RationalFunction.x(p), Polynomial.x(p), one),
+        (RationalFunction.constant(c), Polynomial((c,)), one),
+        (RationalFunction._coerce(c), Polynomial((c,)), one),
+    ]
+    if p == 1:
+        cases += [
+            (RationalFunction.zero(), Polynomial(), one),
+            (RationalFunction.one(), one, one),
+            (RationalFunction.constant(Fraction(-3, 4)), Polynomial((-3,)), Polynomial((4,))),
+        ]
     for got, raw_num, raw_den in cases:
         assert got == RationalFunction(raw_num, raw_den)
         assert_canonical(got)
