@@ -2,6 +2,10 @@
 
 Coefficients are ``int``s, and ``fractions.Fraction``s only where a value
 is not integral; every equality used anywhere in the package is exact.
+``fractions`` is imported on first use, by the two helpers that build a
+non-integral value, so integral work never loads it.  Annotations are
+strings, and ``Rational`` in them means ``numbers.Rational``, which is
+never imported.
 
 Representations:
 
@@ -31,23 +35,32 @@ Representations:
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from math import gcd, lcm
-from numbers import Rational
-from typing import Iterable, Sequence
 
 
 def _coeff(c) -> Rational:
     """An exact coefficient: ``int`` when integral, else ``Fraction``."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _div(a, b) -> Rational:
     """The exact quotient a / b: ``int`` when b divides a, else ``Fraction``."""
-    return a // b if a % b == 0 else Fraction(a) / b
+    if a % b == 0:
+        return a // b
+    from fractions import Fraction
+
+    return Fraction(a) / b
+
+
+def _check_power(power: int) -> None:
+    if power < 0:
+        raise ValueError(f"x**{power}: the power must be at least 0")
 
 
 def _cleared(coeffs: Sequence[Rational]) -> list[int]:
@@ -76,6 +89,7 @@ class Polynomial:
 
     @classmethod
     def x(cls, power: int = 1) -> "Polynomial":
+        _check_power(power)
         return cls([0] * power + [1])
 
     # -- basics --------------------------------------------------------
@@ -134,6 +148,7 @@ class Polynomial:
 
     def shift(self, power: int) -> "Polynomial":
         """Multiply by x**power."""
+        _check_power(power)
         if self.is_zero:
             return self
         return Polynomial([0] * power + list(self.coeffs))
@@ -485,6 +500,7 @@ class PowerSeries:
 
     def mul_x_power(self, p: int) -> "PowerSeries":
         """Shift up; the truncation order grows by p (nothing is lost)."""
+        _check_power(p)
         return PowerSeries([0] * p + list(self.coeffs))
 
     def div_x_exact(self, p: int) -> "PowerSeries":
@@ -629,6 +645,7 @@ class BivariateSeries:
         return BivariateSeries([lvl.mul_x_power(p) for lvl in self.levels])
 
     def mul_y_power(self, p: int) -> "BivariateSeries":
+        _check_power(p)
         zero = PowerSeries.zero(self.order_x)
         return BivariateSeries([zero] * p + list(self.levels))
 

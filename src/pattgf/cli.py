@@ -10,12 +10,14 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage error, 2 unsupported pattern,
 3 pattern outside the 132-avoiding class, 4 verification failure.
+
+Every call pays for interpreter start and this import, so ``json`` is
+imported only by the ``--format json`` branches that print it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import engine, oracle, relations
@@ -49,6 +51,8 @@ def _known_v_quotient(f: RationalFunction) -> str | None:
 
 def _render_gf(pat, mode: str, f: RationalFunction, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload = {"pattern": format_pattern(pat), "mode": mode}
         payload.update(f.as_json_dict())
         return json.dumps(payload)
@@ -75,6 +79,8 @@ def _cmd_series(args) -> int:
     pat = parse_pattern(args.pattern)
     coeffs = series_of(_gf(pat, args.mode), args.terms).coeffs
     if args.format == "json":
+        import json
+
         print(json.dumps({"pattern": format_pattern(pat), "mode": args.mode,
                           "series": [str(int(c)) for c in coeffs]}))
     else:
@@ -91,6 +97,8 @@ def _cmd_oracle(args) -> int:
         spec = ConstraintSpec(avoid=also, contain=pat)
     table = oracle.series(spec, args.max_n)
     if args.format == "json":
+        import json
+
         print(json.dumps(table.to_json()))
     else:
         print(table.to_csv())

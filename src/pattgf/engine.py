@@ -52,7 +52,7 @@ marking the pattern size.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import BivariateSeries, Polynomial, RationalFunction, series_of
 from .chebyshev import r_func, v_poly

@@ -15,13 +15,12 @@ counting at n <= 30.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import comb
-from typing import Iterator
 
 from . import kernels
 from .errors import EnumerationCapExceeded
-from .patterns import as_pattern
+from .patterns import _Frozen, as_pattern
 
 ENUMERATION_CAP = 12
 COUNT_CAP = 30
@@ -31,26 +30,27 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(_Frozen):
     """Avoid every pattern in ``avoid`` and, unless ``contain`` is None,
     contain that pattern exactly once.  Every permutation contains the
     empty pattern exactly once, so ``contain=()`` adds no constraint."""
 
-    avoid: tuple[tuple[int, ...], ...] = ()
-    contain: tuple[int, ...] | None = None
+    __slots__ = ("avoid", "contain")
 
-    def __post_init__(self):
-        object.__setattr__(self, "avoid", tuple(as_pattern(p) for p in self.avoid))
-        if self.contain is not None:
-            object.__setattr__(self, "contain", as_pattern(self.contain))
+    def __init__(self, avoid: tuple[tuple[int, ...], ...] = (), contain: tuple[int, ...] | None = None):
+        super().__init__(
+            tuple(as_pattern(p) for p in avoid),
+            None if contain is None else as_pattern(contain),
+        )
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Frozen):
     """Counts indexed by n = 0..n_max; each entry is at most Catalan(n)."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]):
+        super().__init__(counts)
 
     @property
     def n_max(self) -> int:

@@ -19,8 +19,7 @@ Emitted patterns use space-separated one-line notation (``format_pattern``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import PatternError
 
@@ -105,8 +104,44 @@ def contains_132(pat: Sequence[int]) -> bool:
     return contains(pat, (1, 3, 2))
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class _Frozen:
+    """Base of the package's immutable records: the fields are the
+    ``__slots__``, set once by ``__init__``; ``==``, ``hash`` and ``repr``
+    go field by field, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since assignment is refused
+        return type(self), self._values()
+
+
+class CanonicalDecomposition(_Frozen):
     """A pattern written around its right-to-left maxima.
 
     ``positions`` indexes the right-to-left maxima of ``pattern``; their
@@ -116,8 +151,10 @@ class CanonicalDecomposition:
     i exceeds maximum i+1 and everything in segment i+1.
     """
 
-    pattern: tuple[int, ...]
-    positions: tuple[int, ...]
+    __slots__ = ("pattern", "positions")
+
+    def __init__(self, pattern: tuple[int, ...], positions: tuple[int, ...]):
+        super().__init__(pattern, positions)
 
     @property
     def r(self) -> int:
@@ -193,8 +230,7 @@ def prefix_closure_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]
     return flatten(d.pattern[: d.positions[i] + 1])
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """A pattern family as ``classify`` reports it: layered, wedge-top or
     plain.
 
@@ -203,22 +239,22 @@ class FamilySpec:
     layered, with all-singleton layers.
     """
 
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind == "layered":
-            p = self.params
+    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+        if kind == "layered":
+            p = params
             if not p or any(v <= 0 for v in p) or any(a <= b for a, b in zip(p, p[1:])):
                 raise PatternError(f"layered tops must be strictly decreasing positive: {p}")
-        elif self.kind == "wedge-top":
-            if len(self.params) != 3:
-                raise PatternError(f"wedge-top spec needs (k, m, p): {self.params}")
-            k, m, p = self.params
+        elif kind == "wedge-top":
+            if len(params) != 3:
+                raise PatternError(f"wedge-top spec needs (k, m, p): {params}")
+            k, m, p = params
             if not k > m > p > 0:
-                raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {self.params}")
-        elif self.kind != "plain":
-            raise PatternError(f"unknown family kind {self.kind!r}")
+                raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {params}")
+        elif kind != "plain":
+            raise PatternError(f"unknown family kind {kind!r}")
+        super().__init__(kind, params)
 
 
 def increasing(k: int) -> tuple[int, ...]:

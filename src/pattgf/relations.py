@@ -38,8 +38,6 @@ place-the-maximum argument and verified against the oracle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import PowerSeries, RationalFunction, series_of
 from .chebyshev import r_func_or_zero
 from .engine import (
@@ -95,17 +93,19 @@ def _left_factor(d: CanonicalDecomposition, i: int, n: int) -> PowerSeries:
     return _oracle_series(n, avoid=(avoided,), contain=prefix_pattern(d, i - 1))
 
 
-@dataclass
 class RelationCheck:
-    label: str
-    passed: bool
+    __slots__ = ("label", "passed")
+
+    def __init__(self, label: str, passed: bool):
+        self.label, self.passed = label, passed
 
 
-@dataclass
 class RelationReport:
-    relation: str
-    instance: str
-    checks: list[RelationCheck] = field(default_factory=list)
+    __slots__ = ("relation", "instance", "checks")
+
+    def __init__(self, relation: str, instance: str):
+        self.relation, self.instance = relation, instance
+        self.checks: list[RelationCheck] = []
 
     @property
     def passed(self) -> bool:

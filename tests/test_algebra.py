@@ -9,6 +9,7 @@ from pattgf.algebra import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    _div,
     polynomial_gcd,
     polynomial_str,
     series_of,
@@ -26,7 +27,40 @@ def rand_poly(rng, degree, zero_ok=True):
             return p
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Polynomial.x(-1),
+        lambda: RationalFunction.x(-2),
+        lambda: Polynomial((1, 2)).shift(-1),
+        lambda: Polynomial().shift(-1),
+        lambda: PowerSeries((1, 2)).mul_x_power(-1),
+        lambda: BivariateSeries.zero(3, 2).mul_x_power(-1),
+        lambda: BivariateSeries.zero(3, 2).mul_y_power(-1),
+    ],
+    ids=[
+        "Polynomial.x",
+        "RationalFunction.x",
+        "Polynomial.shift",
+        "Polynomial.shift-zero",
+        "PowerSeries.mul_x_power",
+        "BivariateSeries.mul_x_power",
+        "BivariateSeries.mul_y_power",
+    ],
+)
+def test_negative_power_raises(call):
+    with pytest.raises(ValueError, match="power must be at least 0"):
+        call()
+
+
 class TestPolynomial:
+    def test_non_integral_coefficients_are_fractions(self):
+        assert Polynomial(["1/2", "4/2"]).coeffs == (Fraction(1, 2), 2)
+        assert type(Polynomial(["1/2"]).coeffs[0]) is Fraction
+        assert type(Polynomial(["4/2"]).coeffs[0]) is int
+        assert type(_div(1, 2)) is Fraction and _div(1, 2) == Fraction(1, 2)
+        assert type(_div(4, 2)) is int and _div(4, 2) == 2
+
     def test_trailing_zeros_trimmed(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert Polynomial((0, 0)).is_zero

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,3 +235,20 @@ def test_readme_cli_examples(capsys):
     for argv, expected in examples:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out.splitlines() == expected, argv
+
+
+def test_import_cli_loads_every_module_and_no_heavy_stdlib():
+    """``import pattgf.cli`` loads every pattgf module (the benchmark's
+    tracer wraps entry points in all of them), and none of the stdlib
+    modules that cost start-up time on every CLI call.  ``-S`` keeps
+    ``site`` from preloading anything."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, pattgf.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"}
+    assert heavy.isdisjoint(loaded), heavy.intersection(loaded)
+    wrapped = {"patterns", "algebra", "chebyshev", "engine", "oracle", "kernels", "relations", "cli"}
+    assert {f"pattgf.{name}" for name in wrapped} <= set(loaded)

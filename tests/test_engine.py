@@ -118,6 +118,14 @@ class TestAvoidGfClosed:
     def test_decreasing_spec_small(self):
         assert avoid_gf_closed(decreasing(3)) == avoid_gf((3, 2, 1))
 
+    def test_refusal_names_the_family(self):
+        with pytest.raises(UnsupportedPattern) as info:
+            avoid_gf_closed((4, 2, 1, 3))
+        assert str(info.value) == "no closed avoidance form for FamilySpec(kind='plain', params=())"
+        with pytest.raises(UnsupportedPattern) as info:
+            avoid_gf_closed(decreasing(4))
+        assert str(info.value).endswith("FamilySpec(kind='layered', params=(4, 3, 2, 1))")
+
     def test_every_closed_form_matches_recursion(self):
         # avoid_gf_closed is a reference only: wherever it answers, it
         # must equal the recursion that serves every avoidance request

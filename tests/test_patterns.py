@@ -1,9 +1,11 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from pattgf.errors import PatternError
-from pattgf.oracle import enumerate_avoiders
+from pattgf.oracle import ConstraintSpec, CountTable, enumerate_avoiders
 from pattgf.patterns import (
     FamilySpec,
     as_pattern,
@@ -186,6 +188,49 @@ def test_classify_layered_roundtrip():
     for k in range(1, 8):
         for tops in iter_layered_specs(k):
             assert classify(expand_layered(tops)) == FamilySpec("layered", tops)
+
+
+@pytest.mark.parametrize(
+    "make, other, field, text",
+    [
+        (
+            lambda: canonical_decompose((3, 2, 1, 4)),
+            lambda: canonical_decompose((3, 2, 4, 1)),
+            "positions",
+            "CanonicalDecomposition(pattern=(3, 2, 1, 4), positions=(3,))",
+        ),
+        (
+            lambda: FamilySpec("layered", (5, 3, 1)),
+            lambda: FamilySpec("layered", (5, 3)),
+            "kind",
+            "FamilySpec(kind='layered', params=(5, 3, 1))",
+        ),
+        (
+            lambda: ConstraintSpec(avoid=[[3, 2, 1]], contain=[2, 1]),
+            lambda: ConstraintSpec(avoid=[[3, 2, 1]]),
+            "avoid",
+            "ConstraintSpec(avoid=((3, 2, 1),), contain=(2, 1))",
+        ),
+        (
+            lambda: CountTable((1, 1, 2)),
+            lambda: CountTable((1, 1, 2, 5)),
+            "counts",
+            "CountTable(counts=(1, 1, 2))",
+        ),
+    ],
+    ids=["CanonicalDecomposition", "FamilySpec", "ConstraintSpec", "CountTable"],
+)
+def test_frozen_records(make, other, field, text):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other()
+    assert repr(a) == str(a) == text
+    with pytest.raises(AttributeError):
+        setattr(a, field, ())
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b and repr(a) == text
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_family_spec_validation():
