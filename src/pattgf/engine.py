@@ -7,11 +7,22 @@ permutation and matches prefix/suffix patterns of tau around it; the
 resulting equation mentions the unknown on both sides, so each level is
 solved linearly (the divisor has constant term 1 and is never zero)
 and recursion only ever descends to strictly shorter flattened
-prefixes and suffixes, which guarantees termination.  Results are
-memoized per flattened pattern.  Every avoidance answer, the CLI's
-included, comes from this recursion; ``avoid_gf_closed`` states the
-closed forms for layered, wedge-top and wedge patterns and serves only
-as a reference the tests compare the recursion against.
+prefixes and suffixes, which guarantees termination.  Every avoidance
+answer, the CLI's included, comes from this recursion;
+``avoid_gf_closed`` states the closed forms for layered, wedge-top and
+wedge patterns and serves only as a reference the tests compare the
+recursion against.
+
+Results are memoized per flattened pattern, and one entry serves both
+tau and its inverse: the recursion runs on the pattern asked for and
+stores the value under tau and tau^-1 alike, so each inverse pair is
+solved once.  This is exact, canonical form included.  Transposing the
+plane maps the graph of a permutation pi to that of pi^-1, and each
+occurrence of tau in pi to an occurrence of tau^-1 in pi^-1.  Since
+(1,3,2) is its own inverse, pi -> pi^-1 is a bijection of S_n(132)
+that keeps occurrence counts and sends the tau-avoiders onto the
+tau^-1-avoiders.  So the two series agree term by term, and a rational
+series has exactly one canonical form.
 
 ``once_gf`` produces the analogous series for "contains tau exactly
 once".  It tries, in this order, the base case [1] = x, the closed
@@ -62,7 +73,7 @@ from .patterns import (
     canonical_decompose,
     classify,
     contains_132,
-    flatten,
+    inverse,
     is_wedge,
     prefix_pattern,
     suffix_pattern,
@@ -72,8 +83,9 @@ _X = RationalFunction.x()
 _ONE = RationalFunction.one()
 
 # memo tables keyed by flattened one-line notation; avoid and once modes
-# are cached separately.  Entries are immutable once written, so
-# concurrent duplicate computation is harmless.
+# are cached separately.  An avoid entry is written under tau and its
+# inverse together (see the module docstring).  Entries are immutable
+# once written, so concurrent duplicate computation is harmless.
 _AVOID_MEMO: dict[tuple[int, ...], RationalFunction] = {(): RationalFunction.zero()}
 _ONCE_MEMO: dict[tuple[int, ...], RationalFunction] = {(): RationalFunction.one()}
 
@@ -96,12 +108,17 @@ def avoid_gf(pat: Sequence[int]) -> RationalFunction:
     """
     pat = as_pattern(pat)
     _require_132_avoiding(pat)
-    return _avoid(flatten(pat))
+    return _avoid(pat)
 
 
 def _avoid(pat: tuple[int, ...]) -> RationalFunction:
     hit = _AVOID_MEMO.get(pat)
     if hit is not None:
+        return hit
+    inv = inverse(pat)
+    hit = _AVOID_MEMO.get(inv)
+    if hit is not None:
+        _AVOID_MEMO[pat] = hit
         return hit
     if len(pat) == 1:
         value = _ONE
@@ -120,7 +137,7 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
             rhs = rhs - _X * f_pre[r] * f_suf[r]
             divisor = _ONE - _X * f_pre[1] - _X * f_suf[r]
             value = rhs / divisor
-    _AVOID_MEMO[pat] = value
+    _AVOID_MEMO[pat] = _AVOID_MEMO[inv] = value
     return value
 
 
@@ -174,7 +191,7 @@ def once_gf(pat: Sequence[int]) -> RationalFunction:
             "that series is the Catalan generating function, not rational"
         )
     _require_132_avoiding(pat)
-    return _once(flatten(pat))
+    return _once(pat)
 
 
 def _once(pat: tuple[int, ...]) -> RationalFunction:

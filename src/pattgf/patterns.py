@@ -101,7 +101,37 @@ def contains(host: Sequence[int], pat: Sequence[int]) -> bool:
 
 
 def contains_132(pat: Sequence[int]) -> bool:
-    return contains(pat, (1, 3, 2))
+    """Whether ``pat`` contains (1,3,2), by one right-to-left scan.
+
+    ``stack`` holds a decreasing run of candidates for the "2";
+    ``third`` is the largest value popped so far, i.e. a "2" with a
+    larger "3" to its left.  An entry below ``third`` completes a 132.
+    ``contains(pat, (1, 3, 2))`` is the reference.
+
+    >>> contains_132((2, 4, 1, 3)), contains_132((3, 4, 1, 2))
+    (True, False)
+    """
+    stack: list[int] = []
+    third = 0
+    for v in reversed(pat):
+        if v < third:
+            return True
+        while stack and stack[-1] < v:
+            third = stack.pop()
+        stack.append(v)
+    return False
+
+
+def inverse(pat: Sequence[int]) -> tuple[int, ...]:
+    """The inverse permutation: its v-th entry is the position of v in ``pat``.
+
+    >>> inverse((2, 3, 1))
+    (3, 1, 2)
+    """
+    inv = [0] * len(pat)
+    for i, v in enumerate(pat, 1):
+        inv[v - 1] = i
+    return tuple(inv)
 
 
 class _Frozen:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import threading
 
 import pytest
@@ -16,7 +18,15 @@ from pattgf.engine import (
 )
 from pattgf.errors import NotIn132Class, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, catalan, enumerate_avoiders, series
-from pattgf.patterns import decreasing, expand_layered, expand_wedge_top, increasing, occurrence_count
+from pattgf.patterns import (
+    decreasing,
+    expand_layered,
+    expand_wedge_top,
+    format_pattern,
+    increasing,
+    inverse,
+    occurrence_count,
+)
 
 
 def rf(num, den=(1,)):
@@ -100,6 +110,93 @@ class TestAvoidGf:
         for t in threads:
             t.join()
         assert not errors
+
+
+@pytest.fixture
+def cold_avoid_memo():
+    """Yield a function that empties ``_AVOID_MEMO`` down to its seed
+    entry; the memo's earlier contents are restored afterwards."""
+    saved = dict(_AVOID_MEMO)
+
+    def reset():
+        _AVOID_MEMO.clear()
+        _AVOID_MEMO[()] = RationalFunction.zero()
+
+    yield reset
+    _AVOID_MEMO.clear()
+    _AVOID_MEMO.update(saved)
+
+
+class TestInverseSymmetry:
+    """pi -> pi^-1 maps S_n(132) onto itself and the tau-avoiders onto the
+    tau^-1-avoiders, keeping occurrence counts; these tests check the
+    consequences without trusting the shared memo entry."""
+
+    def test_counting_dp_is_inverse_symmetric(self):
+        for k in range(1, 6):
+            for tau in enumerate_avoiders(k):
+                inv = inverse(tau)
+                if inv <= tau:
+                    continue
+                for key in ("avoid", "contain"):
+                    arg = (tau,) if key == "avoid" else tau
+                    arg_inv = (inv,) if key == "avoid" else inv
+                    assert series(ConstraintSpec(**{key: arg}), 12) == series(
+                        ConstraintSpec(**{key: arg_inv}), 12
+                    ), (key, tau)
+
+    def test_cold_avoid_gf_is_inverse_symmetric(self, cold_avoid_memo):
+        for k in range(1, 7):
+            for tau in enumerate_avoiders(k):
+                cold_avoid_memo()
+                f = avoid_gf(tau)
+                cold_avoid_memo()
+                g = avoid_gf(inverse(tau))
+                assert f.as_json_dict() == g.as_json_dict(), tau
+
+    def test_once_gf_is_inverse_symmetric(self):
+        supported = 0
+        for k in range(1, 9):
+            for tau in enumerate_avoiders(k):
+                try:
+                    f = once_gf(tau)
+                except UnsupportedPattern:
+                    with pytest.raises(UnsupportedPattern):
+                        once_gf(inverse(tau))
+                    continue
+                supported += 1
+                assert once_gf(inverse(tau)) == f, tau
+        assert supported == 92
+
+    def test_avoid_memo_stores_the_inverse(self, cold_avoid_memo):
+        checked = 0
+        for k in range(3, 6):
+            for tau in enumerate_avoiders(k):
+                if inverse(tau) == tau:
+                    continue
+                cold_avoid_memo()
+                avoid_gf(tau)
+                assert inverse(tau) in _AVOID_MEMO, tau
+                checked += 1
+        assert checked == 2 + 8 + 32
+
+
+def test_output_digest():
+    """SHA-256 of the canonical avoid and once output over S_k(132),
+    k = 1..7, in sorted order: one JSON line per pattern and mode, with
+    the refusal text where ``once_gf`` declines."""
+    lines = []
+    for k in range(1, 8):
+        for tau in sorted(enumerate_avoiders(k)):
+            for mode, gf in (("avoid", avoid_gf), ("once", once_gf)):
+                try:
+                    body = gf(tau).as_json_dict()
+                except UnsupportedPattern as exc:
+                    body = {"refused": str(exc)}
+                lines.append(json.dumps({"pattern": format_pattern(tau), "mode": mode, **body}))
+    assert len(lines) == 1250
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6ee02e7c6a287924f3b701d8991f47d69d24a9d0482411d0e8b333a297cc34c2"
 
 
 class TestAvoidGfClosed:

@@ -18,6 +18,7 @@ from pattgf.patterns import (
     flatten,
     format_pattern,
     increasing,
+    inverse,
     is_wedge,
     iter_layered_specs,
     iter_wedges,
@@ -294,6 +295,24 @@ def test_occurrence_monotone_under_appended_maximum():
     for host in hosts:
         extended = host + (len(host) + 1,)
         assert occurrence_count(extended, pat) >= occurrence_count(host, pat)
+
+
+def test_contains_132_scan_matches_occurrence_search():
+    checked = 0
+    for k in range(8):
+        for perm in itertools.permutations(range(1, k + 1)):
+            assert contains_132(perm) == (occurrence_count(perm, (1, 3, 2), cap=1) > 0), perm
+            checked += 1
+    assert checked == 5914
+
+
+def test_inverse():
+    assert inverse(()) == ()
+    assert inverse((2, 3, 1)) == (3, 1, 2)
+    for perm in itertools.permutations(range(1, 6)):
+        inv = inverse(perm)
+        assert inverse(inv) == perm
+        assert all(perm[inv[v - 1] - 1] == v for v in range(1, 6))
 
 
 def test_as_pattern_rejects_non_permutations():
