@@ -608,15 +608,11 @@ class BivariateSeries:
     def __repr__(self) -> str:
         return f"BivariateSeries(order_x={self.order_x}, order_y={self.order_y})"
 
-    # -- arithmetic --------------------------------------------------------
-    def _align(self, other: "BivariateSeries") -> tuple[int, int]:
-        return min(self.order_x, other.order_x), min(self.order_y, other.order_y)
-
+    # -- arithmetic (orders combine to the smaller ones) -------------------
+    # ``PowerSeries`` arithmetic already truncates to the smaller x order;
+    # the loops below stop at the smaller y order.
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        nx, ny = self._align(other)
-        return BivariateSeries(
-            [self.levels[j].truncate(nx) + other.levels[j].truncate(nx) for j in range(ny + 1)]
-        )
+        return BivariateSeries([a + b for a, b in zip(self.levels, other.levels)])
 
     def __neg__(self) -> "BivariateSeries":
         return BivariateSeries([-lvl for lvl in self.levels])
@@ -625,16 +621,11 @@ class BivariateSeries:
         return self + (-other)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        nx, ny = self._align(other)
-        zero = PowerSeries.zero(nx)
         out = []
-        for m in range(ny + 1):
-            acc = zero
-            for i in range(m + 1):
-                a = self.levels[i] if i <= self.order_y else None
-                b = other.levels[m - i] if m - i <= other.order_y else None
-                if a is not None and b is not None:
-                    acc = acc + a.truncate(nx) * b.truncate(nx)
+        for m in range(min(self.order_y, other.order_y) + 1):
+            acc = self.levels[0] * other.levels[m]
+            for i in range(1, m + 1):
+                acc = acc + self.levels[i] * other.levels[m - i]
             out.append(acc)
         return BivariateSeries(out)
 
@@ -663,14 +654,12 @@ class BivariateSeries:
 
     def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Division by a unit (nonzero constant term), level by level."""
-        nx, ny = self._align(other)
-        u0 = other.levels[0].truncate(nx)
+        u0 = other.levels[0]
         out: list[PowerSeries] = []
-        for m in range(ny + 1):
-            acc = self.levels[m].truncate(nx)
+        for m in range(min(self.order_y, other.order_y) + 1):
+            acc = self.levels[m]
             for i in range(1, m + 1):
-                if i <= other.order_y:
-                    acc = acc - other.levels[i].truncate(nx) * out[m - i]
+                acc = acc - other.levels[i] * out[m - i]
             out.append(acc / u0)
         return BivariateSeries(out)
 

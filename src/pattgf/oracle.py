@@ -11,16 +11,21 @@ never lists a permutation.
 
 Fixed safety caps bound both: enumeration at n <= 12 and constraint
 counting at n <= 30.
+
+``ConstraintSpec`` and ``CountTable`` are ``namedtuple`` subclasses;
+``ConstraintSpec`` turns its patterns into tuples on construction,
+``_replace`` included.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from math import comb
 
 from . import kernels
 from .errors import EnumerationCapExceeded
-from .patterns import _Frozen, as_pattern
+from .patterns import as_pattern
 
 ENUMERATION_CAP = 12
 COUNT_CAP = 30
@@ -30,27 +35,27 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-class ConstraintSpec(_Frozen):
+class ConstraintSpec(namedtuple("ConstraintSpec", "avoid contain")):
     """Avoid every pattern in ``avoid`` and, unless ``contain`` is None,
     contain that pattern exactly once.  Every permutation contains the
     empty pattern exactly once, so ``contain=()`` adds no constraint."""
 
-    __slots__ = ("avoid", "contain")
+    __slots__ = ()
 
-    def __init__(self, avoid: tuple[tuple[int, ...], ...] = (), contain: tuple[int, ...] | None = None):
-        super().__init__(
+    def __new__(cls, avoid: tuple[tuple[int, ...], ...] = (), contain: tuple[int, ...] | None = None):
+        return super().__new__(
+            cls,
             tuple(as_pattern(p) for p in avoid),
             None if contain is None else as_pattern(contain),
         )
 
+    _make = classmethod(lambda cls, it: cls(*it))  # ``_replace`` coerces too
 
-class CountTable(_Frozen):
+
+class CountTable(namedtuple("CountTable", "counts")):
     """Counts indexed by n = 0..n_max; each entry is at most Catalan(n)."""
 
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: tuple[int, ...]):
-        super().__init__(counts)
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:

@@ -2,7 +2,9 @@
 
 A pattern is a plain tuple of distinct integers 1..k in one-line
 notation; the empty tuple is the empty pattern.  Everything here is a
-pure function of its arguments.
+pure function of its arguments.  The records ``CanonicalDecomposition``
+and ``FamilySpec`` are ``namedtuple`` subclasses: immutable, hashable,
+and equal to the plain tuple of their fields.
 
 Accepted text formats (``parse_pattern``):
 
@@ -19,7 +21,9 @@ Emitted patterns use space-separated one-line notation (``format_pattern``).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import groupby
 
 from .errors import PatternError
 
@@ -134,44 +138,7 @@ def inverse(pat: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-class _Frozen:
-    """Base of the package's immutable records: the fields are the
-    ``__slots__``, set once by ``__init__``; ``==``, ``hash`` and ``repr``
-    go field by field, as for a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since assignment is refused
-        return type(self), self._values()
-
-
-class CanonicalDecomposition(_Frozen):
+class CanonicalDecomposition(namedtuple("CanonicalDecomposition", "pattern positions")):
     """A pattern written around its right-to-left maxima.
 
     ``positions`` indexes the right-to-left maxima of ``pattern``; their
@@ -181,10 +148,7 @@ class CanonicalDecomposition(_Frozen):
     i exceeds maximum i+1 and everything in segment i+1.
     """
 
-    __slots__ = ("pattern", "positions")
-
-    def __init__(self, pattern: tuple[int, ...], positions: tuple[int, ...]):
-        super().__init__(pattern, positions)
+    __slots__ = ()
 
     @property
     def r(self) -> int:
@@ -248,19 +212,7 @@ def suffix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
     return flatten(d.pattern[d.positions[i - 1] + 1 if i else 0 :])
 
 
-def prefix_closure_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
-    """The i-th prefix *including* maximum i as a trailing new maximum.
-
-    Differs from ``prefix_pattern(d, 0)`` by keeping m_0; used by the
-    numeric relation checks, whose boundary terms constrain the part
-    of a permutation left of the placed maximum by this pattern.
-    """
-    if not 0 <= i <= d.r:
-        raise PatternError(f"prefix index {i} out of range [0, {d.r}]")
-    return flatten(d.pattern[: d.positions[i] + 1])
-
-
-class FamilySpec(_Frozen):
+class FamilySpec(namedtuple("FamilySpec", "kind params")):
     """A pattern family as ``classify`` reports it: layered, wedge-top or
     plain.
 
@@ -269,9 +221,9 @@ class FamilySpec(_Frozen):
     layered, with all-singleton layers.
     """
 
-    __slots__ = ("kind", "params")
+    __slots__ = ()
 
-    def __init__(self, kind: str, params: tuple[int, ...] = ()):
+    def __new__(cls, kind: str, params: tuple[int, ...] = ()):
         if kind == "layered":
             p = params
             if not p or any(v <= 0 for v in p) or any(a <= b for a, b in zip(p, p[1:])):
@@ -284,7 +236,9 @@ class FamilySpec(_Frozen):
                 raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {params}")
         elif kind != "plain":
             raise PatternError(f"unknown family kind {kind!r}")
-        super().__init__(kind, params)
+        return super().__new__(cls, kind, params)
+
+    _make = classmethod(lambda cls, it: cls(*it))  # ``_replace`` validates too
 
 
 def increasing(k: int) -> tuple[int, ...]:
@@ -418,7 +372,15 @@ def parse_pattern(text: str) -> tuple[int, ...]:
 
 
 def is_wedge(pat: Sequence[int]) -> bool:
-    """Whether ``pat`` is a wedge pattern (any s).
+    """Whether ``pat`` is a wedge pattern (any s), by one scan.
+
+    The upper values ascend and the word starts with an upper entry, so
+    pat[0] is the smallest upper value s + 1: a smaller s would make
+    pat[0] - 1 an upper value after pat[0].  With s fixed, every maximal
+    block of lower entries must be one whole layer, that is the ascending
+    run of consecutive values just below the previous block's (the first
+    block ending at s); the last block then ends at 1, since exactly s
+    entries are lower.
 
     >>> is_wedge((6, 4, 5, 7, 8, 3, 9, 1, 2))
     True
@@ -426,38 +388,21 @@ def is_wedge(pat: Sequence[int]) -> bool:
     False
     """
     pat = as_pattern(pat)
-    k = len(pat)
-    if k == 0:
+    if not pat:
         return False
-    for s in range(k):
-        if pat[0] <= s:
-            continue
-        upper = [v for v in pat if v > s]
-        if upper != sorted(upper):
-            continue
-        lower_pos = [i for i, v in enumerate(pat) if v <= s]
-        lower = tuple(pat[i] for i in lower_pos)
-        tops = _layered_tops(lower) if s else ()
-        if s and tops is None:
-            continue
-        # each layer contiguous in pat, with at least one upper between layers
-        ok = True
-        idx = 0
-        prev_end = -2
-        layer_sizes = []
-        if s:
-            bottoms = list(tops[1:]) + [0]
-            layer_sizes = [t - b for t, b in zip(tops, bottoms)]
-        for size in layer_sizes:
-            block = lower_pos[idx:idx + size]
-            if block != list(range(block[0], block[0] + size)) or block[0] <= prev_end + 1:
-                ok = False
-                break
-            prev_end = block[-1]
-            idx += size
-        if ok:
-            return True
-    return False
+    s = pat[0] - 1
+    upper, top = s + 1, s  # next upper value, top of the next layer
+    for is_upper, block in groupby(pat, lambda v: v > s):
+        block = tuple(block)
+        if is_upper:
+            expected = tuple(range(upper, upper + len(block)))
+            upper += len(block)
+        else:
+            expected = tuple(range(top - len(block) + 1, top + 1))
+            top -= len(block)
+        if block != expected:
+            return False
+    return True
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -470,8 +415,12 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_wedges(k: int) -> Iterator[tuple[int, ...]]:
-    """All wedge patterns of size k, enumerated by their layered lower part."""
-    seen: set[tuple[int, ...]] = set()
+    """All wedge patterns of size k, enumerated by their layered lower part.
+
+    Each wedge comes out once: from a word w the generator yields, s is
+    w[0] - 1, the lower blocks are the layer sizes and the upper runs
+    between them the slot counts.
+    """
     for s in range(k):
         for comp in _compositions(s):
             q = len(comp)
@@ -494,10 +443,7 @@ def iter_wedges(k: int) -> Iterator[tuple[int, ...]]:
                     nxt += counts[i]
                     word.extend(layers[i])
                 word.extend(range(nxt, nxt + counts[q]))
-                pat = tuple(word)
-                if pat not in seen:
-                    seen.add(pat)
-                    yield pat
+                yield tuple(word)
 
 
 def iter_layered_specs(k: int, min_layers: int = 1) -> Iterator[tuple[int, ...]]:

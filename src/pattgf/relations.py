@@ -22,13 +22,13 @@ place-the-maximum argument and verified against the oracle:
 
 - the left factor of the first summand (built, for ``thm31`` and
   ``remark31`` alike, by ``_left_factor``) constrains the part left of the
-  placed maximum by the *prefix closure* (first segment plus its
-  maximum), not by the full next prefix.  For layered patterns with a
-  nonempty first segment the two readings agree (containing the closure
-  forces a second occurrence of the contained pattern); when the
-  contained pattern is empty the closure reduces the factor to the
-  constant series 1, which is exactly the convention the aggregate
-  derivations rely on.
+  placed maximum by the *prefix closure* (the flattened first segment
+  followed by a new largest entry for m_0), not by the full next prefix.
+  For layered patterns with a nonempty first segment the two readings
+  agree (containing the closure forces a second occurrence of the
+  contained pattern); when the contained pattern is empty the closure
+  reduces the factor to the constant series 1, which is exactly the
+  convention the aggregate derivations rely on.
 - the right factors avoid two patterns at once: the suffix of the
   contained prefix and the corresponding suffix of the avoided one.
   Writing only the first of the two (as the displayed recursion does)
@@ -37,6 +37,8 @@ place-the-maximum argument and verified against the oracle:
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .algebra import PowerSeries, RationalFunction, series_of
 from .chebyshev import r_func_or_zero
@@ -54,7 +56,6 @@ from .patterns import (
     contains_132,
     expand_layered,
     increasing,
-    prefix_closure_pattern,
     prefix_pattern,
     suffix_pattern,
 )
@@ -89,15 +90,17 @@ def _xshift(s: PowerSeries, n: int) -> PowerSeries:
 def _left_factor(d: CanonicalDecomposition, i: int, n: int) -> PowerSeries:
     """Left factor of summand i >= 1: avoid prefix i (the prefix closure
     when i = 1, see the module docstring), contain prefix i-1 once."""
-    avoided = prefix_closure_pattern(d, 0) if i == 1 else prefix_pattern(d, i)
+    if i == 1:
+        head = prefix_pattern(d, 0)
+        # m_0 exceeds every entry of segment 0, so the closure appends a new maximum
+        avoided = head + (len(head) + 1,)
+    else:
+        avoided = prefix_pattern(d, i)
     return _oracle_series(n, avoid=(avoided,), contain=prefix_pattern(d, i - 1))
 
 
-class RelationCheck:
-    __slots__ = ("label", "passed")
-
-    def __init__(self, label: str, passed: bool):
-        self.label, self.passed = label, passed
+class RelationCheck(namedtuple("RelationCheck", "label passed")):
+    __slots__ = ()
 
 
 class RelationReport:

@@ -282,3 +282,20 @@ class TestBivariateSeries:
         geom = one / unit
         assert all(geom.coefficient(0, j) == 1 for j in range(5))
         assert (geom * unit) == one
+
+    def test_mixed_orders_combine_to_the_minima(self):
+        # each operand has the larger order in one variable
+        rng = random.Random(29)
+
+        def rand(nx, ny):
+            terms = {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(nx + 1) for j in range(ny + 1)}
+            terms[(0, 0)] = Fraction(rng.choice([-2, 1, 3]))
+            return BivariateSeries.from_terms(terms, nx, ny)
+
+        for _ in range(20):
+            a, b = rand(6, 2), rand(3, 5)
+            for x, y in ((a, b), (b, a)):
+                for r in (x + y, x - y, x * y, x / y):
+                    assert (r.order_x, r.order_y) == (3, 2)
+                assert (x / y) * y == x.truncate(3, 2)
+                assert x * y == x.truncate(3, 2) * y.truncate(3, 2)

@@ -24,7 +24,6 @@ from pattgf.patterns import (
     iter_wedges,
     occurrence_count,
     parse_pattern,
-    prefix_closure_pattern,
     prefix_pattern,
     suffix_pattern,
 )
@@ -120,7 +119,6 @@ def test_prefix_suffix_examples():
         suffix_pattern(d, 4)
     d2 = canonical_decompose((3, 2, 1, 4))
     assert prefix_pattern(d2, 0) == (3, 2, 1)
-    assert prefix_closure_pattern(d2, 0) == (3, 2, 1, 4)
 
 
 def _reference_parts(pat):
@@ -161,16 +159,11 @@ def test_slices_match_interleave_reference():
             assert prefix_pattern(d, 0) == _reference_flatten(segments[0])
             for i in range(1, r + 1):
                 assert prefix_pattern(d, i) == _interleave(maxima, segments, 0, i + 1)
-            for i in range(r + 1):
-                assert prefix_closure_pattern(d, i) == _interleave(maxima, segments, 0, i + 1)
             for i in range(r + 2):
                 assert suffix_pattern(d, i) == _interleave(maxima, segments, i, r + 1)
             for bad in (-2, r + 1):
                 with pytest.raises(PatternError):
                     prefix_pattern(d, bad)
-            for bad in (-1, r + 1):
-                with pytest.raises(PatternError):
-                    prefix_closure_pattern(d, bad)
             for bad in (-1, r + 2):
                 with pytest.raises(PatternError):
                     suffix_pattern(d, bad)
@@ -232,6 +225,11 @@ def test_frozen_records(make, other, field, text):
         delattr(a, field)
     assert a == b and repr(a) == text
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert a._replace() == a and type(a._replace()) is type(a)
+    # _replace rebuilds through the constructor, so it validates and coerces
+    with pytest.raises(PatternError):
+        FamilySpec("layered", (5, 3))._replace(params=(3, 3))
+    assert ConstraintSpec(avoid=[[3, 2, 1]])._replace(contain=[2, 1]).contain == (2, 1)
 
 
 def test_family_spec_validation():
