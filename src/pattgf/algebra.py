@@ -1,27 +1,32 @@
 """Exact polynomial, rational-function and truncated-series arithmetic.
 
-Coefficients are ``int``s, and ``fractions.Fraction``s only where a value
-is not integral; every equality used anywhere in the package is exact.
-``fractions`` is imported on first use, by the two helpers that build a
-non-integral value, so integral work never loads it.  Annotations are
-strings, and ``Rational`` in them means ``numbers.Rational``, which is
-never imported.
+``Polynomial`` and ``RationalFunction`` live in Z[x]: their coefficients
+are ``int``s, and any other coefficient is a ``TypeError``.  A
+``fractions.Fraction`` appears only where a value is not integral: in
+``PowerSeries``/``BivariateSeries`` coefficients (a quotient by den(0),
+a square root's halving), in ``RationalFunction.value_at_zero``, and as
+the argument of ``RationalFunction.constant``, which turns p/q into the
+canonical (p)/(q).  Every equality used anywhere in the package is
+exact.  ``fractions`` is imported on first use, by the two helpers that
+build a non-integral value, so integral work never loads it.
+Annotations are strings, and ``Rational`` in them means
+``numbers.Rational``, which is never imported.
 
 Representations:
 
 - ``Polynomial``: dense coefficient tuple, index = degree, no trailing
   zeros; the zero polynomial is the empty tuple.
 - ``RationalFunction``: numerator/denominator pair in canonical form:
-  coprime, coefficients cleared to integers with joint content 1, and
-  the lowest nonzero denominator coefficient positive.  Structural
-  equality of canonical forms is therefore true equality.  Four
-  operations build their canonical result directly, without
-  ``_normalize``: ``-f`` is (-num, den); ``f ± p`` for p in Z[x] is
+  coprime, joint content 1, and the lowest nonzero denominator
+  coefficient positive.  Structural equality of canonical forms is
+  therefore true equality.  Four operations build their canonical
+  result directly, without ``_normalize``: ``-f`` is (-num, den);
+  ``f ± p`` for p in Z[x] is
   (num ± p*den, den), since gcd(num + p*den, den) = gcd(num, den);
   ``x**k * f`` is (x**k * num, den) when den(0) != 0, since then x does
   not divide den; and ``1 / f`` is (den, num), both negated when num's
   lowest nonzero coefficient is negative.  The literals ``zero``,
-  ``one``, ``x`` and integer constants are canonical as written.
+  ``one``, ``x`` and constants are canonical as written.
   Everything else normalizes.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
   coefficients beyond the stated truncation order.  Division is the one
@@ -36,7 +41,8 @@ Representations:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import gcd, lcm
+from math import gcd
+from operator import index
 
 
 def _coeff(c) -> Rational:
@@ -63,17 +69,11 @@ def _check_power(power: int) -> None:
         raise ValueError(f"x**{power}: the power must be at least 0")
 
 
-def _cleared(coeffs: Sequence[Rational]) -> list[int]:
-    """The coefficients times the lcm of their denominators."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs]
-
-
 class Polynomial:
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        coeffs = [_coeff(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        coeffs = list(map(index, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -101,10 +101,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Rational:
+    def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def constant_term(self) -> Rational:
+    def constant_term(self) -> int:
         return self.coefficient(0)
 
     def __eq__(self, other) -> bool:
@@ -142,10 +142,6 @@ class Polynomial:
                     out[i + j] += a * b
         return Polynomial(out)
 
-    def scale(self, c) -> "Polynomial":
-        c = _coeff(c)
-        return Polynomial([c * a for a in self.coeffs])
-
     def shift(self, power: int) -> "Polynomial":
         """Multiply by x**power."""
         _check_power(power)
@@ -153,29 +149,28 @@ class Polynomial:
             return self
         return Polynomial([0] * power + list(self.coeffs))
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+    def exact_div(self, other: "Polynomial") -> "Polynomial":
+        """The quotient in Z[x]; ``ValueError`` unless other divides self there."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.degree
         lead = other.coeffs[-1]
+        q = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i]:
-                f = _div(rem[i], lead)
+                f, r = divmod(rem[i], lead)
+                if r:
+                    raise ValueError("inexact polynomial division")
                 q[i - d] = f
                 for j, c in enumerate(other.coeffs):
                     rem[i - d + j] -= f * c
-        return Polynomial(q), Polynomial(rem)
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        if any(rem):
             raise ValueError("inexact polynomial division")
-        return q
+        return Polynomial(q)
 
 
-def _primitive(ints: list[int]) -> list[int]:
+def _primitive(ints: Sequence[int]) -> Sequence[int]:
     g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
@@ -186,7 +181,7 @@ def _primitive(ints: list[int]) -> list[int]:
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Primitive gcd via the fraction-free (primitive) Euclidean remainder sequence."""
-    A, B = _primitive(_cleared(a.coeffs)), _primitive(_cleared(b.coeffs))
+    A, B = _primitive(a.coeffs), _primitive(b.coeffs)
     while B:
         # pseudo-remainder of A by B, all over the integers
         rem = list(A)
@@ -227,15 +222,15 @@ class RationalFunction:
             return Polynomial(), Polynomial.one()
         g = polynomial_gcd(num, den)
         if g.degree > 0:
-            # stays in Z[x] for integral inputs: g is primitive (Gauss's lemma)
+            # stays in Z[x]: g is primitive (Gauss's lemma)
             num, den = num.exact_div(g), den.exact_div(g)
-        ints = _cleared(num.coeffs + den.coeffs)
-        split = len(num.coeffs)
-        content = gcd(*ints)
-        if next(c for c in ints[split:] if c) < 0:
+        content = gcd(*num.coeffs, *den.coeffs)
+        if next(c for c in den.coeffs if c) < 0:
             content = -content
-        ints = [c // content for c in ints]
-        return Polynomial(ints[:split]), Polynomial(ints[split:])
+        return (
+            Polynomial([c // content for c in num.coeffs]),
+            Polynomial([c // content for c in den.coeffs]),
+        )
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -251,10 +246,9 @@ class RationalFunction:
         return cls._canonical(Polynomial.x(power), Polynomial.one())
 
     @classmethod
-    def constant(cls, c) -> "RationalFunction":
-        if isinstance(c, int):
-            return cls._canonical(Polynomial((c,)), Polynomial.one())
-        return cls(Polynomial((c,)), Polynomial.one())
+    def constant(cls, c: Rational) -> "RationalFunction":
+        """The constant c; an int n gives (n)/(1), a Fraction p/q gives (p)/(q)."""
+        return cls._canonical(Polynomial((c.numerator,)), Polynomial((c.denominator,)))
 
     # -- basics --------------------------------------------------------
     @property

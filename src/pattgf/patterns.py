@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby
+from itertools import combinations, groupby
 
 from .errors import PatternError
 
@@ -430,19 +430,16 @@ def iter_wedges(k: int) -> Iterator[tuple[int, ...]]:
             for size in comp:
                 layers.append(tuple(range(top - size + 1, top + 1)))
                 top -= size
-            # k-s upper values into q+1 slots, first q nonempty
-            for dist in _compositions(k - s + 1):
-                if len(dist) != q + 1:
-                    continue
-                counts = list(dist)
-                counts[-1] -= 1  # trailing slot may be empty
+            # upper values s+1..k into q+1 runs, first q nonempty: the
+            # i-th run ends at cuts[i], the trailing run may be empty
+            for cuts in combinations(range(s + 1, k + 1), q):
                 word: list[int] = []
                 nxt = s + 1
-                for i in range(q):
-                    word.extend(range(nxt, nxt + counts[i]))
-                    nxt += counts[i]
-                    word.extend(layers[i])
-                word.extend(range(nxt, nxt + counts[q]))
+                for cut, layer in zip(cuts, layers):
+                    word.extend(range(nxt, cut + 1))
+                    word.extend(layer)
+                    nxt = cut + 1
+                word.extend(range(nxt, k + 1))
                 yield tuple(word)
 
 

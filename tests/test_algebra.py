@@ -22,7 +22,7 @@ def rf(num, den=(1,)):
 
 def rand_poly(rng, degree, zero_ok=True):
     while True:
-        p = Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)])
+        p = Polynomial([rng.randint(-6, 6) for _ in range(degree + 1)])
         if zero_ok or not p.is_zero:
             return p
 
@@ -55,11 +55,19 @@ def test_negative_power_raises(call):
 
 class TestPolynomial:
     def test_non_integral_coefficients_are_fractions(self):
-        assert Polynomial(["1/2", "4/2"]).coeffs == (Fraction(1, 2), 2)
-        assert type(Polynomial(["1/2"]).coeffs[0]) is Fraction
-        assert type(Polynomial(["4/2"]).coeffs[0]) is int
+        # only series carry them; a polynomial's coefficients are ints
+        assert PowerSeries(["1/2", "4/2"]).coeffs == (Fraction(1, 2), 2)
+        assert type(PowerSeries(["1/2"]).coeffs[0]) is Fraction
+        assert type(PowerSeries(["4/2"]).coeffs[0]) is int
         assert type(_div(1, 2)) is Fraction and _div(1, 2) == Fraction(1, 2)
         assert type(_div(4, 2)) is int and _div(4, 2) == 2
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), "1/2", 0.5], ids=["Fraction", "str", "float"])
+    def test_non_integer_coefficient_raises(self, c):
+        with pytest.raises(TypeError):
+            Polynomial((1, c))
+        with pytest.raises(TypeError):
+            rf((c,))
 
     def test_trailing_zeros_trimmed(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
@@ -78,9 +86,16 @@ class TestPolynomial:
         for _ in range(50):
             a = rand_poly(rng, rng.randint(0, 5))
             b = rand_poly(rng, rng.randint(0, 3), zero_ok=False)
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.degree < b.degree or r.is_zero
+            assert (a * b).exact_div(b) == a
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((3,), (2,)), ((1, 1), (2, 2)), ((1, 0, 1), (1, 1))],
+        ids=["constant", "non-integral-quotient", "remainder"],
+    )
+    def test_exact_div_refuses_inexact(self, a, b):
+        with pytest.raises(ValueError, match="inexact"):
+            Polynomial(a).exact_div(Polynomial(b))
 
     def test_gcd(self):
         a = Polynomial((1, -1)) * Polynomial((1, 1)) * Polynomial((2, 3))
@@ -105,7 +120,7 @@ class TestRationalFunction:
         assert value == rf((1, -3, 3, -1), (1, -4, 5, -3))
 
     def test_normalization_clears_to_integers(self):
-        f = rf([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 6)])
+        f = (Fraction(1, 2) + Fraction(1, 3) * RationalFunction.x()) / Fraction(1, 6)
         assert all(c.denominator == 1 for c in f.num.coeffs + f.den.coeffs)
         assert f == rf((3, 2), (1,))
 

@@ -54,7 +54,9 @@ def test_v_matches_substituted_u():
             c = u.coefficient(i)
             if c:
                 assert (p - i) % 2 == 0
-                coeffs[(p - i) // 2] = c / Fraction(2) ** i
+                c = c / Fraction(2) ** i
+                assert c.denominator == 1
+                coeffs[(p - i) // 2] = int(c)
         rebuilt = Polynomial([coeffs.get(j, 0) for j in range(p // 2 + 1)])
         assert rebuilt == v_poly(p)
 
