@@ -8,7 +8,9 @@ a square root's halving), in ``RationalFunction.value_at_zero``, and as
 the argument of ``RationalFunction.constant``, which turns p/q into the
 canonical (p)/(q).  Every equality used anywhere in the package is
 exact.  ``fractions`` is imported on first use, by the two helpers that
-build a non-integral value, so integral work never loads it.
+build a non-integral value and by ``RationalFunction._coerce`` on an
+operand that is not an ``int``, so integral work never loads it.  An
+operand that is neither ``int`` nor ``Fraction`` is a ``TypeError``.
 Annotations are strings, and ``Rational`` in them means
 ``numbers.Rational``, which is never imported.
 
@@ -27,7 +29,16 @@ Representations:
   not divide den; and ``1 / f`` is (den, num), both negated when num's
   lowest nonzero coefficient is negative.  The literals ``zero``,
   ``one``, ``x`` and constants are canonical as written.
-  Everything else normalizes.
+  Everything else normalizes: ``polynomial_gcd`` returns the gcd g of
+  num and den together with num/g and den/g, and ``_normalize`` keeps
+  the two cofactors after dividing out their joint content.  The gcd is
+  the heuristic one: the balanced base-xi digits of the integer
+  gcd(num(xi), den(xi)), with xi a power of two, give a candidate whose
+  primitive part is accepted only if trial division by it leaves no
+  remainder in num and in den.  Those two quotients are the cofactors,
+  so the certificate costs no extra division; a rejected candidate
+  means a larger xi.  ``polynomial_gcd``'s docstring proves that an
+  accepted candidate is the gcd and that the loop ends.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
   coefficients beyond the stated truncation order.  Division is the one
   series recurrence: ``series_of`` and the bivariate quotient and square
@@ -114,7 +125,7 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
+        return f"Polynomial({list(self.coeffs)})"
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -153,21 +164,29 @@ class Polynomial:
         """The quotient in Z[x]; ``ValueError`` unless other divides self there."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        q = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i]:
-                f, r = divmod(rem[i], lead)
-                if r:
-                    raise ValueError("inexact polynomial division")
-                q[i - d] = f
-                for j, c in enumerate(other.coeffs):
-                    rem[i - d + j] -= f * c
-        if any(rem):
+        q = _quotient(self.coeffs, other.coeffs)
+        if q is None:
             raise ValueError("inexact polynomial division")
         return Polynomial(q)
+
+
+def _quotient(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """Trial division: num / den in Z[x], or None unless den divides num there."""
+    rem = list(num)
+    d = len(den) - 1
+    lead = den[-1]
+    q = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i]:
+            f, r = divmod(rem[i], lead)
+            if r:
+                return None
+            q[i - d] = f
+            for j, c in enumerate(den):
+                rem[i - d + j] -= f * c
+    if any(rem[:d]):
+        return None
+    return q
 
 
 def _primitive(ints: Sequence[int]) -> Sequence[int]:
@@ -179,24 +198,63 @@ def _primitive(ints: Sequence[int]) -> Sequence[int]:
     return ints
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Primitive gcd via the fraction-free (primitive) Euclidean remainder sequence."""
+def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a/g, b/g) with g = gcd(a, b) primitive, leading coefficient > 0.
+
+    The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
+    1989) with a division certificate.  A, B are the primitive parts of
+    a, b, and xi = 2**k >= 2 min(|A|, |B|) + 2, with |.| the largest
+    absolute coefficient.  The balanced base-xi digits of
+    gcd(A(xi), B(xi)) form a polynomial H; h = pp(H) is accepted only if
+    trial division shows h | a and h | b, and the two quotients are the
+    returned cofactors.  Otherwise xi grows to about xi**1.25 and the
+    step repeats.
+
+    An accepted h is exact.  Say |A| is the minimum and G = gcd(A, B).
+    As h is primitive and divides a and b, G = h q in Z[x].  Every root of
+    q is a root of A, so lies below 1 + |A| <= xi/2 in absolute value
+    (Cauchy), and a nonconstant q has |q(xi)| > xi/2.  But G(xi) divides
+    H(xi) = cont(H) h(xi), so q(xi) divides cont(H), which is nonzero and
+    at most xi/2, as H's digits are.  So q = 1.
+
+    The loop ends.  With A = G A', B = G B', gcd(A(xi), B(xi)) is G(xi)
+    times a factor s that divides Res(A', B') != 0, whatever xi is.  Once
+    xi > 2 |Res(A', B')| |G|, the digits of s G(xi) are those of s G, so
+    h = G and the certificate holds.  Two zero inputs give (0, 0, 0).
+    """
     A, B = _primitive(a.coeffs), _primitive(b.coeffs)
-    while B:
-        # pseudo-remainder of A by B, all over the integers
-        rem = list(A)
-        d = len(B) - 1
-        lead = B[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i]:
-                f = rem[i]
-                rem = [lead * c for c in rem]
-                for j, c in enumerate(B):
-                    rem[i - d + j] -= f * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-        A, B = B, _primitive(rem)
-    return Polynomial(A)
+    if not (A and B):
+        g = Polynomial(A or B)
+        if g.is_zero:
+            return g, g, g
+        return g, a.exact_div(g), b.exact_div(g)
+    # the smallest xi = 2**k >= 2 min(|A|, |B|) + 2
+    k = (2 * min(max(map(abs, A)), max(map(abs, B))) + 1).bit_length()
+    while True:
+        xi = 1 << k
+        mask, half = xi - 1, xi >> 1
+        va = vb = 0
+        for c in reversed(A):
+            va = (va << k) + c
+        for c in reversed(B):
+            vb = (vb << k) + c
+        gamma = gcd(va, vb)
+        digits = []
+        while gamma:
+            d = gamma & mask
+            if d > half:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) >> k
+        h = _primitive(digits)
+        if h == [1]:
+            return Polynomial.one(), a, b
+        qa = _quotient(a.coeffs, h)
+        if qa is not None:
+            qb = _quotient(b.coeffs, h)
+            if qb is not None:
+                return Polynomial(h), Polynomial(qa), Polynomial(qb)
+        k += k // 4 + 1
 
 
 class RationalFunction:
@@ -220,13 +278,12 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             return Polynomial(), Polynomial.one()
-        g = polynomial_gcd(num, den)
-        if g.degree > 0:
-            # stays in Z[x]: g is primitive (Gauss's lemma)
-            num, den = num.exact_div(g), den.exact_div(g)
+        _, num, den = polynomial_gcd(num, den)
         content = gcd(*num.coeffs, *den.coeffs)
         if next(c for c in den.coeffs if c) < 0:
             content = -content
+        elif content == 1:
+            return num, den
         return (
             Polynomial([c // content for c in num.coeffs]),
             Polynomial([c // content for c in den.coeffs]),
@@ -272,10 +329,17 @@ class RationalFunction:
 
     # -- arithmetic ----------------------------------------------------
     @staticmethod
-    def _coerce(v) -> "RationalFunction":
+    def _coerce(v) -> "RationalFunction | None":
+        """v as a ``RationalFunction``: itself, or an ``int`` or ``Fraction``
+        constant; None for any other operand, whose operator then returns
+        ``NotImplemented``, so Python raises ``TypeError``."""
         if isinstance(v, RationalFunction):
             return v
-        return RationalFunction.constant(v)
+        if isinstance(v, int):
+            return RationalFunction.constant(v)
+        from fractions import Fraction
+
+        return RationalFunction.constant(v) if isinstance(v, Fraction) else None
 
     def _is_polynomial(self) -> bool:
         return self.den.coeffs == (1,)
@@ -296,6 +360,8 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if o._is_polynomial():
             return self._plus_polynomial(o.num)
         if self._is_polynomial():
@@ -308,13 +374,17 @@ class RationalFunction:
         return RationalFunction._canonical(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) + (-self)
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         for f, g in ((self, o), (o, self)):
             # x**k * g stays canonical when x does not divide g.den
             k = f._x_power()
@@ -326,6 +396,8 @@ class RationalFunction:
 
     def __truediv__(self, other) -> "RationalFunction":
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
         if self.num.coeffs == (1,) and self._is_polynomial():
@@ -337,7 +409,8 @@ class RationalFunction:
         return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pattgf import algebra
 from pattgf.algebra import (
     BivariateSeries,
     Polynomial,
@@ -100,10 +101,37 @@ class TestPolynomial:
     def test_gcd(self):
         a = Polynomial((1, -1)) * Polynomial((1, 1)) * Polynomial((2, 3))
         b = Polynomial((1, -1)) * Polynomial((5, 7))
-        g = polynomial_gcd(a, b)
-        assert g.degree == 1
-        assert a.exact_div(g) * g == a
-        assert polynomial_gcd(Polynomial((2,)), Polynomial((4,))).degree == 0
+        g, qa, qb = polynomial_gcd(a, b)
+        assert g == Polynomial((-1, 1))
+        assert g * qa == a and g * qb == b
+        assert polynomial_gcd(Polynomial((2,)), Polynomial((4,))) == (
+            Polynomial((1,)),
+            Polynomial((2,)),
+            Polynomial((4,)),
+        )
+
+    def test_gcd_retries_past_a_spurious_candidate(self, monkeypatch):
+        # at the first xi = 4, gcd(12, 24) = 12 has the balanced digits
+        # 0, -1, 1, so the candidate is x^2 - x, which does not divide 2x + x^2;
+        # xi = 8 gives gcd(56, 80) = 8, the digits 0, 1 and the gcd x
+        trial_division = algebra._quotient
+        rejected = []
+
+        def watched(num, den):
+            q = trial_division(num, den)
+            if q is None:
+                rejected.append(tuple(den))
+            return q
+
+        monkeypatch.setattr(algebra, "_quotient", watched)
+        a, b = Polynomial((0, 1, -1)), Polynomial((0, 2, 1))
+        assert polynomial_gcd(a, b) == (Polynomial((0, 1)), Polynomial((1, -1)), Polynomial((2, 1)))
+        assert rejected == [(0, -1, 1)]
+
+    def test_repr_round_trips(self):
+        assert repr(Polynomial((1, -2, 2))) == "Polynomial([1, -2, 2])"
+        for p in [(), (7,), (1, -2, 2), (0, -3, 0, 5), (2**40 + 1, -(2**36), 1)]:
+            assert eval(repr(Polynomial(p))) == Polynomial(p)
 
 
 class TestRationalFunction:
@@ -137,6 +165,23 @@ class TestRationalFunction:
             again = RationalFunction(a.num, a.den)
             assert again == a
             assert a * b / b == a
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f: RationalFunction.one() + 0.5,
+            lambda f: 0.5 + f,
+            lambda f: f * "1/2",
+            lambda f: f / 0.5,
+            lambda f: 0.5 / f,
+            lambda f: f - 0.5,
+            lambda f: 0.5 - f,
+        ],
+        ids=["one+float", "float+f", "f*str", "f/float", "float/f", "f-float", "float-f"],
+    )
+    def test_other_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(rf((1,), (1, -1)))
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

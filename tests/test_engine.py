@@ -199,6 +199,20 @@ def test_output_digest():
     assert digest == "6ee02e7c6a287924f3b701d8991f47d69d24a9d0482411d0e8b333a297cc34c2"
 
 
+def test_avoid_digest_k8(cold_avoid_memo):
+    """SHA-256 of the canonical avoid JSON over all 1430 patterns of
+    S_8(132), solved from a cold memo, in sorted order: the value the
+    benchmark's gate pins for k = 8."""
+    cold_avoid_memo()
+    lines = [
+        json.dumps({"pattern": format_pattern(tau), "mode": "avoid", **avoid_gf(tau).as_json_dict()})
+        for tau in sorted(enumerate_avoiders(8))
+    ]
+    assert len(lines) == 1430
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "03f93ac9c780d60485d9d29a0e55ce779e702a26b49e2dd95461703cbc904d7e"
+
+
 class TestAvoidGfClosed:
     def test_two_layer_is_r(self):
         assert avoid_gf_closed(expand_layered((4, 2))) == r_func(4)

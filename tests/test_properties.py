@@ -76,9 +76,42 @@ functions = st.builds(RationalFunction, polys, nonzero_polys)
 ALGEBRA = settings(max_examples=60, deadline=None)
 
 
+# the engine's scale: degree <= 20, coefficients up to about 2**40
+engine_factors = st.lists(st.integers(-(2**19), 2**19), max_size=8).map(Polynomial)
+engine_cofactors = st.lists(st.integers(-(2**19), 2**19), max_size=13).map(Polynomial) | st.sampled_from(
+    [Polynomial(), Polynomial((1,)), Polynomial((-3,))]
+)
+
+
+@ALGEBRA
+@given(engine_factors, engine_cofactors, engine_cofactors)
+@example(Polynomial(), Polynomial(), Polynomial())  # gcd(0, 0) = 0
+@example(Polynomial((1, 1)), Polynomial(), Polynomial((2, 1)))  # gcd(0, b)
+@example(Polynomial((6,)), Polynomial((1, 2)), Polynomial((4,)))  # a constant input
+@example(Polynomial((1, -1, 1)), Polynomial((1,)), Polynomial((0, 2, 3)))  # a divides b
+@example(Polynomial((0, 1)), Polynomial((1, -1)), Polynomial((2, 1)))  # the first xi fails
+def test_gcd_matches_sympy(c, p, q):
+    """A planted common factor c: polynomial_gcd(c p, c q) is sympy's gcd
+    up to sign and content, and its cofactors multiply back exactly."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, b = c * p, c * q
+    g, qa, qb = polynomial_gcd(a, b)
+    assert g * qa == a and g * qb == b
+    ref = sympy.Poly(list(reversed(a.coeffs)) or [0], x, domain="ZZ").gcd(
+        sympy.Poly(list(reversed(b.coeffs)) or [0], x, domain="ZZ")
+    )
+    if ref.is_zero:
+        assert g.is_zero
+        return
+    want = tuple(int(v) for v in reversed(ref.primitive()[1].all_coeffs()))
+    assert g.coeffs in (want, tuple(-v for v in want))
+    assert gcd(*g.coeffs) == 1 and g.coeffs[-1] > 0
+
+
 def assert_canonical(f):
     assert all(type(x) is int for x in f.num.coeffs + f.den.coeffs)
-    assert polynomial_gcd(f.num, f.den).degree == 0
+    assert polynomial_gcd(f.num, f.den)[0].degree == 0
     assert gcd(*f.num.coeffs, *f.den.coeffs) == 1
     assert next(x for x in f.den.coeffs if x) > 0
 
