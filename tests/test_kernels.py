@@ -1,4 +1,6 @@
-"""The counting DP must agree with brute-force enumeration of S_n(132).
+"""The counting DP must agree with brute-force enumeration of S_n(132),
+and on a widest k = 8 closure with the recursion, the once closed forms
+and a reference join.
 
 The reference lists every permutation with ``enumerate_avoiders`` and
 counts each pattern's occurrences directly, as the order-isomorphic
@@ -13,6 +15,9 @@ from math import comb
 import pytest
 
 from pattgf import kernels
+from pattgf.algebra import series_of
+from pattgf.engine import avoid_gf, once_gf
+from pattgf.errors import UnsupportedPattern
 from pattgf.oracle import catalan, enumerate_avoiders
 from pattgf.patterns import flatten, occurrence_count
 
@@ -94,3 +99,56 @@ def test_empty_pattern_semantics():
     assert kernels.count_constrained(4, ((),), None) == 0
     assert kernels.count_constrained(4, (), ()) == 14
 
+
+# One of the three widest closures at k = 8: 20 patterns, 129 layout
+# bits, so the masks span several machine words.
+WIDE = (8, 7, 5, 6, 4, 3, 2, 1)
+
+
+def _counts(table, key):
+    """Decode a state key into the count vector of the closure, capped at 2."""
+    return tuple(2 if key & g << 1 else 1 if key & g else 0 for g in table.guards)
+
+
+def test_wide_avoid_table_matches_the_recursion():
+    want = series_of(avoid_gf(WIDE), 30).coeffs
+    assert tuple(kernels.count_constrained(n, (WIDE,), None) for n in range(31)) == want
+
+
+def test_wide_once_table_matches_enumeration_and_pinned_values():
+    for n in range(10):
+        want = sum(occurrence_count(perm, WIDE, cap=2) == 1 for perm in enumerate_avoiders(n))
+        assert kernels.count_constrained(n, (), WIDE) == want, n
+    # pinned from a tuple-of-counts implementation of the same DP
+    got = [kernels.count_constrained(n, (), WIDE) for n in (18, 19, 20)]
+    assert got == [144165, 226205, 342055]
+
+
+def test_k8_once_tables_match_once_gf():
+    supported = 0
+    for tau in enumerate_avoiders(8):
+        try:
+            f = once_gf(tau)
+        except UnsupportedPattern:
+            continue
+        supported += 1
+        got = tuple(kernels.count_constrained(n, (), tau) for n in range(21))
+        assert got == series_of(f, 20).coeffs, tau
+    assert supported == 29
+
+
+def test_every_wide_join_matches_the_capped_sum_of_products():
+    table = kernels._Table((), WIDE)
+    table.count(20)
+    index = {p: q for q, p in enumerate(table.patterns)}
+    rules = [[(index[h], index[r]) for h, r in kernels._splits(p)] for p in table.patterns]
+    counts = [_counts(table, key) for key in table.states]
+    joins = 0
+    for i, row in enumerate(table.joined):
+        for j, s in row.items():
+            left, right = counts[i], counts[j]
+            want = tuple([min(2, sum([left[h] * right[r] for h, r in rule])) for rule in rules])
+            assert (s < 0) == (want[index[WIDE]] > 1), (i, j)
+            assert s < 0 or counts[s] == want, (i, j)
+            joins += 1
+    assert joins == 27888
