@@ -136,8 +136,6 @@ def _cmd_verify(args) -> int:
         for k in range(lo, hi + 1):
             for tops in iter_layered_specs(k, min_layers=min_layers):
                 reports.append(relations.verify_relation(rel, tops, terms=terms))
-    else:
-        raise PatternError(f"unknown relation {rel!r}")
     if not reports:
         raise ValueError(f"{rel}: --range {args.range} has no instances")
     failures = [r for r in reports if not r.passed]

@@ -97,6 +97,7 @@ class _Table:
         self.key = (avoid, contain)
         roots = list(avoid) if contain is None else [*avoid, contain]
         patterns: list[tuple[int, ...]] = []
+        splits: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
         index: dict[tuple[int, ...], int] = {}
         stack = [tuple(p) for p in roots]
         while stack:
@@ -104,16 +105,17 @@ class _Table:
             if p not in index:
                 index[p] = len(patterns)
                 patterns.append(p)
-                stack.extend(part for split in _splits(p) for part in split)
+                splits.append(_splits(p))
+                stack.extend(part for split in splits[-1] for part in split)
         self.patterns = patterns
         # the slot/guard layout of the module docstring
         self.guards: list[int] = []
         self.heads = [0] * len(patterns)
         self.tails = [0] * len(patterns)
         self.add = self.one = bit = 0
-        for p in patterns:
+        for parts in splits:
             start = bit
-            for h, r in _splits(p):
+            for h, r in parts:
                 self.heads[index[h]] |= 1 << bit
                 self.tails[index[r]] |= 1 << bit
                 bit += 1

@@ -103,6 +103,6 @@ def series(spec: ConstraintSpec, n_max: int) -> CountTable:
     The counting DP keeps the tables of the latest constraint set, so
     each ``count`` here extends them by one size instead of rebuilding.
     """
-    if n_max < 0:
-        raise EnumerationCapExceeded(f"n_max={n_max} is negative")
+    if not 0 <= n_max <= COUNT_CAP:
+        raise EnumerationCapExceeded(f"n_max={n_max} outside the counting cap [0, {COUNT_CAP}]")
     return CountTable(tuple(count(n, spec) for n in range(n_max + 1)))

@@ -7,33 +7,39 @@ generating functions:
                 132-avoiding pattern.
 - ``thm23``     its layered specialization with R-function boundary
                 terms, checked symbolically from layer tops.
-- ``thm31``     the exactly-once recursion (at least two right-to-left
-                maxima), checked coefficient-wise against two-pattern
-                tables from the counting oracle.
-- ``thm33``     the layered form of the same recursion.
-- ``remark31``  the auxiliary recursion satisfied by the two-pattern
-                quantities "avoid the j-th prefix, contain the (j-1)-st
-                exactly once" for j >= 2, checked coefficient-wise.
+- ``thm31``, ``thm33``, ``remark31``: one exactly-once recursion,
+  checked coefficient-wise to order n by ``_once_recursion_holds``.
+  With G the oracle table "avoid every ν in ``nus``, contain μ exactly
+  once" and avoid(i) = (suffix i-1 of μ, suffix i of each ν), it checks
+  (1 - x·F(prefix 0) - x·A(r+1))·G = Σ_{i=1..r} x·L_i·B_i: A(i) avoids
+  avoid(i), B_i also contains suffix i of μ once, L_i is
+  ``_left_factor``.  F(prefix 0) comes from ``avoid_gf``, every other
+  factor from the counting oracle.  ``thm31`` has nus = (); ``remark31``
+  takes μ = prefix j-1 and nus = (prefix j,) for j >= 2; ``thm33`` is
+  ``thm31`` on the expanded layered pattern plus a symbolic check that
+  R_{m_0-m_1-1} and R_{m_r} are avoid_gf of prefix 0 and of suffix r.
+  Its other summands are exactly those prefixes and suffixes, and
+  A(r+1) is the series of avoid_gf(suffix r), so the two checks imply
+  the layered recursion written with R-functions.
 - ``thm22feq``  / ``thm32feq``: the bivariate aggregates satisfy their
                 functional equations to truncation order.
 
 Boundary bookkeeping for the numeric checks, derived by re-running the
 place-the-maximum argument and verified against the oracle:
 
-- the left factor of the first summand (built, for ``thm31`` and
-  ``remark31`` alike, by ``_left_factor``) constrains the part left of the
-  placed maximum by the *prefix closure* (the flattened first segment
-  followed by a new largest entry for m_0), not by the full next prefix.
+- the left factor of the first summand (``_left_factor`` with i = 1)
+  constrains the part left of the placed maximum by the *prefix
+  closure* (the flattened first segment followed by a new largest entry
+  for m_0), not by the full next prefix.
   For layered patterns with a nonempty first segment the two readings
   agree (containing the closure forces a second occurrence of the
   contained pattern); when the contained pattern is empty the closure
   reduces the factor to the constant series 1, which is exactly the
   convention the aggregate derivations rely on.
-- the right factors avoid two patterns at once: the suffix of the
-  contained prefix and the corresponding suffix of the avoided one.
-  Writing only the first of the two (as the displayed recursion does)
-  fails the oracle already for the layered pattern [4,2,1] at j = 2,
-  n = 4 (1 instead of 2 permutations).
+- for ``remark31`` the right factors avoid both suffixes in avoid(i).
+  Writing only the suffix of μ (as the displayed recursion does) fails
+  the oracle already for the layered pattern [4,2,1] at j = 2, n = 4
+  (1 instead of 2 permutations).
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from .patterns import (
     canonical_decompose,
     contains_132,
     expand_layered,
-    increasing,
     prefix_pattern,
     suffix_pattern,
 )
@@ -181,26 +186,29 @@ def _resolve_pattern(params) -> tuple[int, ...]:
     return pat
 
 
+def _once_recursion_holds(d: CanonicalDecomposition, nus: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """The exactly-once recursion of the module docstring, to order n."""
+    d_nus = [canonical_decompose(nu) for nu in nus]
+
+    def avoid(i: int) -> tuple[tuple[int, ...], ...]:
+        return (suffix_pattern(d, i - 1), *(suffix_pattern(e, i) for e in d_nus))
+
+    first = series_of(avoid_gf(prefix_pattern(d, 0)), n)
+    last = _oracle_series(n, avoid=avoid(d.r + 1))
+    lhs = (PowerSeries.one(n) - _xshift(first + last, n)) * _oracle_series(n, avoid=nus, contain=d.pattern)
+    rhs = PowerSeries.zero(n)
+    for i in range(1, d.r + 1):
+        right = _oracle_series(n, avoid=avoid(i), contain=suffix_pattern(d, i))
+        rhs = rhs + _xshift(_left_factor(d, i, n) * right, n)
+    return lhs == rhs
+
+
 def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("thm31", f"pattern {pat}, n <= {n}")
     d = canonical_decompose(pat)
-    r = d.r
-    if r < 1:
+    if d.r < 1:
         raise PatternError("the exactly-once recursion needs at least two maxima")
-    once_counts = _oracle_series(n, contain=pat)
-    lhs_mult = series_of(
-        RationalFunction.one()
-        - RationalFunction.x() * avoid_gf(prefix_pattern(d, 0))
-        - RationalFunction.x() * avoid_gf(suffix_pattern(d, r)),
-        n,
-    )
-    lhs = lhs_mult * once_counts
-    rhs = PowerSeries.zero(n)
-    for j in range(1, r + 1):
-        left = _left_factor(d, j, n)
-        right = _oracle_series(n, avoid=(suffix_pattern(d, j - 1),), contain=suffix_pattern(d, j))
-        rhs = rhs + _xshift(left * right, n)
-    report.add("coefficients 0..%d" % n, lhs == rhs)
+    report.add("coefficients 0..%d" % n, _once_recursion_holds(d, (), n))
     return report
 
 
@@ -208,64 +216,24 @@ def _check_thm33(tops: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("thm33", f"layered {list(tops)}, n <= {n}")
     if len(tops) < 2:
         raise PatternError("the layered exactly-once recursion needs at least two layers")
-    m = list(tops) + [0]
-    r = len(tops) - 1
-    x = RationalFunction.x()
-    tau = expand_layered(tops)
-    d01 = m[0] - m[1]
-    lhs_mult = series_of(
-        RationalFunction.one() - x * r_func_or_zero(d01 - 1) - x * r_func_or_zero(m[r]),
-        n,
+    d = canonical_decompose(expand_layered(tops))
+    report.add(
+        "boundary terms",
+        r_func_or_zero(tops[0] - tops[1] - 1) == avoid_gf(prefix_pattern(d, 0))
+        and r_func_or_zero(tops[-1]) == avoid_gf(suffix_pattern(d, d.r)),
     )
-    lhs = lhs_mult * _oracle_series(n, contain=tau)
-    first_left = _oracle_series(n, avoid=(increasing(d01),), contain=increasing(d01 - 1))
-    first_right = _oracle_series(n, avoid=(tau,), contain=expand_layered(tuple(m[1:-1])))
-    rhs = _xshift(first_left * first_right, n)
-    for j in range(2, r + 1):
-        left = _oracle_series(
-            n,
-            avoid=(expand_layered(tuple(mi - m[j + 1] for mi in m[: j + 1])),),
-            contain=expand_layered(tuple(mi - m[j] for mi in m[:j])),
-        )
-        right = _oracle_series(
-            n,
-            avoid=(expand_layered(tuple(m[j - 1 : -1])),),
-            contain=expand_layered(tuple(m[j:-1])),
-        )
-        rhs = rhs + _xshift(left * right, n)
-    report.add("coefficients 0..%d" % n, lhs == rhs)
+    report.add("coefficients 0..%d" % n, _once_recursion_holds(d, (), n))
     return report
 
 
 def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("remark31", f"pattern {pat}, n <= {n}")
     d = canonical_decompose(pat)
-    r = d.r
-    x = RationalFunction.x()
-    for j in range(2, r + 1):
-        mu = prefix_pattern(d, j - 1)
-        nu = prefix_pattern(d, j)
-        d_mu = canonical_decompose(mu)
-        d_nu = canonical_decompose(nu)
-        gamma = _oracle_series(n, avoid=(nu,), contain=mu)
-        self_avoid = (suffix_pattern(d_mu, j - 1), suffix_pattern(d_nu, j))
-        lhs_mult = (
-            PowerSeries.one(n)
-            - _xshift(series_of(avoid_gf(prefix_pattern(d, 0)), n), n)
-            - _xshift(_oracle_series(n, avoid=self_avoid), n)
-        )
-        lhs = lhs_mult * gamma
-        rhs = PowerSeries.zero(n)
-        for i in range(1, j):
-            left = _left_factor(d, i, n)
-            right = _oracle_series(
-                n,
-                avoid=(suffix_pattern(d_mu, i - 1), suffix_pattern(d_nu, i)),
-                contain=suffix_pattern(d_mu, i),
-            )
-            rhs = rhs + _xshift(left * right, n)
-        report.add(f"j={j} coefficients 0..{n}", lhs == rhs)
-    if r < 2:
+    for j in range(2, d.r + 1):
+        mu = canonical_decompose(prefix_pattern(d, j - 1))
+        holds = _once_recursion_holds(mu, (prefix_pattern(d, j),), n)
+        report.add(f"j={j} coefficients 0..{n}", holds)
+    if d.r < 2:
         report.add("no instances (needs at least three maxima)", True)
     return report
 

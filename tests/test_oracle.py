@@ -61,6 +61,17 @@ def test_negative_series_length_raises():
     assert series(ConstraintSpec(), 0).counts == (1,)
 
 
+def test_series_above_cap_refused_before_counting(monkeypatch):
+    from pattgf import kernels
+
+    def refuse(*args):
+        raise AssertionError("counted before the cap check")
+
+    monkeypatch.setattr(kernels, "count_constrained", refuse)
+    with pytest.raises(EnumerationCapExceeded, match="n_max=31"):
+        series(ConstraintSpec(contain=(8, 7, 5, 6, 4, 3, 2, 1)), 31)
+
+
 def test_series_examples():
     assert series(ConstraintSpec(avoid=((3, 2, 1),)), 5).counts == (1, 1, 2, 4, 7, 11)
     assert series(ConstraintSpec(contain=(1, 2)), 4).counts == (0, 0, 1, 2, 3)

@@ -1,5 +1,6 @@
 import pytest
 
+from pattgf import relations
 from pattgf.errors import NotIn132Class, PatternError
 from pattgf.patterns import expand_layered
 from pattgf.relations import verify_relation
@@ -50,6 +51,20 @@ def test_thm33_instances():
         assert verify_relation("thm33", tops, terms=8).passed
 
 
+def test_thm33_reports_boundary_and_coefficient_checks():
+    rep = verify_relation("thm33", (5, 3, 1), terms=8)
+    assert [c.label for c in rep.checks] == ["boundary terms", "coefficients 0..8"]
+    assert rep.passed
+
+
+def test_thm33_catches_a_wrong_boundary_index(monkeypatch):
+    # thm31 reads no R-function, so only the layered check notices
+    r_func = relations.r_func_or_zero
+    monkeypatch.setattr(relations, "r_func_or_zero", lambda p: r_func(p + 1))
+    assert not verify_relation("thm33", (5, 3, 1), terms=8).passed
+    assert verify_relation("thm31", (5, 3, 1), terms=8).passed
+
+
 def test_remark31_instances():
     rep = verify_relation("remark31", (4, 2, 1), terms=8)
     assert rep.passed
@@ -57,6 +72,13 @@ def test_remark31_instances():
     assert verify_relation("remark31", (5, 4, 3, 1), terms=8).passed
     # two layers only: no j >= 2 instances, vacuously true
     rep = verify_relation("remark31", (3, 2), terms=6)
+    assert rep.passed
+
+
+def test_remark31_on_nonlayered_pattern():
+    # not layered: three right-to-left maxima 5, 4, 1 with the segment 3 2
+    rep = verify_relation("remark31", (5, 3, 2, 4, 1), terms=8)
+    assert [c.label for c in rep.checks] == ["j=2 coefficients 0..8"]
     assert rep.passed
 
 
