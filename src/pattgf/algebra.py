@@ -40,9 +40,11 @@ Representations:
   means a larger xi.  ``polynomial_gcd``'s docstring proves that an
   accepted candidate is the gcd and that the loop ends.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
-  coefficients beyond the stated truncation order.  Division is the one
-  series recurrence: ``series_of`` and the bivariate quotient and square
-  root all call ``PowerSeries.__truediv__``.
+  coefficients beyond the stated truncation order.  ``series_of``
+  expands a ``RationalFunction`` by one integer division at a power of
+  two, certified by its own remainder; its docstring proves the
+  certificate exact.  The term recurrence of ``PowerSeries.__truediv__``
+  serves only the bivariate quotient and square root.
 - ``BivariateSeries``: rectangular truncation (Nx, Ny), stored as one
   ``PowerSeries`` in x per power of y.  Operations track how the valid
   rectangle shrinks (division by a variable) or grows (multiplication
@@ -52,7 +54,7 @@ Representations:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import gcd
+from math import gcd, isqrt, log2
 from operator import index
 
 
@@ -505,6 +507,13 @@ class PowerSeries:
         return cls([1] + [0] * order)
 
     @classmethod
+    def _exact(cls, coeffs: tuple) -> "PowerSeries":
+        """Wrap a tuple of exact coefficients as is; no ``_coeff``."""
+        s = object.__new__(cls)
+        s.coeffs = coeffs
+        return s
+
+    @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "PowerSeries":
         return cls([p.coefficient(i) for i in range(order + 1)])
 
@@ -752,7 +761,99 @@ class BivariateSeries:
 # -- module-level operations -------------------------------------------------
 
 def series_of(f: RationalFunction, order: int) -> PowerSeries:
-    """First ``order``+1 Taylor coefficients of ``f`` at 0: num / den as series."""
-    if f.den.constant_term() == 0:
+    """First ``order``+1 Taylor coefficients of ``f`` at 0, read off one
+    integer division (Kronecker substitution; Harvey, J. Symbolic
+    Comput. 44, 2009).
+
+    Write N = ``order`` and f = P/D with d0 = D(0) != 0.  Substituting
+    x -> d0 x gives d0 f(d0 x) = P'/D' with P'_i = P_i d0**i for i <= N
+    (higher terms cannot reach c_N), D'_0 = 1 and D'_j = D_j d0**(j-1),
+    so its coefficients e_n = c_n d0**(n+1) are integers.  With
+    d = deg D', X = 2**k and the reversed polynomials packed at X,
+    A = sum_i P'_i X**(N+d-i) and B = sum_j D'_j X**(d-j), one ``divmod``
+    gives q = round(A/B) and r = A - qB.  The N+1 balanced
+    base-X digits of q are e_N, ..., e_0; they are accepted if they
+    exhaust q and
+
+        2(|D'|_1 max|e_n| + |P'|) < X   and   2|r| < X**d,
+
+    with |.| the largest absolute coefficient and |.|_1 their sum.
+    Otherwise k doubles.
+
+    Accepted digits are the series.  Let E = sum_n e_n x**n and
+    S(y) = y**(N+d) (P' - D' E)(1/y), so that S(X) = A - qB = r.  Each
+    coefficient of S is a coefficient of P' minus at most one product
+    D'_j e_n per j, so below X/2 in absolute value by the first
+    inequality.  A nonzero coefficient at degree m >= d would then make
+    |S(X)| >= X**m - (X**m - 1)/2 > X**d/2, against the second; so
+    deg S < d, and P' - D' E = x**(N+d) S(1/x) has no term below x**(N+1).
+    As D'(0) = 1, E is then the series of P'/D' to order N.
+
+    The loop ends.  For the true e_n, dividing the reversed polynomials
+    gives A(y) = B(y) C(y) + R(y) with C(X) = sum_n e_n X**(N-n) and
+    deg R < d.  Once X is large against |P'|, |D'|, R and max|e_n|,
+    |R(X)| < B(X)/2, so q = C(X), r = R(X), and both inequalities hold.
+
+    The first k is an estimate, so it affects speed only: |e_n| grows
+    like rho**n, rho the largest root modulus of B.  rho is at least
+    |D'_d|**(1/d), the roots' geometric mean, and when the roots are
+    real it is at most (|D'_1| + sqrt((d-1)(d S2 - D'_1**2)))/d with
+    S2 = D'_1**2 - 2 D'_2 (Laguerre-Samuelson); k starts at N times
+    log2 of the larger of the two, plus the bits of the two margins.
+    """
+    num, den = f.num.coeffs, f.den.coeffs
+    d0 = den[0]
+    if d0 == 0:
         raise ZeroDivisionError("denominator constant term is zero; no Taylor expansion at 0")
-    return PowerSeries.from_polynomial(f.num, order) / PowerSeries.from_polynomial(f.den, order)
+    n = order
+    if n < 0:
+        raise ValueError("a truncated series needs at least the constant term")
+    p, d = num[: n + 1], den
+    if d0 != 1:
+        p = [c * d0**i for i, c in enumerate(p)]
+        d = [1] + [c * d0 ** (j - 1) for j, c in enumerate(den) if j]
+    deg = len(d) - 1
+    norm_p = max(map(abs, p), default=0)
+    norm_d = sum(map(abs, d))
+    growth = 0.0
+    if deg:
+        b1, b2 = d[1], d[2] if deg > 1 else 0
+        spread = (deg * (b1 * b1 - 2 * b2) - b1 * b1) * (deg - 1)
+        top = abs(b1) + isqrt(max(spread, 0))
+        growth = max(log2(top) - log2(deg) if top else 0.0, log2(abs(d[-1])) / deg)
+    k = int(n * growth) + norm_d.bit_length() + norm_p.bit_length() + 1
+    while True:
+        a = b = 0
+        for c in p:
+            a = (a << k) + c
+        a <<= k * (n + deg + 1 - len(p))
+        for c in d:
+            b = (b << k) + c
+        q, r = divmod(a, b)
+        if 2 * r > b:
+            q += 1
+            r -= b
+        x = 1 << k
+        mask, half = x - 1, x >> 1
+        e = []
+        for _ in range(n + 1):
+            c = q & mask
+            q >>= k
+            if c > half:
+                c -= x
+                q += 1
+            e.append(c)
+        if (
+            not q
+            and 2 * (norm_d * max(map(abs, e)) + norm_p) >> k == 0
+            and (2 * abs(r)).bit_length() <= deg * k
+        ):
+            break
+        k *= 2
+    e.reverse()
+    if d0 != 1:
+        scale = d0
+        for i, c in enumerate(e):
+            e[i] = _div(c, scale)
+            scale *= d0
+    return PowerSeries._exact(tuple(e))

@@ -21,6 +21,12 @@ def rf(num, den=(1,)):
     return RationalFunction(num, den)
 
 
+def recurrence(f, order):
+    """The term recurrence of ``PowerSeries.__truediv__``: the reference
+    that ``series_of``'s division must equal."""
+    return PowerSeries.from_polynomial(f.num, order) / PowerSeries.from_polynomial(f.den, order)
+
+
 def rand_poly(rng, degree, zero_ok=True):
     while True:
         p = Polynomial([rng.randint(-6, 6) for _ in range(degree + 1)])
@@ -241,6 +247,60 @@ class TestSeriesOf:
     def test_rejects_pole_at_zero(self):
         with pytest.raises(ZeroDivisionError):
             series_of(rf((1,), (0, 1)), 3)
+
+    def test_matches_the_recurrence(self):
+        """Random canonical f with den(0) in {1, 2, 3, 5} and negative
+        coefficients, at orders below and above deg num: ``int`` where a
+        coefficient is integral, ``Fraction`` otherwise."""
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(200):
+            den0 = rng.choice((1, 2, 3, 5))
+            f = rf(
+                [rng.randint(-40, 40) for _ in range(rng.randint(0, 9))],
+                [den0] + [rng.randint(-40, 40) for _ in range(rng.randint(0, 6))],
+            )
+            seen.add(f.den.constant_term())
+            order = rng.randint(0, 12)
+            got = series_of(f, order)
+            assert got == recurrence(f, order)
+            assert [type(c) for c in got.coeffs] == [
+                int if Fraction(c).denominator == 1 else Fraction for c in got.coeffs
+            ]
+        assert {1, 2, 3, 5} <= seen
+
+    def test_numerator_beyond_the_order(self):
+        f = rf((1, 2, 3, 4, 5, 6, 7), (1, -1))
+        assert series_of(f, 3).coeffs == (1, 3, 6, 10)
+        assert series_of(f, 3) == recurrence(f, 3)
+
+    def test_order_zero(self):
+        assert series_of(rf((-4, 1), (1, 2)), 0).coeffs == (-4,)
+        assert series_of(rf((7, 1, 1), (3, -1)), 0).coeffs == (Fraction(7, 3),)
+        assert series_of(rf((1,), (2, 0, 0, 9)), 0) == recurrence(rf((1,), (2, 0, 0, 9)), 0)
+
+    def test_zero_numerator(self):
+        assert series_of(RationalFunction.zero(), 6) == PowerSeries.zero(6)
+        assert all(type(c) is int for c in series_of(RationalFunction.zero(), 6).coeffs)
+
+    def test_fast_growth(self):
+        s = series_of(rf((1,), (1, -(2**100))), 30)
+        assert s.coeffs == tuple(2 ** (100 * n) for n in range(31))
+
+    def test_first_width_too_narrow(self, monkeypatch):
+        """The roots of 1 - x + 2**100 x**2 - 2**100 x**3 have moduli 1 and
+        2**50, which the first width underestimates: the division repeats
+        at a larger width and still returns the series."""
+        divisions = []
+
+        def counting_divmod(a, b):
+            divisions.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(algebra, "divmod", counting_divmod, raising=False)
+        f = rf((1,), (1, -1, 2**100, -(2**100)))
+        assert series_of(f, 30) == recurrence(f, 30)
+        assert len(divisions) > 1
 
 
 class TestPowerSeries:

@@ -252,3 +252,20 @@ def test_import_cli_loads_every_module_and_no_heavy_stdlib():
     assert heavy.isdisjoint(loaded), heavy.intersection(loaded)
     wrapped = {"patterns", "algebra", "chebyshev", "engine", "oracle", "kernels", "relations", "cli"}
     assert {f"pattgf.{name}" for name in wrapped} <= set(loaded)
+
+
+def test_integral_commands_never_import_fractions():
+    """An avoid series has den(0) = 1, so ``gf`` and ``series`` stay in
+    ``int``s all the way: ``fractions`` is still unloaded afterwards."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys, pattgf.cli; "
+        "assert pattgf.cli.main(['gf', '45231']) == 0; "
+        "assert pattgf.cli.main(['series', '45231', '--terms', '30']) == 0; "
+        "print('fractions' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[-1] == "False"

@@ -199,6 +199,19 @@ def test_output_digest():
     assert digest == "6ee02e7c6a287924f3b701d8991f47d69d24a9d0482411d0e8b333a297cc34c2"
 
 
+def test_avoid_census_k7():
+    """Every avoid series with k <= 7 (625 patterns) equals the counting
+    DP to n = 30.  The DP counts permutations, independently of the
+    recursion that ``avoid_gf`` solves and of ``series_of``'s division;
+    ``ci/census.py`` runs the same check over S_8(132)."""
+    checked = 0
+    for k in range(1, 8):
+        for tau in enumerate_avoiders(k):
+            assert series_of(avoid_gf(tau), 30).coeffs == series(ConstraintSpec(avoid=(tau,)), 30).counts, tau
+            checked += 1
+    assert checked == 625
+
+
 def test_avoid_digest_k8(cold_avoid_memo):
     """SHA-256 of the canonical avoid JSON over all 1430 patterns of
     S_8(132), solved from a cold memo, in sorted order: the value the

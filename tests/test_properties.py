@@ -215,6 +215,22 @@ def test_no_floats_when_den0_is_3(num, den_tail):
     assert PowerSeries.from_polynomial(f.den, 8) * s == PowerSeries.from_polynomial(f.num, 8)
 
 
+@ALGEBRA
+@given(
+    polys,
+    st.sampled_from([1, 2, 3, 5]),
+    st.lists(st.integers(-40, 40) | st.integers(-(2**64), 2**64), max_size=7),
+    st.integers(0, 30),
+)
+@example(Polynomial((1,)), 1, [-(2**100)], 30)  # 2**(100 n)
+@example(Polynomial((1,)), 1, [-1, 2**100, -(2**100)], 30)  # the first width is too narrow
+def test_series_of_matches_the_recurrence(num, den0, den_tail, order):
+    """One integer division gives what the term recurrence gives."""
+    f = RationalFunction(num, [den0] + den_tail)
+    want = PowerSeries.from_polynomial(f.num, order) / PowerSeries.from_polynomial(f.den, order)
+    assert series_of(f, order) == want
+
+
 def test_series_with_den0_3_is_exact():
     s = series_of(RationalFunction((1,), (3, -1)), 5)
     assert all(type(x) is Fraction for x in s.coeffs)
