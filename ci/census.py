@@ -1,8 +1,8 @@
 """Census of the avoid series against the counting DP.
 
-    PYTHONPATH=src python ci/census.py [k]
+    PYTHONPATH=src python ci/census.py
 
-For every tau in S_k(132) (k = 8 by default: 1430 patterns), checks that
+For every tau in S_8(132) (1430 patterns), checks that
 ``series_of(avoid_gf(tau), 30)`` equals the counting DP's table to
 n = 30, prints one summary line and exits 1 on any mismatch, naming the
 pattern.  Tier-1 runs the same check for every k <= 7; this script lives
@@ -17,18 +17,18 @@ from pattgf.engine import avoid_gf
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import format_pattern
 
+K = 8
 N = 30
 
 
-def main(argv: list[str]) -> int:
-    k = int(argv[0]) if argv else 8
+def main() -> int:
     started = time.perf_counter()
     checked, bad = 0, []
-    for tau in enumerate_avoiders(k):
+    for tau in enumerate_avoiders(K):
         if series_of(avoid_gf(tau), N).coeffs != series(ConstraintSpec(avoid=(tau,)), N).counts:
             bad.append(format_pattern(tau))
         checked += 1
-    print(f"census k={k}: {checked - len(bad)}/{checked} avoid series match the DP to n={N}"
+    print(f"census k={K}: {checked - len(bad)}/{checked} avoid series match the DP to n={N}"
           f" ({time.perf_counter() - started:.1f}s)")
     for word in bad:
         print(f"mismatch: {word}")
@@ -36,4 +36,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -54,7 +54,7 @@ Representations:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from math import gcd, isqrt, log2
+from math import gcd
 from operator import index
 
 
@@ -794,12 +794,16 @@ def series_of(f: RationalFunction, order: int) -> PowerSeries:
     deg R < d.  Once X is large against |P'|, |D'|, R and max|e_n|,
     |R(X)| < B(X)/2, so q = C(X), r = R(X), and both inequalities hold.
 
-    The first k is an estimate, so it affects speed only: |e_n| grows
-    like rho**n, rho the largest root modulus of B.  rho is at least
-    |D'_d|**(1/d), the roots' geometric mean, and when the roots are
-    real it is at most (|D'_1| + sqrt((d-1)(d S2 - D'_1**2)))/d with
-    S2 = D'_1**2 - 2 D'_2 (Laguerre-Samuelson); k starts at N times
-    log2 of the larger of the two, plus the bits of the two margins.
+    k starts at 2N + 2 plus the bits of the two margins, room for
+    |e_n| < 4**n: each series this package expands counts 132-avoiding
+    permutations, at most the Catalan number C_n < 4**n.  Other series
+    double k until certified; the start affects speed only.
+
+    Cost: CPython's long division is schoolbook, so one attempt takes
+    about (N+1) d (k/30)**2 digit steps, against (N+1) d small products
+    for the term recurrence.  The division wins while k spans a few
+    machine digits (N near 30), but k grows with N, so its cost grows
+    like N**3.  ``pattgf series`` caps ``--terms`` for that reason.
     """
     num, den = f.num.coeffs, f.den.coeffs
     d0 = den[0]
@@ -815,13 +819,7 @@ def series_of(f: RationalFunction, order: int) -> PowerSeries:
     deg = len(d) - 1
     norm_p = max(map(abs, p), default=0)
     norm_d = sum(map(abs, d))
-    growth = 0.0
-    if deg:
-        b1, b2 = d[1], d[2] if deg > 1 else 0
-        spread = (deg * (b1 * b1 - 2 * b2) - b1 * b1) * (deg - 1)
-        top = abs(b1) + isqrt(max(spread, 0))
-        growth = max(log2(top) - log2(deg) if top else 0.0, log2(abs(d[-1])) / deg)
-    k = int(n * growth) + norm_d.bit_length() + norm_p.bit_length() + 1
+    k = 2 * n + 2 + norm_d.bit_length() + norm_p.bit_length()
     while True:
         a = b = 0
         for c in p:

@@ -68,6 +68,11 @@ def test_series_terms(capsys):
     assert code == 1
     assert out == ""
     assert "--terms must be at least 0, got -1" in err
+    code, out, err = run(capsys, "series", "321", "--terms", "1001")
+    assert code == 1
+    assert out == ""
+    assert "--terms must be at most 1000, got 1001" in err
+    assert run(capsys, "series", "1", "--terms", "1000")[0] == 0
 
 
 def test_series_equals_oracle_smoke(capsys):
@@ -241,31 +246,23 @@ def test_import_cli_loads_every_module_and_no_heavy_stdlib():
     """``import pattgf.cli`` loads every pattgf module (the benchmark's
     tracer wraps entry points in all of them), and none of the stdlib
     modules that cost start-up time on every CLI call.  ``-S`` keeps
-    ``site`` from preloading anything."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, pattgf.cli; print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"}
-    assert heavy.isdisjoint(loaded), heavy.intersection(loaded)
-    wrapped = {"patterns", "algebra", "chebyshev", "engine", "oracle", "kernels", "relations", "cli"}
-    assert {f"pattgf.{name}" for name in wrapped} <= set(loaded)
-
-
-def test_integral_commands_never_import_fractions():
-    """An avoid series has den(0) = 1, so ``gf`` and ``series`` stay in
-    ``int``s all the way: ``fractions`` is still unloaded afterwards."""
+    ``site`` from preloading anything.  An avoid series has den(0) = 1,
+    so ``gf`` and ``series`` stay in ``int``s: ``fractions`` is still
+    unloaded after running them."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
-        "import sys, pattgf.cli; "
+        "import sys, pattgf.cli; print(*sorted(sys.modules)); "
         "assert pattgf.cli.main(['gf', '45231']) == 0; "
         "assert pattgf.cli.main(['series', '45231', '--terms', '30']) == 0; "
         "print('fractions' in sys.modules)"
     )
     out = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
+    loaded = out[0].split()
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "json"}
+    assert heavy.isdisjoint(loaded), heavy.intersection(loaded)
+    wrapped = {"patterns", "algebra", "chebyshev", "engine", "oracle", "kernels", "relations", "cli"}
+    assert {f"pattgf.{name}" for name in wrapped} <= set(loaded)
     assert out[-1] == "False"
