@@ -1,19 +1,22 @@
-"""Census of the avoid series against the counting DP.
+"""Census of the avoid and once series against the counting DP.
 
     PYTHONPATH=src python ci/census.py
 
 For every tau in S_8(132) (1430 patterns), checks that
 ``series_of(avoid_gf(tau), 30)`` equals the counting DP's table to
-n = 30, prints one summary line and exits 1 on any mismatch, naming the
-pattern.  Tier-1 runs the same check for every k <= 7; this script lives
-outside its test paths because k = 8 takes several seconds.
+n = 30, and the same for ``once_gf(tau)`` wherever it answers (30
+patterns).  Prints one summary line per mode and exits 1 on any
+mismatch, naming the pattern.  Tier-1 runs the same check for every
+k <= 7; this script lives outside its test paths because k = 8 takes
+several seconds.
 """
 
 import sys
 import time
 
 from pattgf.algebra import series_of
-from pattgf.engine import avoid_gf
+from pattgf.engine import avoid_gf, once_gf
+from pattgf.errors import UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import format_pattern
 
@@ -23,13 +26,23 @@ N = 30
 
 def main() -> int:
     started = time.perf_counter()
-    checked, bad = 0, []
+    checked, once_checked, bad = 0, 0, []
     for tau in enumerate_avoiders(K):
         if series_of(avoid_gf(tau), N).coeffs != series(ConstraintSpec(avoid=(tau,)), N).counts:
-            bad.append(format_pattern(tau))
+            bad.append(f"avoid {format_pattern(tau)}")
         checked += 1
-    print(f"census k={K}: {checked - len(bad)}/{checked} avoid series match the DP to n={N}"
-          f" ({time.perf_counter() - started:.1f}s)")
+        try:
+            f = once_gf(tau)
+        except UnsupportedPattern:
+            continue
+        if series_of(f, N).coeffs != series(ConstraintSpec(contain=tau), N).counts:
+            bad.append(f"once {format_pattern(tau)}")
+        once_checked += 1
+    n_bad = {mode: sum(b.startswith(mode) for b in bad) for mode in ("avoid", "once")}
+    elapsed = time.perf_counter() - started
+    print(f"census k={K}: {checked - n_bad['avoid']}/{checked} avoid series match the DP to n={N}")
+    print(f"census k={K}: {once_checked - n_bad['once']}/{once_checked} once series match the DP to n={N}"
+          f" ({elapsed:.1f}s)")
     for word in bad:
         print(f"mismatch: {word}")
     return 1 if bad else 0

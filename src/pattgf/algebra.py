@@ -3,14 +3,15 @@
 ``Polynomial`` and ``RationalFunction`` live in Z[x]: their coefficients
 are ``int``s, and any other coefficient is a ``TypeError``.  A
 ``fractions.Fraction`` appears only where a value is not integral: in
-``PowerSeries``/``BivariateSeries`` coefficients (a quotient by den(0),
-a square root's halving), in ``RationalFunction.value_at_zero``, and as
-the argument of ``RationalFunction.constant``, which turns p/q into the
-canonical (p)/(q).  Every equality used anywhere in the package is
-exact.  ``fractions`` is imported on first use, by the two helpers that
-build a non-integral value and by ``RationalFunction._coerce`` on an
-operand that is not an ``int``, so integral work never loads it.  An
-operand that is neither ``int`` nor ``Fraction`` is a ``TypeError``.
+``PowerSeries`` coefficients (``series_of``'s quotient by den(0)), in
+``RationalFunction.value_at_zero``, and as the argument of
+``RationalFunction.constant``, which turns p/q into the canonical
+(p)/(q).  Every equality used anywhere in the package is exact.
+``fractions`` is imported on first use, by the two helpers that build
+or check a non-integral value and by ``RationalFunction._coerce`` on an
+operand that is not an ``int``, so integral work never loads it.  A
+coefficient or operand that is neither ``int`` nor ``Fraction`` is a
+``TypeError``.
 Annotations are strings, and ``Rational`` in them means
 ``numbers.Rational``, which is never imported.
 
@@ -43,12 +44,12 @@ Representations:
   coefficients beyond the stated truncation order.  ``series_of``
   expands a ``RationalFunction`` by one integer division at a power of
   two, certified by its own remainder; its docstring proves the
-  certificate exact.  The term recurrence of ``PowerSeries.__truediv__``
-  serves only the bivariate quotient and square root.
-- ``BivariateSeries``: rectangular truncation (Nx, Ny), stored as one
-  ``PowerSeries`` in x per power of y.  Operations track how the valid
-  rectangle shrinks (division by a variable) or grows (multiplication
-  by a variable), so a zero test covers exactly the trusted region.
+  certificate exact.
+- ``BivariateSeries``: a power series in y, truncated only in y, whose
+  y^j coefficient is an exact ``RationalFunction`` in x.  Its square root
+  takes the exact root of the y^0 coefficient from the caller and
+  checks it, so every coefficient stays in Q(x), with no ``Fraction``
+  and no truncation in x.
 """
 
 from __future__ import annotations
@@ -59,13 +60,15 @@ from operator import index
 
 
 def _coeff(c) -> Rational:
-    """An exact coefficient: ``int`` when integral, else ``Fraction``."""
+    """An exact coefficient: ``int`` when integral, else ``Fraction``; a
+    value that is neither an ``int`` nor a ``Fraction`` is a ``TypeError``."""
     if type(c) is int:
         return c
     from fractions import Fraction
 
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    return index(c)
 
 
 def _div(a, b) -> Rational:
@@ -368,6 +371,8 @@ class RationalFunction:
             return self._plus_polynomial(o.num)
         if self._is_polynomial():
             return o._plus_polynomial(self.num)
+        if self.den == o.den:
+            return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -570,94 +575,25 @@ class PowerSeries:
                         out[i + j] += a * b
         return PowerSeries(out)
 
-    def scale(self, c) -> "PowerSeries":
-        c = _coeff(c)
-        return PowerSeries([c * a for a in self.coeffs])
-
     def mul_x_power(self, p: int) -> "PowerSeries":
         """Shift up; the truncation order grows by p (nothing is lost)."""
         _check_power(p)
         return PowerSeries([0] * p + list(self.coeffs))
 
-    def div_x_exact(self, p: int) -> "PowerSeries":
-        """Shift down by x**p; the low coefficients must vanish.
-
-        A nonzero low-order coefficient signals an algebra bug upstream,
-        not a user error, hence the hard failure.
-        """
-        if p == 0:
-            return self
-        if p > self.order:
-            raise ValueError("cannot divide past the truncation order")
-        if any(c != 0 for c in self.coeffs[:p]):
-            raise ValueError(f"series not divisible by x^{p}")
-        return PowerSeries(self.coeffs[p:])
-
-    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        """Quotient c = a / b, term by term from c*b = a:
-        c_n = (a_n - sum_{0<j<=min(n, last)} b_j c_{n-j}) / b_0, with
-        ``last`` the index of b's last nonzero coefficient.
-        """
-        n = self._align(other)
-        a, b = self.coeffs, other.coeffs
-        b0 = b[0]
-        if b0 == 0:
-            raise ZeroDivisionError("division by a series with zero constant term")
-        last = max(j for j in range(n + 1) if b[j])
-        out: list[Rational] = []
-        for m in range(n + 1):
-            s = a[m]
-            for j in range(1, min(m, last) + 1):
-                s -= b[j] * out[m - j]
-            out.append(_div(s, b0))
-        return PowerSeries(out)
-
-    def sqrt(self) -> "PowerSeries":
-        """Principal square root of a series with constant term 1.
-
-        Term-by-term from t*t = s: t_n = (s_n - sum_{0<i<n} t_i t_{n-i}) / 2.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("series square root requires constant term 1")
-        out = [1]
-        for n in range(1, self.order + 1):
-            s = sum(out[i] * out[n - i] for i in range(1, n))
-            out.append(_div(self.coeffs[n] - s, 2))
-        return PowerSeries(out)
-
 
 class BivariateSeries:
-    """Truncated series in x and y; ``levels[j]`` is the x-series of y^j."""
+    """Power series in y truncated at y**order_y; ``levels[j]``, the
+    coefficient of y**j, is an exact ``RationalFunction`` in x."""
 
     __slots__ = ("levels",)
 
-    def __init__(self, levels: Sequence[PowerSeries]):
+    def __init__(self, levels: Iterable[RationalFunction]):
         levels = tuple(levels)
         if not levels:
             raise ValueError("need at least the y^0 level")
-        if len({s.order for s in levels}) != 1:
-            raise ValueError("all levels must share one x-truncation order")
         self.levels = levels
 
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls, nx: int, ny: int) -> "BivariateSeries":
-        return cls([PowerSeries.zero(nx) for _ in range(ny + 1)])
-
-    @classmethod
-    def from_terms(cls, terms: dict[tuple[int, int], object], nx: int, ny: int) -> "BivariateSeries":
-        """Exact polynomial data {(x_deg, y_deg): coeff} at the given orders."""
-        rows = [[0] * (nx + 1) for _ in range(ny + 1)]
-        for (i, j), c in terms.items():
-            if j <= ny and i <= nx:
-                rows[j][i] = c
-        return cls([PowerSeries(row) for row in rows])
-
     # -- basics ----------------------------------------------------------
-    @property
-    def order_x(self) -> int:
-        return self.levels[0].order
-
     @property
     def order_y(self) -> int:
         return len(self.levels) - 1
@@ -666,96 +602,71 @@ class BivariateSeries:
     def is_zero(self) -> bool:
         return all(level.is_zero for level in self.levels)
 
-    def coefficient(self, i: int, j: int) -> Rational:
-        return self.levels[j].coefficient(i)
-
-    def slice_y(self, j: int) -> PowerSeries:
-        """The x-series multiplying y^j."""
-        return self.levels[j]
-
-    def truncate(self, nx: int, ny: int) -> "BivariateSeries":
-        if nx > self.order_x or ny > self.order_y:
-            raise ValueError("cannot extend a truncated series")
-        return BivariateSeries([lvl.truncate(nx) for lvl in self.levels[: ny + 1]])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BivariateSeries) and self.levels == other.levels
 
     def __repr__(self) -> str:
-        return f"BivariateSeries(order_x={self.order_x}, order_y={self.order_y})"
+        return f"BivariateSeries({[str(level) for level in self.levels]})"
 
-    # -- arithmetic (orders combine to the smaller ones) -------------------
-    # ``PowerSeries`` arithmetic already truncates to the smaller x order;
-    # the loops below stop at the smaller y order.
+    # -- arithmetic (orders combine to the smaller one) -------------------
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         return BivariateSeries([a + b for a, b in zip(self.levels, other.levels)])
 
     def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries([-lvl for lvl in self.levels])
+        return BivariateSeries([-level for level in self.levels])
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
         return self + (-other)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
+        """Cauchy product; a square ``s * s`` forms each mirrored pair
+        a_i a_(m-i) once and doubles it."""
+        a, b = self.levels, other.levels
+        if self is other:
+            return BivariateSeries([_pair_sum(a, m) for m in range(len(a))])
         out = []
-        for m in range(min(self.order_y, other.order_y) + 1):
-            acc = self.levels[0] * other.levels[m]
+        for m in range(min(len(a), len(b))):
+            acc = a[0] * b[m]
             for i in range(1, m + 1):
-                acc = acc + self.levels[i] * other.levels[m - i]
+                acc = acc + a[i] * b[m - i]
             out.append(acc)
         return BivariateSeries(out)
 
-    def scale(self, c) -> "BivariateSeries":
-        return BivariateSeries([lvl.scale(c) for lvl in self.levels])
-
-    def mul_x_power(self, p: int) -> "BivariateSeries":
-        return BivariateSeries([lvl.mul_x_power(p) for lvl in self.levels])
-
-    def mul_y_power(self, p: int) -> "BivariateSeries":
-        _check_power(p)
-        zero = PowerSeries.zero(self.order_x)
-        return BivariateSeries([zero] * p + list(self.levels))
-
-    def div_x_exact(self, p: int) -> "BivariateSeries":
-        return BivariateSeries([lvl.div_x_exact(p) for lvl in self.levels])
-
-    def div_y_exact(self, p: int) -> "BivariateSeries":
-        if p == 0:
-            return self
-        if p > self.order_y:
-            raise ValueError("cannot divide past the y-truncation order")
-        if any(not lvl.is_zero for lvl in self.levels[:p]):
-            raise ValueError(f"series not divisible by y^{p}")
-        return BivariateSeries(self.levels[p:])
-
     def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
-        """Division by a unit (nonzero constant term), level by level."""
-        u0 = other.levels[0]
-        out: list[PowerSeries] = []
-        for m in range(min(self.order_y, other.order_y) + 1):
-            acc = self.levels[m]
+        """Division by a unit (nonzero y^0 level), term by term from
+        c*b = a: c_m = (a_m - sum_{0<i<=m} b_i c_(m-i)) / b_0."""
+        a, b = self.levels, other.levels
+        out: list[RationalFunction] = []
+        for m in range(min(len(a), len(b))):
+            acc = a[m]
             for i in range(1, m + 1):
-                acc = acc - other.levels[i] * out[m - i]
-            out.append(acc / u0)
+                if not b[i].is_zero:
+                    acc = acc - b[i] * out[m - i]
+            out.append(acc / b[0])
         return BivariateSeries(out)
 
-    def sqrt(self) -> "BivariateSeries":
-        """Square root with constant term 1, by powers of y.
-
-        The y^0 level is a univariate square root; higher levels follow
-        from matching coefficients in t*t = s and dividing by 2*t_0.
-        """
-        if self.levels[0].coeffs[0] != 1:
-            raise ValueError("series square root requires constant term 1")
-        t0 = self.levels[0].sqrt()
-        two_t0 = t0.scale(2)
-        out = [t0]
-        for m in range(1, self.order_y + 1):
-            acc = self.levels[m]
-            for i in range(1, m):
-                acc = acc - out[i] * out[m - i]
-            out.append(acc / two_t0)
+    def sqrt(self, root0: RationalFunction) -> "BivariateSeries":
+        """The square root t with y^0 level ``root0``, which must square to
+        this series' y^0 level (``ValueError`` otherwise).  Matching y^m in
+        t*t = s gives t_m = (s_m - sum_{0<i<m} t_i t_(m-i)) / (2 t_0)."""
+        if root0 * root0 != self.levels[0]:
+            raise ValueError("root0 is not a square root of the y^0 level")
+        two_t0 = root0 + root0
+        out = [root0]
+        for m in range(1, len(self.levels)):
+            out.append((self.levels[m] - _pair_sum(out, m, lo=1)) / two_t0)
         return BivariateSeries(out)
+
+
+def _pair_sum(t: Sequence[RationalFunction], m: int, lo: int = 0) -> RationalFunction:
+    """sum t_i t_(m-i) over lo <= i <= m - lo, each mirrored pair formed once."""
+    acc = RationalFunction.zero()
+    for i in range(lo, (m + 1) // 2):
+        acc = acc + t[i] * t[m - i]
+    acc = acc + acc
+    if m % 2 == 0 and m // 2 >= lo:
+        acc = acc + t[m // 2] * t[m // 2]
+    return acc
 
 
 # -- module-level operations -------------------------------------------------

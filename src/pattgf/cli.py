@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
     reports: list[relations.RelationReport] = []
     if rel in ("thm22feq", "thm32feq"):
-        reports.append(relations.verify_relation(rel, orders=(10 if args.terms is None else args.terms, 8)))
+        reports.append(relations.verify_relation(rel, orders=(0, 8 if args.terms is None else args.terms)))
     elif rel == "thm21":
         lo, hi = _parse_range(args.range, (1, 4))
         for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "thm32feq", "thm33"))
     p.add_argument("--range", default="", help="pattern-size range A:B for sweeps")
     p.add_argument("--terms", type=int, default=None,
-                   help="series order for numeric checks (default 9; 10 for thm22feq/thm32feq)")
+                   help="series order for numeric checks (default 9); the y order for thm22feq/thm32feq (default 8)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identities", help="exact product-identity sweep")

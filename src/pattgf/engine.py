@@ -44,6 +44,8 @@ families below (V_p denotes the companion polynomials from
   {3,2,1}, n = 4: 3 instead of 2) because stripping the last maximum
   from {m+1,m,p} leaves a pattern with a unique occurrence inside it,
   which invalidates the unrestricted-chain shortcut at that step.
+- the decreasing pattern k...1 (k >= 3):  the y^k level of Psi below,
+  x^k N_{k-1}(x) / (1-x)^(k-1) with N_m the m-th Narayana polynomial.
 - the chain step, for tau of size k ending in k-1, k:
   G = x*F*G'/(1 - x*F'), where F, F' are the avoidance series of tau
   and its head tau' = tau[:-1] and G' is the once series of tau'.  It
@@ -57,8 +59,9 @@ Everything else raises UnsupportedPattern (use the oracle for numeric
 tables: ``pattgf oracle <pattern> --mode once``).
 
 ``phi_closed_series`` / ``psi_closed_series`` expand the bivariate
-closed forms that aggregate the decreasing-pattern families, with y
-marking the pattern size.
+closed forms that aggregate the decreasing patterns, with y marking the
+pattern size, as power series in y: their y^k levels are the exact
+avoidance and exactly-once series of k...1, rational functions of x.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .patterns import (
 
 _X = RationalFunction.x()
 _ONE = RationalFunction.one()
+_ZERO = RationalFunction.zero()
 
 # memo tables keyed by flattened one-line notation; avoid and once modes
 # are cached separately.  An avoid entry is written under tau and its
@@ -207,6 +211,9 @@ def _once(pat: tuple[int, ...]) -> RationalFunction:
             m = min(fam.params[1], k - fam.params[1])
             den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
             value = RationalFunction(Polynomial.one().shift(k), den)
+        elif fam.kind == "layered" and len(fam.params) == k:
+            # the decreasing pattern k...1: the y^k level of Psi
+            value = psi_closed_series(k).levels[k]
         elif fam.kind == "wedge-top":
             _, m, p = fam.params
             q = max(p, m - p)
@@ -229,44 +236,46 @@ def _once(pat: tuple[int, ...]) -> RationalFunction:
 # -- bivariate closed forms ---------------------------------------------------
 
 
-def phi_closed_series(order_x: int = 12, order_y: int = 10) -> BivariateSeries:
-    """Expansion of the avoidance aggregate over decreasing patterns.
+def _y_poly(order_y: int, *coeffs: RationalFunction) -> BivariateSeries:
+    """sum_j coeffs[j] y^j as a series truncated at y^order_y."""
+    return BivariateSeries((coeffs + (_ZERO,) * order_y)[: order_y + 1])
 
-    Phi(x, y) = [y(1+x-xy) - y*sqrt((1+x-xy)^2 - 4x)] / [2x(1-y)];
-    the y^k slice is the avoidance series of the decreasing pattern of
-    size k.
+
+def phi_closed_series(order_y: int = 10) -> BivariateSeries:
+    """Phi(x, y) = y (a - sqrt(a^2 - 4x)) / (2x (1 - y)), a = 1 + x - xy,
+    expanded in y to y^order_y.
+
+    The y^k level is the avoidance series of the decreasing pattern of
+    size k, exact in x: at y = 0 the radicand is (1 - x)^2, so the root
+    has the rational y^0 level 1 - x and every level lies in Q(x).
     """
-    if order_x < 1 or order_y < 1:
-        raise ValueError("orders must be at least 1")
-    nx, ny = order_x + 1, order_y  # margin for the division by x
-    a = BivariateSeries.from_terms({(0, 0): 1, (1, 0): 1, (1, 1): -1}, nx, ny)
-    radicand = a * a - BivariateSeries.from_terms({(1, 0): 4}, nx, ny)
-    root = radicand.sqrt()
-    numerator = (a - root).mul_y_power(1)
-    one_minus_y = BivariateSeries.from_terms({(0, 0): 1, (0, 1): -1}, nx, numerator.order_y)
-    value = (numerator / one_minus_y).div_x_exact(1).scale("1/2")
-    return value.truncate(order_x, order_y)
+    if order_y < 1:
+        raise ValueError("order_y must be at least 1")
+    n = order_y - 1  # the factor y raises the order by one
+    a = _y_poly(n, _ONE + _X, -_X)
+    root = (a * a - _y_poly(n, 4 * _X)).sqrt(_ONE - _X)
+    quotient = (a - root) / _y_poly(n, 2 * _X, -2 * _X)
+    return BivariateSeries((_ZERO,) + quotient.levels)
 
 
-def psi_closed_series(order_x: int = 12, order_y: int = 10) -> BivariateSeries:
-    """Expansion of the exactly-once aggregate over decreasing patterns.
+def psi_closed_series(order_y: int = 10) -> BivariateSeries:
+    """Psi(x, y) = (u - sqrt(u^2 - 4x^2 (1-x) y)) / (2x), u = (1-x)(1-xy),
+    expanded in y to y^order_y.
 
-    Psi(x, y) = [(1-x)(1-xy) - sqrt((1-x)^2 (1-xy)^2 - 4x^2 (1-x) y)] / (2x);
-    the y^k slice counts permutations containing the decreasing pattern
-    of size k exactly once.
+    The y^k level counts permutations containing the decreasing pattern
+    of size k exactly once, exact in x; the root's y^0 level is 1 - x.
     """
-    if order_x < 1 or order_y < 1:
-        raise ValueError("orders must be at least 1")
-    nx, ny = order_x + 1, order_y
-    u = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -1, (1, 1): -1, (2, 1): 1}, nx, ny)
-    shift = BivariateSeries.from_terms({(2, 1): 4, (3, 1): -4}, nx, ny)
-    root = (u * u - shift).sqrt()
-    value = (u - root).div_x_exact(1).scale("1/2")
-    return value.truncate(order_x, order_y)
+    if order_y < 1:
+        raise ValueError("order_y must be at least 1")
+    c = _ONE - _X
+    u = _y_poly(order_y, c, -_X * c)
+    root = (u * u - _y_poly(order_y, _ZERO, 4 * _X * _X * c)).sqrt(c)
+    return (u - root) / _y_poly(order_y, 2 * _X)
 
 
-def phi_functional_equation_residual(order_x: int, order_y: int) -> BivariateSeries:
-    """Residual of Phi = y/(1-y) + x Phi (Phi/y - 1 - Phi) + x y Phi.
+def phi_functional_equation_residual(order_y: int) -> BivariateSeries:
+    """Residual of Phi = y/(1-y) + x Phi (Phi/y - 1 - Phi) + x y Phi,
+    multiplied through by y, at y^0..y^(order_y+1).
 
     This is the aggregate of the avoidance recursion over decreasing
     patterns: summing F_k = 1 + x F_2 F_{k-1} + x * sum_{j>=2}
@@ -275,30 +284,31 @@ def phi_functional_equation_residual(order_x: int, order_y: int) -> BivariateSer
     pattern is empty and the empty-pattern series is 0.)  The closed
     form solves exactly this equation: its quadratic in Phi has
     discriminant y^2 [(1+x-xy)^2 - 4x], the radicand of the closed
-    form.  Computed with an internal y margin so Phi/y loses nothing;
-    a correct expansion leaves the zero series on the whole requested
-    rectangle.
+    form.  Times y the equation needs no Phi/y, so its y^m level reads
+    P_(m-1) - [m >= 2] - x (S_m - P_(m-1) - S_(m-1) + P_(m-2)) with
+    P = Phi and S = Phi^2; a correct Phi leaves every level exactly 0.
     """
-    phi = phi_closed_series(order_x, order_y + 1)
-    nx, ny = order_x, order_y + 1
-    one = BivariateSeries.from_terms({(0, 0): 1}, nx, ny)
-    y_over = BivariateSeries.from_terms({(0, 1): 1}, nx, ny) / BivariateSeries.from_terms(
-        {(0, 0): 1, (0, 1): -1}, nx, ny
+    phi = phi_closed_series(order_y + 1)
+    p = (_ZERO, _ZERO) + phi.levels  # p[m] = P_(m-2)
+    s = (_ZERO,) + (phi * phi).levels  # s[m] = S_(m-1)
+    return BivariateSeries(
+        p[m + 1] - (_ONE if m >= 2 else _ZERO) - _X * (s[m + 1] - p[m + 1] - s[m] + p[m])
+        for m in range(order_y + 2)
     )
-    inner = phi.div_y_exact(1) - one - phi
-    rhs = y_over + (phi * inner).mul_x_power(1) + (phi.mul_x_power(1)).mul_y_power(1)
-    return (phi - rhs).truncate(order_x, order_y)
 
 
-def psi_functional_equation_residual(order_x: int, order_y: int) -> BivariateSeries:
-    """Residual of (1-x)(Psi - xy) = x Psi^2 + x(1-x) y Psi."""
-    psi = psi_closed_series(order_x, order_y)
-    nx, ny = order_x, order_y
-    one_minus_x = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -1}, nx, ny)
-    xy = BivariateSeries.from_terms({(1, 1): 1}, nx, ny)
-    lhs = one_minus_x * (psi - xy)
-    rhs = (psi * psi).mul_x_power(1) + (one_minus_x * psi).mul_x_power(1).mul_y_power(1)
-    return (lhs - rhs).truncate(order_x, order_y)
+def psi_functional_equation_residual(order_y: int) -> BivariateSeries:
+    """Residual of (1-x)(Psi - xy) = x Psi^2 + x(1-x) y Psi at
+    y^0..y^order_y: level m is (1-x)(Q_m - x[m = 1]) - x S_m
+    - x(1-x) Q_(m-1) with Q = Psi and S = Psi^2."""
+    psi = psi_closed_series(order_y)
+    q = (_ZERO,) + psi.levels  # q[m] = Q_(m-1)
+    s = (psi * psi).levels
+    c = _ONE - _X
+    return BivariateSeries(
+        c * (q[m + 1] - (_X if m == 1 else _ZERO)) - _X * s[m] - _X * c * q[m]
+        for m in range(order_y + 1)
+    )
 
 
 __all__ = [

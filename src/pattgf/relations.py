@@ -22,7 +22,8 @@ generating functions:
   A(r+1) is the series of avoid_gf(suffix r), so the two checks imply
   the layered recursion written with R-functions.
 - ``thm22feq``  / ``thm32feq``: the bivariate aggregates satisfy their
-                functional equations to truncation order.
+                functional equations exactly: every y^m level of the
+                residual, a rational function of x, is zero.
 
 Boundary bookkeeping for the numeric checks, derived by re-running the
 place-the-maximum argument and verified against the oracle:
@@ -244,8 +245,9 @@ def verify_relation(relation: str, params=None, terms: int = 9, orders: tuple[in
     ``params`` is a pattern in one-line notation (``thm21``, ``thm31``,
     ``remark31``), layered layer tops (``thm23``, ``thm33``, also
     accepted by the pattern-based checks), or ignored for the
-    functional-equation checks, which use ``orders`` instead.
-    ``terms`` bounds the coefficient-wise checks.
+    functional-equation checks.  ``terms`` bounds the coefficient-wise
+    checks.  The functional-equation checks read only ``orders[1]``, the
+    y order; their levels are exact in x, so ``orders[0]`` is unused.
     """
     if params is None and relation in ("thm21", "thm23", "thm31", "thm33", "remark31"):
         raise PatternError(f"relation {relation!r} needs a pattern or layer tops")
@@ -259,14 +261,9 @@ def verify_relation(relation: str, params=None, terms: int = 9, orders: tuple[in
         return _check_thm33(tuple(int(v) for v in params), terms)
     if relation == "remark31":
         return _check_remark31(_resolve_pattern(params), terms)
-    if relation == "thm22feq":
-        nx, ny = orders
-        report = RelationReport("thm22feq", f"orders ({nx}, {ny})")
-        report.add("zero residual", phi_functional_equation_residual(nx, ny).is_zero)
-        return report
-    if relation == "thm32feq":
-        nx, ny = orders
-        report = RelationReport("thm32feq", f"orders ({nx}, {ny})")
-        report.add("zero residual", psi_functional_equation_residual(nx, ny).is_zero)
+    residuals = {"thm22feq": phi_functional_equation_residual, "thm32feq": psi_functional_equation_residual}
+    if relation in residuals:
+        report = RelationReport(relation, f"y order {orders[1]}")
+        report.add("zero residual", residuals[relation](orders[1]).is_zero)
         return report
     raise PatternError(f"unknown relation {relation!r}")

@@ -102,12 +102,11 @@ def test_criterion_06_wedge_collapse():
 
 def test_criterion_07_phi_slices_and_equation():
     t0 = time.time()
-    phi = phi_closed_series(10, 8)
-    for k in range(1, 9):
-        want = series_of(avoid_gf(decreasing(k)), 10)
-        assert phi.slice_y(k) == want, k
-    assert phi_functional_equation_residual(10, 8).is_zero
-    report(7, "bivariate avoidance aggregate: slices exact, zero residual", t0)
+    phi = phi_closed_series(10)
+    for k in range(1, 11):
+        assert phi.levels[k] == avoid_gf(decreasing(k)), k
+    assert phi_functional_equation_residual(10).is_zero
+    report(7, "bivariate avoidance aggregate: slices exact in x, zero residual", t0)
 
 
 def test_criterion_08_catalan_prefix():
@@ -156,12 +155,11 @@ def test_criterion_09_once_closed_forms():
 
 def test_criterion_10_psi_slices_and_equation():
     t0 = time.time()
-    psi = psi_closed_series(10, 8)
-    for k in range(1, 6):
-        got = [int(c) for c in psi.slice_y(k).truncate(9).coeffs]
-        assert got == oracle_counts(9, contain=decreasing(k)), k
-    assert psi_functional_equation_residual(10, 8).is_zero
-    report(10, "bivariate exactly-once aggregate: slices exact, zero residual", t0)
+    psi = psi_closed_series(10)
+    for k in range(1, 11):
+        assert gf_coeffs(psi.levels[k], 30) == oracle_counts(30, contain=decreasing(k)), k
+    assert psi_functional_equation_residual(10).is_zero
+    report(10, "bivariate exactly-once aggregate: slices exact in x, zero residual", t0)
 
 
 def test_criterion_11_identity_sweep():

@@ -21,12 +21,6 @@ def rf(num, den=(1,)):
     return RationalFunction(num, den)
 
 
-def recurrence(f, order):
-    """The term recurrence of ``PowerSeries.__truediv__``: the reference
-    that ``series_of``'s division must equal."""
-    return PowerSeries.from_polynomial(f.num, order) / PowerSeries.from_polynomial(f.den, order)
-
-
 def rand_poly(rng, degree, zero_ok=True):
     while True:
         p = Polynomial([rng.randint(-6, 6) for _ in range(degree + 1)])
@@ -42,8 +36,6 @@ def rand_poly(rng, degree, zero_ok=True):
         lambda: Polynomial((1, 2)).shift(-1),
         lambda: Polynomial().shift(-1),
         lambda: PowerSeries((1, 2)).mul_x_power(-1),
-        lambda: BivariateSeries.zero(3, 2).mul_x_power(-1),
-        lambda: BivariateSeries.zero(3, 2).mul_y_power(-1),
     ],
     ids=[
         "Polynomial.x",
@@ -51,8 +43,6 @@ def rand_poly(rng, degree, zero_ok=True):
         "Polynomial.shift",
         "Polynomial.shift-zero",
         "PowerSeries.mul_x_power",
-        "BivariateSeries.mul_x_power",
-        "BivariateSeries.mul_y_power",
     ],
 )
 def test_negative_power_raises(call):
@@ -63,9 +53,9 @@ def test_negative_power_raises(call):
 class TestPolynomial:
     def test_non_integral_coefficients_are_fractions(self):
         # only series carry them; a polynomial's coefficients are ints
-        assert PowerSeries(["1/2", "4/2"]).coeffs == (Fraction(1, 2), 2)
-        assert type(PowerSeries(["1/2"]).coeffs[0]) is Fraction
-        assert type(PowerSeries(["4/2"]).coeffs[0]) is int
+        assert PowerSeries([Fraction(1, 2), Fraction(4, 2)]).coeffs == (Fraction(1, 2), 2)
+        assert type(PowerSeries([Fraction(1, 2)]).coeffs[0]) is Fraction
+        assert type(PowerSeries([Fraction(4, 2)]).coeffs[0]) is int
         assert type(_div(1, 2)) is Fraction and _div(1, 2) == Fraction(1, 2)
         assert type(_div(4, 2)) is int and _div(4, 2) == 2
 
@@ -75,6 +65,11 @@ class TestPolynomial:
             Polynomial((1, c))
         with pytest.raises(TypeError):
             rf((c,))
+
+    @pytest.mark.parametrize("c", ["1/2", 0.5], ids=["str", "float"])
+    def test_series_coefficient_must_be_int_or_fraction(self, c):
+        with pytest.raises(TypeError):
+            PowerSeries((1, c))
 
     def test_trailing_zeros_trimmed(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
@@ -143,6 +138,8 @@ class TestPolynomial:
 class TestRationalFunction:
     def test_common_denominator(self):
         assert rf((1,), (1, -1)) + rf((0, 1), (1, -1)) == rf((1, 1), (1, -1))
+        # equal denominators that then cancel: 1/(1-x^2) + x/(1-x^2) = 1/(1-x)
+        assert rf((1,), (1, 0, -1)) + rf((0, 1), (1, 0, -1)) == rf((1,), (1, -1))
 
     def test_cancellation_to_canonical(self):
         assert rf((1,), (1, -1)) * rf((1, -1)) == RationalFunction.one()
@@ -248,7 +245,7 @@ class TestSeriesOf:
         with pytest.raises(ZeroDivisionError):
             series_of(rf((1,), (0, 1)), 3)
 
-    def test_matches_the_recurrence(self):
+    def test_matches_the_recurrence(self, recurrence):
         """Random canonical f with den(0) in {1, 2, 3, 5} and negative
         coefficients, at orders below and above deg num: ``int`` where a
         coefficient is integral, ``Fraction`` otherwise."""
@@ -269,12 +266,12 @@ class TestSeriesOf:
             ]
         assert {1, 2, 3, 5} <= seen
 
-    def test_numerator_beyond_the_order(self):
+    def test_numerator_beyond_the_order(self, recurrence):
         f = rf((1, 2, 3, 4, 5, 6, 7), (1, -1))
         assert series_of(f, 3).coeffs == (1, 3, 6, 10)
         assert series_of(f, 3) == recurrence(f, 3)
 
-    def test_order_zero(self):
+    def test_order_zero(self, recurrence):
         assert series_of(rf((-4, 1), (1, 2)), 0).coeffs == (-4,)
         assert series_of(rf((7, 1, 1), (3, -1)), 0).coeffs == (Fraction(7, 3),)
         assert series_of(rf((1,), (2, 0, 0, 9)), 0) == recurrence(rf((1,), (2, 0, 0, 9)), 0)
@@ -287,7 +284,7 @@ class TestSeriesOf:
         s = series_of(rf((1,), (1, -(2**100))), 30)
         assert s.coeffs == tuple(2 ** (100 * n) for n in range(31))
 
-    def test_first_width_too_narrow(self, monkeypatch):
+    def test_first_width_too_narrow(self, monkeypatch, recurrence):
         """The roots of 1 - x + 2**100 x**2 - 2**100 x**3 have moduli 1 and
         2**50, which the first width underestimates: the division repeats
         at a larger width and still returns the series."""
@@ -303,61 +300,77 @@ class TestSeriesOf:
         assert len(divisions) > 1
 
 
+def ypoly(levels, order):
+    """sum_j levels[j] y^j as a series truncated at y^order."""
+    levels = list(levels)
+    return BivariateSeries(levels + [RationalFunction.zero()] * (order + 1 - len(levels)))
+
+
+def constants(*cs, order=None):
+    """A series in y whose levels are the rational constants ``cs``: a
+    power series over Q in the variable y."""
+    return ypoly([RationalFunction.constant(c) for c in cs], len(cs) - 1 if order is None else order)
+
+
+def rand_ypoly(rng, order):
+    """A random series in y whose y^0 level is nonzero, so a unit."""
+    levels = []
+    for j in range(order + 1):
+        num = rand_poly(rng, 3, zero_ok=j > 0)
+        levels.append(RationalFunction(num, rand_poly(rng, 2, zero_ok=False)))
+    return ypoly(levels, order)
+
+
 class TestPowerSeries:
+    # a power series with rational coefficients is a BivariateSeries whose
+    # levels are constants; its square root is BivariateSeries.sqrt
+
     def test_sqrt_one_minus_4x(self):
-        s = PowerSeries((1, -4, 0, 0)).sqrt()
-        assert [str(c) for c in s.coeffs] == ["1", "-2", "-2", "-4"]
+        s = constants(1, -4, order=3).sqrt(RationalFunction.one())
+        assert s == constants(1, -2, -2, -4)
 
     def test_sqrt_of_one(self):
-        assert PowerSeries.one(6).sqrt() == PowerSeries.one(6)
+        one = constants(1, order=6)
+        assert one.sqrt(RationalFunction.one()) == one
+        assert one.sqrt(-RationalFunction.one()) == -one
 
     def test_catalan_from_sqrt(self):
-        n = 6
-        root = PowerSeries.from_polynomial(Polynomial((1, -4)), n).sqrt()
-        cat = (PowerSeries.one(n) - root).div_x_exact(1).scale(Fraction(1, 2))
-        assert [int(c) for c in cat.coeffs] == [1, 1, 2, 5, 14, 42]
+        one = constants(1, order=6)
+        root = constants(1, -4, order=6).sqrt(RationalFunction.one())
+        half = constants(Fraction(1, 2), order=6)
+        cat = ((one - root) * half).levels[1:]
+        assert cat == tuple(RationalFunction.constant(c) for c in (1, 1, 2, 5, 14, 42))
 
     def test_sqrt_squares_back(self):
         rng = random.Random(9)
         for _ in range(25):
-            s = PowerSeries([1] + [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(10)])
-            t = s.sqrt()
+            s = constants(1, *[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(10)])
+            t = s.sqrt(RationalFunction.one())
             assert t * t == s
         with pytest.raises(ValueError):
-            PowerSeries((2, 1)).sqrt()
+            constants(2, 1).sqrt(RationalFunction.one())
 
-    def test_divide_by_var(self):
-        s = PowerSeries((0, 0, 1, 1))
-        assert s.div_x_exact(1) == PowerSeries((0, 1, 1))
-        with pytest.raises(ValueError):
-            PowerSeries((1, 1)).div_x_exact(1)
+    def test_inverse(self, recurrence):
+        assert recurrence(rf((1,), (1, -1)), 4).coeffs == (1, 1, 1, 1, 1)
+        assert recurrence(rf((1,), (3, 1)), 3).coeffs == (
+            Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27), Fraction(-1, 81)
+        )
 
-    def test_inverse(self):
-        s = PowerSeries((1, -1, 0, 0, 0))
-        assert [int(c) for c in (PowerSeries.one(4) / s).coeffs] == [1, 1, 1, 1, 1]
-        with pytest.raises(ZeroDivisionError):
-            PowerSeries.one(1) / PowerSeries((0, 1))
-
-    def test_division_undoes_multiplication(self):
+    def test_division_undoes_multiplication(self, recurrence):
         rng = random.Random(17)
         for b0 in (1, -1, 3):
             for _ in range(10):
-                a = PowerSeries([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(9)])
-                # trailing zeros: the recurrence stops at the last nonzero b_j
-                low = [b0] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
-                b = PowerSeries(low + [0] * (9 - len(low)))
-                assert (a / b) * b == a
-        q = PowerSeries((1, 0, 0, 0)) / PowerSeries((3, 1, 0, 0))
-        assert q.coeffs == (Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27), Fraction(-1, 81))
+                b = Polynomial([b0] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                f = RationalFunction(rand_poly(rng, 8), b)
+                c = recurrence(f, 8)
+                assert PowerSeries.from_polynomial(f.den, 8) * c == PowerSeries.from_polynomial(f.num, 8)
 
-    def test_zero_constant_divisor_raises(self):
-        a = PowerSeries((1, 2, 3))
-        for b in (PowerSeries((0, 1, 1)), PowerSeries.zero(2)):
-            with pytest.raises(ZeroDivisionError):
-                a / b
-        unit = BivariateSeries.from_terms({(0, 0): 1}, 2, 2)
+    def test_zero_constant_divisor_raises(self, recurrence):
         with pytest.raises(ZeroDivisionError):
-            unit / BivariateSeries.from_terms({(1, 0): 1}, 2, 2)
+            recurrence(rf((1, 2, 3), (0, 1, 1)), 2)
+        unit = constants(1, order=2)
+        with pytest.raises(ZeroDivisionError):
+            unit / constants(0, 1, order=2)
 
     def test_truncation_discipline(self):
         a = PowerSeries((1, 2, 3))
@@ -371,51 +384,48 @@ class TestPowerSeries:
 
 class TestBivariateSeries:
     def test_mul_and_orders(self):
-        a = BivariateSeries.from_terms({(0, 0): 1, (1, 1): 1}, 4, 3)
-        b = BivariateSeries.from_terms({(0, 0): 1, (1, 0): -1}, 4, 2)
+        a = ypoly([rf((1,)), rf((0, 1))], 3)  # 1 + xy
+        b = ypoly([rf((1, -1))], 2)  # 1 - x
         c = a * b
-        assert (c.order_x, c.order_y) == (4, 2)
-        assert c.coefficient(1, 0) == -1
-        assert c.coefficient(1, 1) == 1
-        assert c.coefficient(2, 1) == -1
+        assert c.order_y == 2
+        assert c.levels == (rf((1, -1)), rf((0, 1, -1)), RationalFunction.zero())
+        assert a * a == ypoly([rf((1,)), rf((0, 2)), rf((0, 0, 1))], 3)
+
+    def test_square_is_the_product(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            s = rand_ypoly(rng, 5)
+            t = BivariateSeries(s.levels)  # equal, but not the same object
+            assert s * s == s * t
 
     def test_sqrt_squares_back(self):
         rng = random.Random(13)
-        terms = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(7) for j in range(5)}
-        terms[(0, 0)] = Fraction(1)
-        s = BivariateSeries.from_terms(terms, 6, 4)
-        t = s.sqrt()
-        assert t * t == s
-
-    def test_divide_by_y(self):
-        s = BivariateSeries.from_terms({(0, 1): 1, (2, 2): 5}, 3, 3)
-        q = s.div_y_exact(1)
-        assert q.order_y == 2
-        assert q.coefficient(0, 0) == 1
-        assert q.coefficient(2, 1) == 5
-        with pytest.raises(ValueError):
-            s.div_y_exact(2)
+        for _ in range(10):
+            t = rand_ypoly(rng, 4)
+            s = t * t
+            assert s.sqrt(t.levels[0]) == t
+            assert s.sqrt(-t.levels[0]) == -t
+        # the y^0 level of the radicands of Phi and Psi: (1 - x)^2
+        s = ypoly([rf((1, -2, 1)), rf((0, 4))], 3)
+        assert s.sqrt(rf((1, -1))).levels[0] == rf((1, -1))
+        with pytest.raises(ValueError, match="root0"):
+            s.sqrt(rf((1, 1)))
 
     def test_unit_division(self):
-        one = BivariateSeries.from_terms({(0, 0): 1}, 5, 4)
-        unit = BivariateSeries.from_terms({(0, 0): 1, (0, 1): -1}, 5, 4)
+        one = constants(1, order=4)
+        unit = constants(1, -1, order=4)
         geom = one / unit
-        assert all(geom.coefficient(0, j) == 1 for j in range(5))
-        assert (geom * unit) == one
+        assert geom == constants(1, 1, 1, 1, 1)
+        assert geom * unit == one
+        # any nonzero y^0 level is a unit: x is one in Q(x)
+        two_x = ypoly([rf((0, 2)), rf((0, -2))], 4)
+        assert two_x / two_x == one
 
     def test_mixed_orders_combine_to_the_minima(self):
-        # each operand has the larger order in one variable
         rng = random.Random(29)
-
-        def rand(nx, ny):
-            terms = {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(nx + 1) for j in range(ny + 1)}
-            terms[(0, 0)] = Fraction(rng.choice([-2, 1, 3]))
-            return BivariateSeries.from_terms(terms, nx, ny)
-
-        for _ in range(20):
-            a, b = rand(6, 2), rand(3, 5)
+        for _ in range(5):
+            a, b = rand_ypoly(rng, 5), rand_ypoly(rng, 2)
             for x, y in ((a, b), (b, a)):
                 for r in (x + y, x - y, x * y, x / y):
-                    assert (r.order_x, r.order_y) == (3, 2)
-                assert (x / y) * y == x.truncate(3, 2)
-                assert x * y == x.truncate(3, 2) * y.truncate(3, 2)
+                    assert r.order_y == 2
+                assert (x / y) * y == BivariateSeries(x.levels[:3])

@@ -89,7 +89,7 @@ def test_not_in_class_exit_code(capsys):
 
 
 def test_unsupported_exit_code(capsys):
-    code, _, err = run(capsys, "gf", "4321", "--mode", "once")
+    code, _, err = run(capsys, "gf", "4312", "--mode", "once")
     assert code == 2
     assert "oracle" in err
 
@@ -192,7 +192,7 @@ def test_verify_default_terms(capsys):
     assert run(capsys, "verify", "thm31", "--range", "2:3") == run(
         capsys, "verify", "thm31", "--range", "2:3", "--terms", "9"
     )
-    assert run(capsys, "verify", "thm22feq") == run(capsys, "verify", "thm22feq", "--terms", "10")
+    assert run(capsys, "verify", "thm22feq") == run(capsys, "verify", "thm22feq", "--terms", "8")
 
 
 @pytest.mark.parametrize(
@@ -247,14 +247,17 @@ def test_import_cli_loads_every_module_and_no_heavy_stdlib():
     tracer wraps entry points in all of them), and none of the stdlib
     modules that cost start-up time on every CLI call.  ``-S`` keeps
     ``site`` from preloading anything.  An avoid series has den(0) = 1,
-    so ``gf`` and ``series`` stay in ``int``s: ``fractions`` is still
-    unloaded after running them."""
+    so ``gf`` and ``series`` stay in ``int``s, and the two feq checks
+    expand Phi and Psi over Q(x): ``fractions`` is still unloaded after
+    running all four."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
         "import sys, pattgf.cli; print(*sorted(sys.modules)); "
         "assert pattgf.cli.main(['gf', '45231']) == 0; "
         "assert pattgf.cli.main(['series', '45231', '--terms', '30']) == 0; "
+        "assert pattgf.cli.main(['verify', 'thm22feq']) == 0; "
+        "assert pattgf.cli.main(['verify', 'thm32feq']) == 0; "
         "print('fractions' in sys.modules)"
     )
     out = subprocess.run(

@@ -166,7 +166,7 @@ class TestInverseSymmetry:
                     continue
                 supported += 1
                 assert once_gf(inverse(tau)) == f, tau
-        assert supported == 92
+        assert supported == 98
 
     def test_avoid_memo_stores_the_inverse(self, cold_avoid_memo):
         checked = 0
@@ -196,20 +196,27 @@ def test_output_digest():
                 lines.append(json.dumps({"pattern": format_pattern(tau), "mode": mode, **body}))
     assert len(lines) == 1250
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "6ee02e7c6a287924f3b701d8991f47d69d24a9d0482411d0e8b333a297cc34c2"
+    assert digest == "5d26b6708c2a172cc27588c01fd09168e16fe4c59619c9911042739df32d989d"
 
 
 def test_avoid_census_k7():
-    """Every avoid series with k <= 7 (625 patterns) equals the counting
-    DP to n = 30.  The DP counts permutations, independently of the
-    recursion that ``avoid_gf`` solves and of ``series_of``'s division;
-    ``ci/census.py`` runs the same check over S_8(132)."""
-    checked = 0
+    """Every avoid series with k <= 7 (625 patterns), and every once series
+    that ``once_gf`` answers there (68), equals the counting DP to n = 30.
+    The DP counts permutations, independently of the recursion that
+    ``avoid_gf`` solves, of the closed forms and of ``series_of``'s
+    division; ``ci/census.py`` runs the same check over S_8(132)."""
+    checked = once_checked = 0
     for k in range(1, 8):
         for tau in enumerate_avoiders(k):
             assert series_of(avoid_gf(tau), 30).coeffs == series(ConstraintSpec(avoid=(tau,)), 30).counts, tau
             checked += 1
-    assert checked == 625
+            try:
+                f = once_gf(tau)
+            except UnsupportedPattern:
+                continue
+            assert series_of(f, 30).coeffs == series(ConstraintSpec(contain=tau), 30).counts, tau
+            once_checked += 1
+    assert (checked, once_checked) == (625, 68)
 
 
 def test_avoid_digest_k8(cold_avoid_memo):
@@ -300,7 +307,7 @@ class TestOnceGf:
         with pytest.raises(UnsupportedPattern):
             once_gf(())
         with pytest.raises(UnsupportedPattern):
-            once_gf((3, 2, 1))  # three singleton layers: no closed once-form
+            once_gf((4, 3, 1, 2))  # no closed once-form and no chain step
         # its head is [4,2,1]; the refusal names the pattern asked for, not the head
         with pytest.raises(UnsupportedPattern, match=r"pattern \(3, 4, 2, 1, 5\);"):
             once_gf((3, 4, 2, 1, 5))
@@ -355,7 +362,7 @@ class TestOnceGf:
                     continue
                 supported += 1
                 assert coeffs(f, 9) == list(series(ConstraintSpec(contain=tau), 9).counts), tau
-        assert supported == 25
+        assert supported == 28
 
     def test_chain_shape_is_double_head_occurrence(self):
         # the chain step's test: for tau of size k ending in k, the head
@@ -380,32 +387,32 @@ class TestOnceGf:
                     continue
                 n += 1
             supported.append(n)
-        assert supported == [1, 2, 4, 7, 11, 16, 22, 29]
+        assert supported == [1, 2, 5, 8, 12, 17, 23, 30]
 
 
 class TestBivariateAggregates:
     def test_phi_slices(self):
-        phi = phi_closed_series(8, 4)
-        assert [int(c) for c in phi.slice_y(0).coeffs] == [0] * 9
-        assert [int(c) for c in phi.slice_y(1).coeffs] == [1] + [0] * 8
-        assert [int(c) for c in phi.slice_y(2).coeffs] == [1] * 9
-        assert [int(c) for c in phi.slice_y(3).coeffs] == coeffs(avoid_gf((3, 2, 1)), 8)
-        assert [int(c) for c in phi.slice_y(4).coeffs] == coeffs(avoid_gf(decreasing(4)), 8)
+        phi = phi_closed_series(4)
+        assert phi.levels[0] == RationalFunction.zero()
+        assert phi.levels[1] == RationalFunction.one()
+        assert phi.levels[2] == rf((1,), (1, -1))
+        assert phi.levels[3] == avoid_gf((3, 2, 1))
+        assert phi.levels[4] == avoid_gf(decreasing(4))
 
     def test_psi_slices(self):
-        psi = psi_closed_series(8, 3)
-        assert [int(c) for c in psi.slice_y(0).coeffs] == [0] * 9
-        assert [int(c) for c in psi.slice_y(1).coeffs] == [0, 1] + [0] * 7
-        assert [int(c) for c in psi.slice_y(2).coeffs] == coeffs(once_gf((2, 1)), 8)
+        psi = psi_closed_series(3)
+        assert psi.levels[0] == RationalFunction.zero()
+        assert psi.levels[1] == RationalFunction.x()
+        assert psi.levels[2] == once_gf((2, 1))
         got = list(series(ConstraintSpec(contain=(3, 2, 1)), 8).counts)
-        assert [int(c) for c in psi.slice_y(3).coeffs] == got
+        assert coeffs(psi.levels[3], 8) == got
 
     def test_functional_equation_residuals_vanish(self):
-        assert phi_functional_equation_residual(8, 6).is_zero
-        assert psi_functional_equation_residual(8, 6).is_zero
+        assert phi_functional_equation_residual(6).is_zero
+        assert psi_functional_equation_residual(6).is_zero
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            phi_closed_series(0, 3)
+            phi_closed_series(0)
         with pytest.raises(ValueError):
-            psi_closed_series(3, 0)
+            psi_closed_series(0)

@@ -134,7 +134,7 @@ def test_k8_once_tables_match_once_gf():
         supported += 1
         got = tuple(kernels.count_constrained(n, (), tau) for n in range(21))
         assert got == series_of(f, 20).coeffs, tau
-    assert supported == 29
+    assert supported == 30
 
 
 def test_every_wide_join_matches_the_capped_sum_of_products():
