@@ -26,26 +26,27 @@ N = 30
 
 def main() -> int:
     started = time.perf_counter()
-    checked, once_checked, bad = 0, 0, []
+    checked = {"avoid": 0, "once": 0}
+    bad: dict[str, list[str]] = {"avoid": [], "once": []}
     for tau in enumerate_avoiders(K):
         if series_of(avoid_gf(tau), N).coeffs != series(ConstraintSpec(avoid=(tau,)), N).counts:
-            bad.append(f"avoid {format_pattern(tau)}")
-        checked += 1
+            bad["avoid"].append(format_pattern(tau))
+        checked["avoid"] += 1
         try:
             f = once_gf(tau)
         except UnsupportedPattern:
             continue
         if series_of(f, N).coeffs != series(ConstraintSpec(contain=tau), N).counts:
-            bad.append(f"once {format_pattern(tau)}")
-        once_checked += 1
-    n_bad = {mode: sum(b.startswith(mode) for b in bad) for mode in ("avoid", "once")}
+            bad["once"].append(format_pattern(tau))
+        checked["once"] += 1
     elapsed = time.perf_counter() - started
-    print(f"census k={K}: {checked - n_bad['avoid']}/{checked} avoid series match the DP to n={N}")
-    print(f"census k={K}: {once_checked - n_bad['once']}/{once_checked} once series match the DP to n={N}"
-          f" ({elapsed:.1f}s)")
-    for word in bad:
-        print(f"mismatch: {word}")
-    return 1 if bad else 0
+    for mode in ("avoid", "once"):
+        print(f"census k={K}: {checked[mode] - len(bad[mode])}/{checked[mode]} {mode} series match the DP to n={N}")
+    print(f"census k={K}: {elapsed:.1f}s")
+    for mode in ("avoid", "once"):
+        for word in bad[mode]:
+            print(f"mismatch: {mode} {word}")
+    return 1 if bad["avoid"] or bad["once"] else 0
 
 
 if __name__ == "__main__":

@@ -619,11 +619,8 @@ class BivariateSeries:
         return self + (-other)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        """Cauchy product; a square ``s * s`` forms each mirrored pair
-        a_i a_(m-i) once and doubles it."""
+        """Cauchy product."""
         a, b = self.levels, other.levels
-        if self is other:
-            return BivariateSeries([_pair_sum(a, m) for m in range(len(a))])
         out = []
         for m in range(min(len(a), len(b))):
             acc = a[0] * b[m]
@@ -654,17 +651,17 @@ class BivariateSeries:
         two_t0 = root0 + root0
         out = [root0]
         for m in range(1, len(self.levels)):
-            out.append((self.levels[m] - _pair_sum(out, m, lo=1)) / two_t0)
+            out.append((self.levels[m] - _pair_sum(out, m)) / two_t0)
         return BivariateSeries(out)
 
 
-def _pair_sum(t: Sequence[RationalFunction], m: int, lo: int = 0) -> RationalFunction:
-    """sum t_i t_(m-i) over lo <= i <= m - lo, each mirrored pair formed once."""
+def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
+    """sum t_i t_(m-i) over 0 < i < m, each mirrored pair formed once."""
     acc = RationalFunction.zero()
-    for i in range(lo, (m + 1) // 2):
+    for i in range(1, (m + 1) // 2):
         acc = acc + t[i] * t[m - i]
     acc = acc + acc
-    if m % 2 == 0 and m // 2 >= lo:
+    if m % 2 == 0:
         acc = acc + t[m // 2] * t[m // 2]
     return acc
 

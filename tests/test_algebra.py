@@ -391,13 +391,6 @@ class TestBivariateSeries:
         assert c.levels == (rf((1, -1)), rf((0, 1, -1)), RationalFunction.zero())
         assert a * a == ypoly([rf((1,)), rf((0, 2)), rf((0, 0, 1))], 3)
 
-    def test_square_is_the_product(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            s = rand_ypoly(rng, 5)
-            t = BivariateSeries(s.levels)  # equal, but not the same object
-            assert s * s == s * t
-
     def test_sqrt_squares_back(self):
         rng = random.Random(13)
         for _ in range(10):
@@ -423,9 +416,10 @@ class TestBivariateSeries:
 
     def test_mixed_orders_combine_to_the_minima(self):
         rng = random.Random(29)
-        for _ in range(5):
+        for _ in range(20):
             a, b = rand_ypoly(rng, 5), rand_ypoly(rng, 2)
             for x, y in ((a, b), (b, a)):
                 for r in (x + y, x - y, x * y, x / y):
                     assert r.order_y == 2
                 assert (x / y) * y == BivariateSeries(x.levels[:3])
+                assert x * y == BivariateSeries(x.levels[:3]) * BivariateSeries(y.levels[:3])

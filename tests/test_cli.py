@@ -188,6 +188,16 @@ def test_verify_terms_above_count_cap_is_usage_error(capsys, relation):
     assert "--terms" in err and "oracle.COUNT_CAP = 30" in err and "got 40" in err
 
 
+def test_verify_feq_terms_above_cap_is_usage_error(capsys):
+    for relation in ("thm22feq", "thm32feq"):
+        code, out, err = run(capsys, "verify", relation, "--terms", "33")
+        assert code == 1
+        assert out == ""
+        assert f"--terms must be at most 32 for {relation}, got 33" in err
+    # thm32feq is the cheaper of the two at the cap
+    assert run(capsys, "verify", "thm32feq", "--terms", "32") == (0, "thm32feq: 1/1 instances hold", "")
+
+
 def test_verify_default_terms(capsys):
     assert run(capsys, "verify", "thm31", "--range", "2:3") == run(
         capsys, "verify", "thm31", "--range", "2:3", "--terms", "9"
