@@ -419,18 +419,6 @@ class RationalFunction:
         o = self._coerce(other)
         return NotImplemented if o is None else o / self
 
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return RationalFunction.one() / self ** (-n)
-        out = RationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- presentation & serialization -----------------------------------
     def __repr__(self) -> str:
         return f"RationalFunction({self!s})"
@@ -568,11 +556,8 @@ class PowerSeries:
         n = self._align(other)
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
+            for j in range(n + 1 - i):
+                out[i + j] += a * other.coeffs[j]
         return PowerSeries(out)
 
     def mul_x_power(self, p: int) -> "PowerSeries":

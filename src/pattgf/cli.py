@@ -133,6 +133,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
     if rel in ("thm22feq", "thm32feq") and args.terms is not None and args.terms > FEQ_TERMS_CAP:
         raise ValueError(f"--terms must be at most {FEQ_TERMS_CAP} for {rel}, got {args.terms}")
+    if rel in ("thm21", "thm23") and args.terms is not None:
+        raise ValueError(f"{rel} is checked symbolically and does not read --terms")
+    if rel in ("thm22feq", "thm32feq") and args.range:
+        raise ValueError(f"{rel} has no pattern sizes and does not read --range")
     reports: list[relations.RelationReport] = []
     if rel in ("thm22feq", "thm32feq"):
         reports.append(relations.verify_relation(rel, orders=(0, 8 if args.terms is None else args.terms)))
@@ -204,9 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation",
                    choices=("thm21", "thm22feq", "thm23", "thm31", "remark31",
                             "thm32feq", "thm33"))
-    p.add_argument("--range", default="", help="pattern-size range A:B for sweeps")
+    p.add_argument("--range", default="",
+                   help="pattern-size range A:B for sweeps; not read by thm22feq/thm32feq")
     p.add_argument("--terms", type=int, default=None,
-                   help="series order for numeric checks (default 9); the y order for thm22feq/thm32feq (default 8)")
+                   help="series order for thm31/thm33/remark31 (default 9); the y order for "
+                        "thm22feq/thm32feq (default 8); not read by thm21/thm23")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identities", help="exact product-identity sweep")

@@ -288,6 +288,8 @@ def phi_functional_equation_residual(order_y: int) -> BivariateSeries:
     P_(m-1) - [m >= 2] - x (S_m - P_(m-1) - S_(m-1) + P_(m-2)) with
     P = Phi and S = Phi^2; a correct Phi leaves every level exactly 0.
     """
+    if order_y < 1:  # Phi is expanded one order further, so check here
+        raise ValueError("order_y must be at least 1")
     phi = phi_closed_series(order_y + 1)
     p = (_ZERO, _ZERO) + phi.levels  # p[m] = P_(m-2)
     s = (_ZERO,) + (phi * phi).levels  # s[m] = S_(m-1)

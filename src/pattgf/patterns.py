@@ -274,31 +274,20 @@ def expand_wedge_top(k: int, m: int, p: int) -> tuple[int, ...]:
 
 
 def _layered_tops(pat: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Layer tops if ``pat`` is layered, else None."""
+    """Layer tops if ``pat`` is layered, else None.
+
+    A layer's top ends its ascending run and exceeds everything after
+    it, so the tops of a layered pattern are its right-to-left maxima.
+    """
     if not pat:
         return None
-    runs: list[tuple[int, int]] = []
-    lo = pat[0]
-    for prev, cur in zip(pat, pat[1:]):
-        if cur != prev + 1:
-            runs.append((lo, prev))
-            lo = cur
-    runs.append((lo, pat[-1]))
-    tops = []
-    expect_top = len(pat)
-    for run_lo, run_hi in runs:
-        if run_hi != expect_top or run_lo > run_hi:
-            return None
-        tops.append(run_hi)
-        expect_top = run_lo - 1
-    if expect_top != 0:
-        return None
-    return tuple(tops)
+    tops = canonical_decompose(pat).maxima
+    return tops if expand_layered(tops) == pat else None
 
 
 def _wedge_top_params(pat: tuple[int, ...]) -> tuple[int, int, int] | None:
     k = len(pat)
-    if k < 3 or 1 not in pat:
+    if k < 3:
         return None
     p = pat[0] - 1
     if p < 1:

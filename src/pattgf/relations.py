@@ -6,7 +6,10 @@ generating functions:
 - ``thm21``     the avoidance recursion, checked symbolically for any
                 132-avoiding pattern.
 - ``thm23``     its layered specialization with R-function boundary
-                terms, checked symbolically from layer tops.
+                terms, checked symbolically on the canonical
+                decomposition of the expanded layered pattern: the
+                layer tops are its maxima, and the layered patterns
+                the recursion names are its prefixes and suffixes.
 - ``thm31``, ``thm33``, ``remark31``: one exactly-once recursion,
   checked coefficient-wise to order n by ``_once_recursion_holds``.
   With G the oracle table "avoid every ν in ``nus``, contain μ exactly
@@ -147,30 +150,16 @@ def _check_thm23(tops: tuple[int, ...]) -> RelationReport:
     report = RelationReport("thm23", f"layered {list(tops)}")
     if len(tops) < 2:
         raise PatternError("the layered recursion needs at least two layers")
-    m = list(tops)
-    r = len(m) - 1
+    d = canonical_decompose(expand_layered(tops))
     x = RationalFunction.x()
-    f = {t: avoid_gf(expand_layered(t)) for t in _layered_subspecs(tops)}
-    lhs = (
-        RationalFunction.one()
-        - x * r_func_or_zero(m[0] - m[1] - 1)
-        - x * r_func_or_zero(m[r])
-    ) * f[tops]
-    rhs = RationalFunction.one() - x * r_func_or_zero(m[0] - m[1] - 1) * f[tuple(m[1:])]
-    for j in range(2, r + 1):
-        shifted = tuple(mi - m[j] for mi in m[:j])
-        rhs = rhs + x * f[shifted] * (f[tuple(m[j - 1:])] - f[tuple(m[j:])])
+    head = r_func_or_zero(tops[0] - tops[1] - 1)
+    lhs = (RationalFunction.one() - x * head - x * r_func_or_zero(tops[-1])) * avoid_gf(d.pattern)
+    rhs = RationalFunction.one() - x * head * avoid_gf(suffix_pattern(d, 1))
+    for j in range(2, d.r + 1):
+        tail = avoid_gf(suffix_pattern(d, j - 1)) - avoid_gf(suffix_pattern(d, j))
+        rhs = rhs + x * avoid_gf(prefix_pattern(d, j - 1)) * tail
     report.add("symbolic identity", lhs == rhs)
     return report
-
-
-def _layered_subspecs(tops: tuple[int, ...]) -> set[tuple[int, ...]]:
-    m = list(tops)
-    specs = {tops}
-    for j in range(1, len(m)):
-        specs.add(tuple(m[j:]))
-        specs.add(tuple(mi - m[j] for mi in m[:j]))
-    return specs
 
 
 def _resolve_pattern(params) -> tuple[int, ...]:

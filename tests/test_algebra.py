@@ -192,11 +192,6 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             rf((1,), ())
 
-    def test_pow(self):
-        x = RationalFunction.x()
-        assert x ** 3 == rf((0, 0, 0, 1))
-        assert (RationalFunction.one() - x) ** -1 == rf((1,), (1, -1))
-
     def test_json_roundtrip_bit_exact(self):
         f = rf((1, -2, 2), (1, -3, 3, -1))
         blob = json.dumps(f.as_json_dict())

@@ -172,6 +172,22 @@ def test_verify_terms_below_one_is_usage_error(capsys, relation, terms):
     assert f"--terms must be at least 1, got {terms}" in err
 
 
+@pytest.mark.parametrize(
+    "relation, flag, value",
+    [
+        ("thm21", "--terms", "5"),
+        ("thm23", "--terms", "40"),
+        ("thm22feq", "--range", "2:4"),
+        ("thm32feq", "--range", "2"),
+    ],
+)
+def test_verify_unread_flag_is_usage_error(capsys, relation, flag, value):
+    code, out, err = run(capsys, "verify", relation, flag, value)
+    assert code == 1
+    assert out == ""
+    assert relation in err and f"does not read {flag}" in err
+
+
 @pytest.mark.parametrize("relation, text", [("thm21", "x"), ("thm31", "2:x"), ("thm23", ":3")])
 def test_verify_malformed_range_is_usage_error(capsys, relation, text):
     code, out, err = run(capsys, "verify", relation, "--range", text)

@@ -179,9 +179,15 @@ def test_classify_families():
 
 
 def test_classify_layered_roundtrip():
+    # every permutation, so a pattern that only looks layered is caught too
     for k in range(1, 8):
-        for tops in iter_layered_specs(k):
-            assert classify(expand_layered(tops)) == FamilySpec("layered", tops)
+        layered = {expand_layered(tops): tops for tops in iter_layered_specs(k)}
+        for pat in itertools.permutations(range(1, k + 1)):
+            spec = classify(pat)
+            if pat in layered:
+                assert spec == FamilySpec("layered", layered[pat])
+            else:
+                assert spec.kind != "layered", pat
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import pytest
 
 from pattgf import relations
 from pattgf.errors import NotIn132Class, PatternError
-from pattgf.patterns import expand_layered
+from pattgf.patterns import expand_layered, iter_layered_specs
 from pattgf.relations import verify_relation
 
 
@@ -19,9 +19,10 @@ def test_thm21_sweep_small():
 
 
 def test_thm23_instances():
-    assert verify_relation("thm23", (3, 2, 1)).passed
-    assert verify_relation("thm23", (5, 3, 1)).passed
-    assert verify_relation("thm23", (6, 5, 3, 2)).passed
+    specs = [tops for k in range(2, 8) for tops in iter_layered_specs(k, min_layers=2)]
+    assert len(specs) == 120
+    for tops in specs:
+        assert verify_relation("thm23", tops).passed, tops
     with pytest.raises(PatternError):
         verify_relation("thm23", (4,))
 
@@ -63,6 +64,9 @@ def test_thm33_catches_a_wrong_boundary_index(monkeypatch):
     monkeypatch.setattr(relations, "r_func_or_zero", lambda p: r_func(p + 1))
     assert not verify_relation("thm33", (5, 3, 1), terms=8).passed
     assert verify_relation("thm31", (5, 3, 1), terms=8).passed
+    # thm23 reads the same boundary terms; thm21 reads none
+    assert not verify_relation("thm23", (5, 3, 1)).passed
+    assert verify_relation("thm21", expand_layered((5, 3, 1))).passed
 
 
 def test_remark31_instances():
@@ -85,6 +89,12 @@ def test_remark31_on_nonlayered_pattern():
 def test_functional_equations():
     assert verify_relation("thm22feq", orders=(9, 7)).passed
     assert verify_relation("thm32feq", orders=(9, 7)).passed
+
+
+@pytest.mark.parametrize("relation", ["thm22feq", "thm32feq"])
+def test_functional_equations_refuse_y_order_zero(relation):
+    with pytest.raises(ValueError, match="order_y must be at least 1"):
+        verify_relation(relation, orders=(0, 0))
 
 
 def test_unknown_relation():
