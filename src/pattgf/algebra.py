@@ -23,20 +23,30 @@ Representations:
   coprime, joint content 1, and the lowest nonzero denominator
   coefficient positive.  Structural equality of canonical forms is
   therefore true equality.  Four operations build their canonical
-  result directly, without ``_normalize``: ``-f`` is (-num, den);
+  result directly, with no gcd: ``-f`` is (-num, den);
   ``f ± p`` for p in Z[x] is
   (num ± p*den, den), since gcd(num + p*den, den) = gcd(num, den);
   ``x**k * f`` is (x**k * num, den) when den(0) != 0, since then x does
   not divide den; and ``1 / f`` is (den, num), both negated when num's
   lowest nonzero coefficient is negative.  The literals ``zero``,
   ``one``, ``x`` and constants are canonical as written.
-  Everything else normalizes: ``polynomial_gcd`` returns the gcd g of
-  num and den together with num/g and den/g, and ``_normalize`` keeps
-  the two cofactors after dividing out their joint content.  The gcd is
-  the heuristic one: the balanced base-xi digits of the integer
-  gcd(num(xi), den(xi)), with xi a power of two, give a candidate whose
-  primitive part is accepted only if trial division by it leaves no
-  remainder in num and in den.  Those two quotients are the cofactors,
+  The other sums, products and quotients cancel on their operands
+  before they multiply (Henrici, JACM 3, 1956; Knuth, TAOCP 2, 4.5.1).
+  For n1/d1 + n2/d2 write d1 = g c1, d2 = g c2 with g = gcd(d1, d2);
+  the sum is t/(g c1 c2) with t = n1 c2 + n2 c1.  An irreducible factor
+  of c1 divides t only if it divides n1 c2, hence n1, as c1 is prime to
+  c2; but n1 is prime to d1.  Likewise for c2, so only h = gcd(t, g)
+  cancels.  A product cancels gcd(n1, d2) and gcd(n2, d1) and
+  multiplies the cofactors, which are coprime across since n1 is prime
+  to d1 and n2 to d2; a quotient multiplies by (d2, n2).  The
+  constructor takes ``polynomial_gcd(num, den)`` first.  Every one of
+  these coprime pairs ends in ``_normalize``, which only divides out the
+  joint content and makes the lowest denominator coefficient positive.
+  ``polynomial_gcd(a, b)`` returns the gcd g together with a/g and
+  b/g.  It is the heuristic gcd: the balanced base-xi digits of the
+  integer gcd(a(xi), b(xi)), with xi a power of two, give a candidate
+  whose primitive part is accepted only if trial division by it leaves
+  no remainder in a and in b.  Those two quotients are the cofactors,
   so the certificate costs no extra division; a rejected candidate
   means a larger xi.  ``polynomial_gcd``'s docstring proves that an
   accepted candidate is the gcd and that the loop ends.
@@ -94,19 +104,28 @@ class Polynomial:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def _of(cls, coeffs: list[int]) -> "Polynomial":
+        """Wrap a list of ``int``s, trailing zeros stripped; no ``index``."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(coeffs)
+        return p
+
     # -- constructors --------------------------------------------------
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return cls._of([1])
 
     @classmethod
     def x(cls, power: int = 1) -> "Polynomial":
         _check_power(power)
-        return cls([0] * power + [1])
+        return cls._of([0] * power + [1])
 
     # -- basics --------------------------------------------------------
     @property
@@ -140,30 +159,30 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
-            return Polynomial()
+            return Polynomial._of([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     def shift(self, power: int) -> "Polynomial":
         """Multiply by x**power."""
         _check_power(power)
         if self.is_zero:
             return self
-        return Polynomial([0] * power + list(self.coeffs))
+        return Polynomial._of([0] * power + list(self.coeffs))
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """The quotient in Z[x]; ``ValueError`` unless other divides self there."""
@@ -258,7 +277,7 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         if qa is not None:
             qb = _quotient(b.coeffs, h)
             if qb is not None:
-                return Polynomial(h), Polynomial(qa), Polynomial(qb)
+                return Polynomial._of(h), Polynomial._of(qa), Polynomial._of(qb)
         k += k // 4 + 1
 
 
@@ -268,6 +287,7 @@ class RationalFunction:
     def __init__(self, num, den=(1,)):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
+        _, num, den = polynomial_gcd(num, den)
         self.num, self.den = self._normalize(num, den)
 
     @classmethod
@@ -279,19 +299,21 @@ class RationalFunction:
 
     @staticmethod
     def _normalize(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """The canonical form of num/den for a pair that must already be
+        coprime: divide out the joint content and make den's lowest
+        nonzero coefficient positive.  No gcd is taken here."""
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             return Polynomial(), Polynomial.one()
-        _, num, den = polynomial_gcd(num, den)
         content = gcd(*num.coeffs, *den.coeffs)
         if next(c for c in den.coeffs if c) < 0:
             content = -content
         elif content == 1:
             return num, den
         return (
-            Polynomial([c // content for c in num.coeffs]),
-            Polynomial([c // content for c in den.coeffs]),
+            Polynomial._of([c // content for c in num.coeffs]),
+            Polynomial._of([c // content for c in den.coeffs]),
         )
 
     # -- constructors --------------------------------------------------
@@ -372,8 +394,17 @@ class RationalFunction:
         if self._is_polynomial():
             return o._plus_polynomial(self.num)
         if self.den == o.den:
-            return RationalFunction(self.num + o.num, self.den)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+            g, t, den = self.den, self.num + o.num, Polynomial.one()
+        else:
+            g, c1, c2 = polynomial_gcd(self.den, o.den)
+            t, den = self.num * c2 + o.num * c1, c1 * c2
+        if t.is_zero:
+            return RationalFunction.zero()
+        if g.degree > 0:
+            _, t, g = polynomial_gcd(t, g)
+        if g.coeffs != (1,):
+            den = den * g
+        return RationalFunction._canonical(*RationalFunction._normalize(t, den))
 
     __radd__ = __add__
 
@@ -397,7 +428,7 @@ class RationalFunction:
             k = f._x_power()
             if k is not None and g.den.coeffs[0]:
                 return RationalFunction._canonical(g.num.shift(k), g.den)
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return self._times(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -413,7 +444,16 @@ class RationalFunction:
             if next(c for c in den.coeffs if c) < 0:
                 num, den = -num, -den
             return RationalFunction._canonical(num, den)
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self._times(o.den, o.num)
+
+    def _times(self, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """self * (num/den) for coprime num, den: cancel each numerator
+        against the other denominator, then multiply the cofactors."""
+        if self.is_zero or num.is_zero:
+            return RationalFunction.zero()
+        _, n1, d2 = polynomial_gcd(self.num, den)
+        _, n2, d1 = polynomial_gcd(num, self.den)
+        return RationalFunction._canonical(*RationalFunction._normalize(n1 * n2, d1 * d2))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         o = self._coerce(other)

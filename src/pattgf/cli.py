@@ -43,7 +43,8 @@ EXIT_VERIFY_FAILED = 4
 # (CPython 3.11, 2 vCPUs x86_64), 30-55 times the term recurrence.
 SERIES_TERMS_CAP = 1000
 
-# thm22feq to y order N takes 0.4 s at N = 24 and 1.4 s at N = 32 (same machine).
+# thm22feq to y order N takes 0.1 s at N = 24, 0.3 s at N = 32 and 1.3 s at
+# N = 48 (same machine).
 FEQ_TERMS_CAP = 32
 
 

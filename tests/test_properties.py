@@ -8,7 +8,8 @@ V/U product identities are drawn with indices up to 24.
 Exact algebra: integer polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; the operations and
-literals that skip ``_normalize`` must return what it would.
+literals that skip the gcd, and those that cancel on their operands,
+must return what the constructor returns.
 """
 
 import json
@@ -162,6 +163,55 @@ def test_fast_paths_match_normalize(f, c, k):
         ]
     if not f.is_zero:
         cases += [(RationalFunction.one() / f, den, num), (1 / f, den, num)]
+    for got, raw_num, raw_den in cases:
+        assert got == RationalFunction(raw_num, raw_den)
+        assert_canonical(got)
+
+
+small_polys = st.lists(st.integers(-9, 9), max_size=4).map(Polynomial)
+factors = small_polys.filter(lambda p: p.degree > 0)
+numerators = small_polys.filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def planted_pairs(draw):
+    """Two functions f, h; f's denominator holds the planted factor g, and
+    h's is coprime to it, equal to it, a multiple of it or shares g.  The
+    last two shapes make f + h cancel to zero or to a constant."""
+    g, c1, c2 = draw(factors), draw(factors), draw(factors)
+    n1, n2 = draw(numerators), draw(numerators)
+    f = RationalFunction(n1, g * c1)
+    shape = draw(st.sampled_from(["coprime", "equal", "divides", "shared", "zero", "constant"]))
+    if shape == "coprime":
+        return f, RationalFunction(n2, c2)
+    if shape == "equal":
+        return f, RationalFunction(n2, f.den)
+    if shape == "divides":
+        return f, RationalFunction(n2, f.den * c2)
+    if shape == "shared":
+        return f, RationalFunction(n2, g * c2)
+    if shape == "zero":
+        return f, -f
+    return f, RationalFunction(Polynomial((draw(st.integers(-3, 3)),)) * f.den - f.num, f.den)
+
+
+@ALGEBRA
+@given(planted_pairs())
+@example((RationalFunction((1,), (1, -1)), RationalFunction((1,), (1, 1))))  # coprime denominators
+@example((RationalFunction((1,), (1, -1)), RationalFunction((2, 1), (1, -1))))  # equal denominators
+@example((RationalFunction((1,), (1, -1)), RationalFunction((1,), (1, -2, 1))))  # one divides the other
+@example((RationalFunction((2,), (1, 0, -1)), RationalFunction((-3,), (2, -1, -1))))  # gcd(t, g) = 1 - x
+@example((RationalFunction((1, 2), (1, -3, 1)), RationalFunction((-1, -2), (1, -3, 1))))  # f + h = 0
+@example((RationalFunction((0, 1), (1, -1)), RationalFunction((-1,), (1, -1))))  # f + h = -1
+@example((RationalFunction((1, 1), (1, -1)), RationalFunction((1, -1), (1, 2))))  # 1 - x cancels across
+def test_operand_cancelling_matches_normalize(pair):
+    """Sums, products and quotients that cancel on their operands equal
+    the uncancelled pair sent through the constructor."""
+    f, h = pair
+    a, b, c, d = f.num, f.den, h.num, h.den
+    cases = [(f + h, a * d + c * b, b * d), (f - h, a * d - c * b, b * d), (f * h, a * c, b * d)]
+    if not h.is_zero:
+        cases.append((f / h, a * d, b * c))
     for got, raw_num, raw_den in cases:
         assert got == RationalFunction(raw_num, raw_den)
         assert_canonical(got)
