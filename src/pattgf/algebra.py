@@ -17,8 +17,26 @@ Annotations are strings, and ``Rational`` in them means
 
 Representations:
 
-- ``Polynomial``: dense coefficient tuple, index = degree, no trailing
-  zeros; the zero polynomial is the empty tuple.
+- ``Polynomial``: one ``int`` v = sum c_i 2**(w i), the polynomial at
+  x = 2**w (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+  2009), whose coefficients are balanced digits in slots of w bits.
+  With v go the length n (no trailing zeros; the zero polynomial is
+  v = 0, n = 0) and a bound ``bits`` with |c_i| < 2**bits.  The slot
+  width w is the smallest multiple of 64 above ``bits``, and ``bits``
+  always lies in the same 64-bit block as the exact bit length of the
+  largest coefficient, so w depends on the polynomial alone:
+  |c_i| < 2**(w-1), and equal polynomials have equal v (``==`` compares
+  v and w, ``hash`` is v's).  Sums, negation, products and shifts are
+  one operation on v whenever the bound of the result stays below 64
+  bits (a product's bound is bits_a + bits_b plus the bits of the
+  shorter length); otherwise both bounds are tightened to the exact bit
+  lengths and the operation runs at the slot that the tighter bound
+  needs, with the result put back in canonical form.  The coefficient
+  tuple ``coeffs`` is decoded from v on demand, where digits are
+  needed: content, sign, printing, JSON and ``series_of``.  Adding half
+  a slot to every slot makes each digit non-negative without a carry,
+  so the decode is a few whole-integer operations and one byte
+  conversion.
 - ``RationalFunction``: numerator/denominator pair in canonical form:
   coprime, joint content 1, and the lowest nonzero denominator
   coefficient positive.  Structural equality of canonical forms is
@@ -43,13 +61,16 @@ Representations:
   these coprime pairs ends in ``_normalize``, which only divides out the
   joint content and makes the lowest denominator coefficient positive.
   ``polynomial_gcd(a, b)`` returns the gcd g together with a/g and
-  b/g.  It is the heuristic gcd: the balanced base-xi digits of the
-  integer gcd(a(xi), b(xi)), with xi a power of two, give a candidate
-  whose primitive part is accepted only if trial division by it leaves
-  no remainder in a and in b.  Those two quotients are the cofactors,
-  so the certificate costs no extra division; a rejected candidate
-  means a larger xi.  ``polynomial_gcd``'s docstring proves that an
-  accepted candidate is the gcd and that the loop ends.
+  b/g.  It is the heuristic gcd at xi = 2**w, the slot width, where
+  a(xi) and b(xi) are the packed values themselves: when
+  gcd(a(xi), b(xi)) < xi/2 the gcd is 1, after one ``math.gcd``.
+  Otherwise the balanced base-xi digits of that integer give a
+  candidate, whose primitive part is accepted only if one integer
+  division per input leaves no remainder and a coefficient bound shows
+  that the product of candidate and quotient is the input itself.  The
+  two quotients are the cofactors; a rejected candidate means a larger
+  xi.  ``polynomial_gcd``'s docstring proves that the shortcut and an
+  accepted candidate are exact and that the loop ends.
 - ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
   coefficients beyond the stated truncation order.  ``series_of``
   expands a ``RationalFunction`` by one integer division at a power of
@@ -64,9 +85,10 @@ Representations:
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from math import gcd
-from operator import index
+from operator import add, index, mul, sub
 
 
 def _coeff(c) -> Rational:
@@ -95,190 +117,304 @@ def _check_power(power: int) -> None:
         raise ValueError(f"x**{power}: the power must be at least 0")
 
 
+def _slot(bits: int) -> int:
+    """The smallest multiple of 64 above ``bits``."""
+    return (bits | 63) + 1
+
+
+# (w, n) -> _bias(w, n), filled on first use
+_BIASES: dict[tuple[int, int], int] = {}
+
+
+def _bias(w: int, n: int) -> int:
+    """sum 2**(w-1) 2**(w i) over i < n: half a slot in each of n slots."""
+    bias = _BIASES.get((w, n))
+    if bias is None:
+        bias = _BIASES[w, n] = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+    return bias
+
+
+def _digits(v: int, n: int, w: int) -> list[int]:
+    """The n balanced base-2**w digits of v, lowest first; each must lie
+    in [-2**(w-1), 2**(w-1)).  Adding half a slot to every slot then
+    carries nowhere, and flipping each slot's top bit leaves the digit's
+    w-bit two's complement, which the bytes are read as."""
+    bias = _bias(w, n)
+    u = (v + bias) ^ bias
+    if w == 64:
+        return memoryview(u.to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
+    s = w // 8
+    raw = u.to_bytes(s * n, "little")
+    return [int.from_bytes(raw[i : i + s], "little", signed=True) for i in range(0, s * n, s)]
+
+
+def _all_digits(v: int, w: int) -> list[int]:
+    """Every balanced base-2**w digit of v, lowest first, trailing zeros stripped."""
+    digits = _digits(v, (v.bit_length() + 1) // w + 1, w)
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return digits
+
+
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    """sum c_i 2**(w i), the inverse of ``_digits``."""
+    s, bias = w // 8, _bias(w, len(coeffs))
+    raw = b"".join([c.to_bytes(s, "little", signed=True) for c in coeffs])
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
 class Polynomial:
-    __slots__ = ("coeffs",)
+    """c_0 + c_1 x + ... + c_(n-1) x**(n-1) in Z[x], held as one integer
+    v = sum c_i 2**(w i); see the module docstring."""
+
+    __slots__ = ("v", "n", "bits")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         coeffs = list(map(index, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        bits = max(map(abs, coeffs), default=0).bit_length()
+        self.v, self.n, self.bits = _pack(coeffs, _slot(bits)), len(coeffs), bits
 
     @classmethod
-    def _of(cls, coeffs: list[int]) -> "Polynomial":
-        """Wrap a list of ``int``s, trailing zeros stripped; no ``index``."""
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+    def _new(cls, v: int, n: int, bits: int) -> "Polynomial":
+        """Wrap a packed value with its length and bound; no checks."""
         p = object.__new__(cls)
-        p.coeffs = tuple(coeffs)
+        p.v, p.n, p.bits = v, n, bits
         return p
+
+    @classmethod
+    def _at_slot(cls, v: int, w: int, digits: list[int] | None = None) -> "Polynomial":
+        """The polynomial whose balanced base-2**w digits are those of v
+        (``digits``, when the caller has them), in canonical form."""
+        if digits is None:
+            digits = _all_digits(v, w)
+        bits = max(map(abs, digits), default=0).bit_length()
+        return cls._new(v, len(digits), bits) if _slot(bits) == w else cls(digits)
 
     # -- constructors --------------------------------------------------
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._of([])
+        return cls._new(0, 0, 0)
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._of([1])
+        return cls._new(1, 1, 1)
 
     @classmethod
     def x(cls, power: int = 1) -> "Polynomial":
         _check_power(power)
-        return cls._of([0] * power + [1])
+        return cls._new(1 << 64 * power, power + 1, 1)
 
     # -- basics --------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """c_0, ..., c_(n-1); the zero polynomial has none."""
+        return tuple(_digits(self.v, self.n, _slot(self.bits)))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return self.n - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.n
 
     def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return self.coeffs[i] if 0 <= i < self.n else 0
 
     def constant_term(self) -> int:
-        return self.coefficient(0)
+        w = _slot(self.bits)
+        c = self.v & ((1 << w) - 1)
+        return c - (1 << w) if c >> (w - 1) else c
+
+    def _lowest(self) -> int:
+        """The lowest nonzero coefficient; 0 for the zero polynomial."""
+        c = self.constant_term()
+        return c if c or not self.n else next(d for d in self.coeffs if d)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self.v == other.v
+            and (self.bits | 63) == (other.bits | 63)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.v)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)})"
 
+    def _tighten(self) -> int:
+        """Lower ``bits`` to the largest coefficient's bit length and return
+        it; the slot stays, as it is canonical."""
+        self.bits = max(map(abs, self.coeffs), default=0).bit_length()
+        return self.bits
+
+    def _packed(self, w: int) -> int:
+        """This polynomial packed at slot width w, at least its own."""
+        return self.v if w == _slot(self.bits) else _pack(self.coeffs, w)
+
+    def _over(self, c: int) -> "Polynomial":
+        """self / c for an ``int`` c that divides every coefficient."""
+        if self.bits < 64:
+            return Polynomial._new(self.v // c, self.n, self.bits)
+        return Polynomial([d // c for d in self.coeffs])
+
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial._of(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of([-c for c in self.coeffs])
+        return self._sum(other, add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._sum(other, sub)
+
+    def _sum(self, other, op) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        bits = max(self.bits, other.bits) + 1
+        if bits < 64:
+            v = op(self.v, other.v)
+            return Polynomial._new(v, (v.bit_length() >> 6) + 1 if v else 0, bits)
+        return _wide(op, self, other)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._new(-self.v, self.n, self.bits)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial._of([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial._of(out)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        n = min(self.n, other.n)
+        if not n:
+            return Polynomial.zero()
+        # |sum a_i b_j| < n 2**(bits_a + bits_b) <= 2**bits
+        bits = self.bits + other.bits + (n - 1).bit_length()
+        if bits < 64:
+            return Polynomial._new(self.v * other.v, self.n + other.n - 1, bits)
+        return _wide(mul, self, other)
 
     def shift(self, power: int) -> "Polynomial":
         """Multiply by x**power."""
         _check_power(power)
-        if self.is_zero:
+        if not self.n:
             return self
-        return Polynomial._of([0] * power + list(self.coeffs))
+        return Polynomial._new(self.v << _slot(self.bits) * power, self.n + power, self.bits)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """The quotient in Z[x]; ``ValueError`` unless other divides self there."""
+        """The quotient in Z[x]; ``ValueError`` unless other divides self there.
+
+        If other divides self, the quotient q has degree m = n_self - n_other
+        and |q_i| <= |q|_1 <= 2**m |self|_2 (Mignotte, Math. Comp. 28, 1974),
+        below half the slot chosen here, so the balanced digits of
+        self(xi) / other(xi) at xi = 2**w are q's.  A remainder, or digits Q
+        with Q * other != self, therefore prove that other does not divide
+        self."""
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"exact_div needs a Polynomial, not {type(other).__name__}")
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = _quotient(self.coeffs, other.coeffs)
-        if q is None:
-            raise ValueError("inexact polynomial division")
-        return Polynomial(q)
+        if self.is_zero:
+            return self
+        m = self.n - other.n
+        if m >= 0:
+            w = _slot(max(other.bits, self.bits + m + self.n.bit_length()))
+            q, r = divmod(self._packed(w), other._packed(w))
+            if not r:
+                q = Polynomial._at_slot(q, w)
+                if q * other == self:
+                    return q
+        raise ValueError("inexact polynomial division")
 
 
-def _quotient(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
-    """Trial division: num / den in Z[x], or None unless den divides num there."""
-    rem = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    q = [0] * max(len(rem) - d, 0)
-    for i in range(len(rem) - 1, d - 1, -1):
-        if rem[i]:
-            f, r = divmod(rem[i], lead)
-            if r:
-                return None
-            q[i - d] = f
-            for j, c in enumerate(den):
-                rem[i - d + j] -= f * c
-    if any(rem[:d]):
+def _wide(op, a: Polynomial, b: Polynomial) -> Polynomial:
+    """a + b, a - b or a * b once the bound leaves the 64-bit slot: both
+    bounds are first tightened to the exact bit lengths, the operation
+    runs at the slot the tighter bound needs, and a wide result is put in
+    canonical form."""
+    ea, eb = a._tighten(), b._tighten()
+    bits = ea + eb + (min(a.n, b.n) - 1).bit_length() if op is mul else max(ea, eb) + 1
+    w = _slot(bits)
+    v = op(a._packed(w), b._packed(w))
+    if w == 64:
+        return Polynomial._new(v, (v.bit_length() >> 6) + 1 if v else 0, bits)
+    return Polynomial._at_slot(v, w)
+
+
+def _cofactor(v: int, vh: int, h: Polynomial, w: int) -> Polynomial | None:
+    """The polynomial Q with Q(xi) = v / vh, xi = 2**w, if vh divides v
+    and h Q provably has every coefficient inside half a slot; else None."""
+    q, r = divmod(v, vh)
+    if r:
         return None
-    return q
-
-
-def _primitive(ints: Sequence[int]) -> Sequence[int]:
-    g = gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    quotient = Polynomial._at_slot(q, w)
+    if h.bits + quotient.bits + (min(h.n, quotient.n) - 1).bit_length() >= w:
+        return None
+    return quotient
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(g, a/g, b/g) with g = gcd(a, b) primitive, leading coefficient > 0.
 
     The heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
-    1989) with a division certificate.  A, B are the primitive parts of
-    a, b, and xi = 2**k >= 2 min(|A|, |B|) + 2, with |.| the largest
-    absolute coefficient.  The balanced base-xi digits of
-    gcd(A(xi), B(xi)) form a polynomial H; h = pp(H) is accepted only if
-    trial division shows h | a and h | b, and the two quotients are the
-    returned cofactors.  Otherwise xi grows to about xi**1.25 and the
-    step repeats.
+    1989) with a division certificate.  xi = 2**w for the slot width w
+    that holds both a and b, so a(xi) and b(xi) are their packed values
+    and |a|, |b| < xi/2, with |.| the largest absolute coefficient.  The
+    inputs need not be primitive.  The balanced base-xi digits of
+    gamma = gcd(a(xi), b(xi)) form a polynomial H, and h = pp(H).  If
+    gamma < xi/2, H is a constant and the gcd is 1.  Otherwise h is
+    accepted only if h(xi) = gamma / cont(H) divides a(xi) and b(xi) and
+    each quotient's digits Q pass a bit-length bound that gives
+    |h| |Q| min(len h, len Q) < xi/2.  Then h Q has all its coefficients
+    inside (-xi/2, xi/2) and the value a(xi), so it is a, as balanced
+    digits are unique.  The two Q are the
+    returned cofactors.  Otherwise w grows by a quarter or more, in
+    whole 64-bit slots, and the step repeats.
 
-    An accepted h is exact.  Say |A| is the minimum and G = gcd(A, B).
-    As h is primitive and divides a and b, G = h q in Z[x].  Every root of
-    q is a root of A, so lies below 1 + |A| <= xi/2 in absolute value
-    (Cauchy), and a nonconstant q has |q(xi)| > xi/2.  But G(xi) divides
-    H(xi) = cont(H) h(xi), so q(xi) divides cont(H), which is nonzero and
-    at most xi/2, as H's digits are.  So q = 1.
+    An accepted h is exact, and so is the shortcut.  Let G = gcd(a, b),
+    primitive, so G divides a and b in Z[x] and G(xi) divides gamma.  A
+    root of G is a root of a, so below 1 + |a| in absolute value
+    (Cauchy), and 1 + |a| <= xi/2 as a sits in the slot.  So a
+    nonconstant q | G has |q(xi)| > (xi/2)**deg q >= xi/2.  So gamma < xi/2
+    leaves G constant.  For an accepted h, G = h q in Z[x], and
+    q(xi) h(xi) = G(xi) divides gamma = cont(H) h(xi), so q(xi) divides
+    cont(H), which is nonzero and at most xi/2, as H's digits are.  So
+    q = 1.
 
-    The loop ends.  With A = G A', B = G B', gcd(A(xi), B(xi)) is G(xi)
-    times a factor s that divides Res(A', B') != 0, whatever xi is.  Once
-    xi > 2 |Res(A', B')| |G|, the digits of s G(xi) are those of s G, so
-    h = G and the certificate holds.  Two zero inputs give (0, 0, 0).
+    The loop ends.  With a = G A', b = G B', gamma is G(xi) times a
+    factor s that divides Res(A', B') != 0 (or gcd(A', B') when both are
+    constants), whatever xi is.  Once xi > 2 |s G| and the bounds on
+    G A' and G B' fit below xi/2, H = s G, h = G and both certificates
+    hold.  Two zero inputs give (0, 0, 0).
     """
-    A, B = _primitive(a.coeffs), _primitive(b.coeffs)
-    if not (A and B):
-        g = Polynomial(A or B)
-        if g.is_zero:
-            return g, g, g
-        return g, a.exact_div(g), b.exact_div(g)
-    # the smallest xi = 2**k >= 2 min(|A|, |B|) + 2
-    k = (2 * min(max(map(abs, A)), max(map(abs, B))) + 1).bit_length()
+    if a.is_zero or b.is_zero:
+        p = b if a.is_zero else a
+        if p.is_zero:
+            return p, p, p
+        coeffs = p.coeffs
+        c = gcd(*coeffs)
+        if coeffs[-1] < 0:
+            c = -c
+        g = Polynomial([d // c for d in coeffs])
+        c = Polynomial((c,))
+        return (g, Polynomial.zero(), c) if a.is_zero else (g, c, Polynomial.zero())
+    w = _slot(max(a.bits, b.bits))
     while True:
-        xi = 1 << k
-        mask, half = xi - 1, xi >> 1
-        va = vb = 0
-        for c in reversed(A):
-            va = (va << k) + c
-        for c in reversed(B):
-            vb = (vb << k) + c
+        va, vb = a._packed(w), b._packed(w)
         gamma = gcd(va, vb)
-        digits = []
-        while gamma:
-            d = gamma & mask
-            if d > half:
-                d -= xi
-            digits.append(d)
-            gamma = (gamma - d) >> k
-        h = _primitive(digits)
-        if h == [1]:
+        if not gamma >> (w - 1):
             return Polynomial.one(), a, b
-        qa = _quotient(a.coeffs, h)
+        digits = _all_digits(gamma, w)
+        c = gcd(*digits)
+        if digits[-1] < 0:
+            c = -c
+        vh = gamma // c
+        h = Polynomial._at_slot(vh, w, [d // c for d in digits])
+        qa = _cofactor(va, vh, h, w)
         if qa is not None:
-            qb = _quotient(b.coeffs, h)
+            qb = _cofactor(vb, vh, h, w)
             if qb is not None:
-                return Polynomial._of(h), Polynomial._of(qa), Polynomial._of(qb)
-        k += k // 4 + 1
+                return h, qa, qb
+        w += 64 * (w // 256 + 1)
 
 
 class RationalFunction:
@@ -306,15 +442,15 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             return Polynomial(), Polynomial.one()
+        low = den._lowest()
+        if low == 1:
+            return num, den  # the content divides den's lowest coefficient
         content = gcd(*num.coeffs, *den.coeffs)
-        if next(c for c in den.coeffs if c) < 0:
+        if low < 0:
             content = -content
         elif content == 1:
             return num, den
-        return (
-            Polynomial._of([c // content for c in num.coeffs]),
-            Polynomial._of([c // content for c in den.coeffs]),
-        )
+        return num._over(content), den._over(content)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -369,13 +505,13 @@ class RationalFunction:
         return RationalFunction.constant(v) if isinstance(v, Fraction) else None
 
     def _is_polynomial(self) -> bool:
-        return self.den.coeffs == (1,)
+        return self.den.v == 1
 
     def _x_power(self) -> int | None:
         """k when this is x**k, else None."""
-        c = self.num.coeffs
-        if self._is_polynomial() and c and c[-1] == 1 and not any(c[:-1]):
-            return len(c) - 1
+        p = self.num
+        if self._is_polynomial() and p.n and p.v == 1 << 64 * (p.n - 1):
+            return p.n - 1
         return None
 
     def _plus_polynomial(self, p: Polynomial) -> "RationalFunction":
@@ -402,7 +538,7 @@ class RationalFunction:
             return RationalFunction.zero()
         if g.degree > 0:
             _, t, g = polynomial_gcd(t, g)
-        if g.coeffs != (1,):
+        if g.v != 1:
             den = den * g
         return RationalFunction._canonical(*RationalFunction._normalize(t, den))
 
@@ -426,7 +562,7 @@ class RationalFunction:
         for f, g in ((self, o), (o, self)):
             # x**k * g stays canonical when x does not divide g.den
             k = f._x_power()
-            if k is not None and g.den.coeffs[0]:
+            if k is not None and g.den.constant_term():
                 return RationalFunction._canonical(g.num.shift(k), g.den)
         return self._times(o.num, o.den)
 
@@ -438,10 +574,10 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        if self.num.coeffs == (1,) and self._is_polynomial():
+        if self.num.v == 1 and self._is_polynomial():
             # 1 / o is (o.den, o.num), negated if that den's lowest coefficient is negative
             num, den = o.den, o.num
-            if next(c for c in den.coeffs if c) < 0:
+            if den._lowest() < 0:
                 num, den = -num, -den
             return RationalFunction._canonical(num, den)
         return self._times(o.den, o.num)
@@ -548,7 +684,8 @@ class PowerSeries:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "PowerSeries":
-        return cls([p.coefficient(i) for i in range(order + 1)])
+        c = p.coeffs[: order + 1]
+        return cls(c + (0,) * (order + 1 - len(c)))
 
     # -- basics ----------------------------------------------------------
     @property
@@ -583,6 +720,8 @@ class PowerSeries:
         return min(self.order, other.order)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         n = self._align(other)
         return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
@@ -590,9 +729,13 @@ class PowerSeries:
         return PowerSeries([-c for c in self.coeffs])
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         n = self._align(other)
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
@@ -635,16 +778,22 @@ class BivariateSeries:
 
     # -- arithmetic (orders combine to the smaller one) -------------------
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
+        if not isinstance(other, BivariateSeries):
+            return NotImplemented
         return BivariateSeries([a + b for a, b in zip(self.levels, other.levels)])
 
     def __neg__(self) -> "BivariateSeries":
         return BivariateSeries([-level for level in self.levels])
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
+        if not isinstance(other, BivariateSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Cauchy product."""
+        if not isinstance(other, BivariateSeries):
+            return NotImplemented
         a, b = self.levels, other.levels
         out = []
         for m in range(min(len(a), len(b))):
@@ -657,6 +806,8 @@ class BivariateSeries:
     def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Division by a unit (nonzero y^0 level), term by term from
         c*b = a: c_m = (a_m - sum_{0<i<=m} b_i c_(m-i)) / b_0."""
+        if not isinstance(other, BivariateSeries):
+            return NotImplemented
         a, b = self.levels, other.levels
         out: list[RationalFunction] = []
         for m in range(min(len(a), len(b))):

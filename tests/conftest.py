@@ -23,3 +23,58 @@ def recurrence():
     """The term recurrence: the independent reference that ``series_of``'s
     division must equal."""
     return _term_recurrence
+
+
+class Schoolbook:
+    """Z[x] on plain coefficient lists, low degree first, one coefficient
+    at a time: the independent reference for the packed ``Polynomial``.
+    Every result is a tuple without trailing zeros."""
+
+    @staticmethod
+    def trim(a):
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return tuple(a)
+
+    @staticmethod
+    def add(a, b, sign=1):
+        out = [0] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            out[i] += c
+        for i, c in enumerate(b):
+            out[i] += sign * c
+        return Schoolbook.trim(out)
+
+    @staticmethod
+    def mul(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, c in enumerate(a):
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+        return Schoolbook.trim(out)
+
+    @staticmethod
+    def shift(a, k):
+        return Schoolbook.trim([0] * k + list(a)) if Schoolbook.trim(a) else ()
+
+    @staticmethod
+    def divide(a, b):
+        """a / b in Z[x] by long division, or None unless b divides a there."""
+        rem, b = list(Schoolbook.trim(a)), Schoolbook.trim(b)
+        q = [0] * max(len(rem) - len(b) + 1, 0)
+        for i in range(len(q) - 1, -1, -1):
+            f, r = divmod(rem[i + len(b) - 1], b[-1])
+            if r:
+                return None
+            q[i] = f
+            for j, c in enumerate(b):
+                rem[i + j] -= f * c
+        return Schoolbook.trim(q) if not any(rem) else None
+
+
+@pytest.fixture(scope="session")
+def schoolbook():
+    """Plain-list Z[x] arithmetic: the reference that ``Polynomial``'s
+    packed arithmetic must equal."""
+    return Schoolbook

@@ -50,6 +50,44 @@ def test_negative_power_raises(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Polynomial((1,)) * 2,
+        lambda: 2 * Polynomial((1,)),
+        lambda: Polynomial((1,)) + 1,
+        lambda: Polynomial((1,)) - 1,
+        lambda: 1 - Polynomial((1,)),
+        lambda: Polynomial((1,)).exact_div(1),
+        lambda: PowerSeries((1,)) + 1,
+        lambda: PowerSeries((1,)) - 1,
+        lambda: PowerSeries((1,)) * 2,
+        lambda: BivariateSeries([RationalFunction.one()]) + 1,
+        lambda: BivariateSeries([RationalFunction.one()]) - 1,
+        lambda: BivariateSeries([RationalFunction.one()]) * 2,
+        lambda: BivariateSeries([RationalFunction.one()]) / 2,
+    ],
+    ids=[
+        "Polynomial*int",
+        "int*Polynomial",
+        "Polynomial+int",
+        "Polynomial-int",
+        "int-Polynomial",
+        "Polynomial.exact_div",
+        "PowerSeries+int",
+        "PowerSeries-int",
+        "PowerSeries*int",
+        "BivariateSeries+int",
+        "BivariateSeries-int",
+        "BivariateSeries*int",
+        "BivariateSeries/int",
+    ],
+)
+def test_foreign_operands_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 class TestPolynomial:
     def test_non_integral_coefficients_are_fractions(self):
         # only series carry them; a polynomial's coefficients are ints
@@ -112,22 +150,28 @@ class TestPolynomial:
         )
 
     def test_gcd_retries_past_a_spurious_candidate(self, monkeypatch):
-        # at the first xi = 4, gcd(12, 24) = 12 has the balanced digits
-        # 0, -1, 1, so the candidate is x^2 - x, which does not divide 2x + x^2;
-        # xi = 8 gives gcd(56, 80) = 8, the digits 0, 1 and the gcd x
-        trial_division = algebra._quotient
-        rejected = []
+        # a = x - 3*2**61 and b = x + 2**62 give a(xi) = 5*2**61 and
+        # b(xi) = 5*2**62 at xi = 2**64, whose gcd 5*2**61 has the balanced
+        # digits -3*2**61, 1: the candidate is a itself, and a(xi) divides
+        # b(xi) with quotient 2, but 2a = 2x - 3*2**62 leaves the 64-bit
+        # slot.  Times the common factor 1 + x the candidate is a(1 + x);
+        # xi = 2**128 then gives the gcd 1 + x
+        certify = algebra._cofactor
+        candidates = []
 
-        def watched(num, den):
-            q = trial_division(num, den)
-            if q is None:
-                rejected.append(tuple(den))
+        def watched(v, vh, h, w):
+            q = certify(v, vh, h, w)
+            candidates.append((w, h.coeffs, q))
             return q
 
-        monkeypatch.setattr(algebra, "_quotient", watched)
-        a, b = Polynomial((0, 1, -1)), Polynomial((0, 2, 1))
-        assert polynomial_gcd(a, b) == (Polynomial((0, 1)), Polynomial((1, -1)), Polynomial((2, 1)))
-        assert rejected == [(0, -1, 1)]
+        monkeypatch.setattr(algebra, "_cofactor", watched)
+        a, b, g = Polynomial((-3 * 2**61, 1)), Polynomial((2**62, 1)), Polynomial((1, 1))
+        assert polynomial_gcd(a, b) == (Polynomial.one(), a, b)
+        assert candidates == [(64, a.coeffs, None)]
+        candidates.clear()
+        assert polynomial_gcd(a * g, b * g) == (g, a, b)
+        assert [(w, h) for w, h, _ in candidates] == [(64, (a * g).coeffs), (128, g.coeffs), (128, g.coeffs)]
+        assert candidates[0][2] is None
 
     def test_repr_round_trips(self):
         assert repr(Polynomial((1, -2, 2))) == "Polynomial([1, -2, 2])"

@@ -77,11 +77,65 @@ functions = st.builds(RationalFunction, polys, nonzero_polys)
 ALGEBRA = settings(max_examples=60, deadline=None)
 
 
-# the engine's scale: degree <= 20, coefficients up to about 2**40
-engine_factors = st.lists(st.integers(-(2**19), 2**19), max_size=8).map(Polynomial)
-engine_cofactors = st.lists(st.integers(-(2**19), 2**19), max_size=13).map(Polynomial) | st.sampled_from(
-    [Polynomial(), Polynomial((1,)), Polynomial((-3,))]
+# coefficients across several 64-bit slots: up to 2**130 in size, the
+# values at the edge of a slot and zero digits drawn often
+SLOT_EDGES = [0, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64, -(2**64)]
+wide_ints = (
+    st.sampled_from(SLOT_EDGES)
+    | st.integers(-(2**130), 2**130)
+    | st.integers(-(2**33), 2**33)
+    | st.integers(-3, 3)
 )
+wide_lists = st.lists(wide_ints, max_size=7)
+wide_polys = wide_lists.map(Polynomial)
+
+# the engine's scale (degree <= 20, coefficients up to about 2**40) and
+# coefficients across several slots
+engine_factors = st.lists(st.integers(-(2**19), 2**19), max_size=8).map(Polynomial) | st.lists(
+    wide_ints, max_size=4
+).map(Polynomial)
+engine_cofactors = (
+    st.lists(st.integers(-(2**19), 2**19), max_size=13).map(Polynomial)
+    | st.lists(wide_ints, max_size=5).map(Polynomial)
+    | st.sampled_from([Polynomial(), Polynomial((1,)), Polynomial((-3,))])
+)
+
+
+@ALGEBRA
+@given(wide_lists, wide_lists, st.integers(0, 3))
+@example([2**63 - 1], [2**63 - 1], 0)  # the product leaves the 64-bit slot
+@example([-(2**63)], [2**63], 1)  # -2**63 needs the 128-bit slot
+@example([2**64, 0, 1], [-(2**64), 0, -1], 0)  # a sum drops back to the 64-bit slot
+@example([1, 0, 0, 2**62], [2**62, 0, 1], 2)  # zero digits inside
+@example([2**32 - 1] * 2, [2**31 - 1] * 2, 0)  # the bound's length term decides the slot
+def test_wide_arithmetic_matches_schoolbook(schoolbook, a, b, k):
+    """Packed +, -, *, shift, exact_div, == and hash equal plain-list
+    arithmetic, including on results whose bounds are loose."""
+    p, q = Polynomial(a), Polynomial(b)
+    ab = schoolbook.mul(a, b)
+    for got, want in [
+        (p, schoolbook.trim(a)),
+        (p + q, schoolbook.add(a, b)),
+        (p - q, schoolbook.add(a, b, -1)),
+        (-p, schoolbook.add((), a, -1)),
+        (p * q, ab),
+        (p.shift(k), schoolbook.shift(a, k)),
+        ((p * q + p) * q - q, schoolbook.add(schoolbook.mul(schoolbook.add(ab, a), b), b, -1)),
+    ]:
+        assert got.coeffs == want
+        assert all(type(c) is int for c in got.coeffs)
+        assert got == Polynomial(want) and hash(got) == hash(Polynomial(want))
+        assert eval(repr(got)) == got
+        assert got.degree == len(want) - 1
+    assert (p == q) == (schoolbook.trim(a) == schoolbook.trim(b))
+    if not q.is_zero:
+        assert (p * q).exact_div(q) == p
+        want = schoolbook.divide(a, b)
+        if want is None:
+            with pytest.raises(ValueError, match="inexact"):
+                p.exact_div(q)
+        else:
+            assert p.exact_div(q).coeffs == want
 
 
 @ALGEBRA
@@ -287,7 +341,7 @@ def test_series_with_den0_3_is_exact():
 
 
 @settings(max_examples=25, deadline=None)
-@given(polys, nonzero_polys)
+@given(polys | wide_polys, nonzero_polys | wide_polys.filter(lambda p: not p.is_zero))
 def test_normalize_agrees_with_sympy(a, b):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
