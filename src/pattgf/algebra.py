@@ -3,14 +3,13 @@
 ``Polynomial`` and ``RationalFunction`` live in Z[x]: their coefficients
 are ``int``s, and any other coefficient is a ``TypeError``.  A
 ``fractions.Fraction`` appears only where a value is not integral: in
-``PowerSeries`` coefficients (``series_of``'s quotient by den(0)), in
-``RationalFunction.value_at_zero``, and as the argument of
-``RationalFunction.constant``, which turns p/q into the canonical
-(p)/(q).  Every equality used anywhere in the package is exact.
-``fractions`` is imported on first use, by the two helpers that build
-or check a non-integral value and by ``RationalFunction._coerce`` on an
-operand that is not an ``int``, so integral work never loads it.  A
-coefficient or operand that is neither ``int`` nor ``Fraction`` is a
+``PowerSeries`` coefficients (``series_of``'s quotient by den(0)) and
+as the argument of ``RationalFunction.constant``, which turns p/q into
+the canonical (p)/(q).  Every equality used anywhere in the package is
+exact.  ``fractions`` is imported on first use, by the two helpers that
+build or check a non-integral value and by ``RationalFunction._coerce``
+on an operand that is not an ``int``, so integral work never loads it.
+A coefficient or operand that is neither ``int`` nor ``Fraction`` is a
 ``TypeError``.
 Annotations are strings, and ``Rational`` in them means
 ``numbers.Rational``, which is never imported.
@@ -220,9 +219,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.n
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < self.n else 0
-
     def constant_term(self) -> int:
         w = _slot(self.bits)
         c = self.v & ((1 << w) - 1)
@@ -300,31 +296,6 @@ class Polynomial:
             return self
         return Polynomial._new(self.v << _slot(self.bits) * power, self.n + power, self.bits)
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """The quotient in Z[x]; ``ValueError`` unless other divides self there.
-
-        If other divides self, the quotient q has degree m = n_self - n_other
-        and |q_i| <= |q|_1 <= 2**m |self|_2 (Mignotte, Math. Comp. 28, 1974),
-        below half the slot chosen here, so the balanced digits of
-        self(xi) / other(xi) at xi = 2**w are q's.  A remainder, or digits Q
-        with Q * other != self, therefore prove that other does not divide
-        self."""
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"exact_div needs a Polynomial, not {type(other).__name__}")
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return self
-        m = self.n - other.n
-        if m >= 0:
-            w = _slot(max(other.bits, self.bits + m + self.n.bit_length()))
-            q, r = divmod(self._packed(w), other._packed(w))
-            if not r:
-                q = Polynomial._at_slot(q, w)
-                if q * other == self:
-                    return q
-        raise ValueError("inexact polynomial division")
-
 
 def _wide(op, a: Polynomial, b: Polynomial) -> Polynomial:
     """a + b, a - b or a * b once the bound leaves the 64-bit slot: both
@@ -371,32 +342,25 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     whole 64-bit slots, and the step repeats.
 
     An accepted h is exact, and so is the shortcut.  Let G = gcd(a, b),
-    primitive, so G divides a and b in Z[x] and G(xi) divides gamma.  A
-    root of G is a root of a, so below 1 + |a| in absolute value
-    (Cauchy), and 1 + |a| <= xi/2 as a sits in the slot.  So a
-    nonconstant q | G has |q(xi)| > (xi/2)**deg q >= xi/2.  So gamma < xi/2
-    leaves G constant.  For an accepted h, G = h q in Z[x], and
-    q(xi) h(xi) = G(xi) divides gamma = cont(H) h(xi), so q(xi) divides
-    cont(H), which is nonzero and at most xi/2, as H's digits are.  So
-    q = 1.
+    primitive, so G divides a and b in Z[x] and G(xi) divides gamma.  Let
+    p be a nonzero input (a, or b when a = 0).  A root of G is a root of
+    p, so below 1 + |p| in absolute value (Cauchy), and 1 + |p| <= xi/2
+    as p sits in the slot.  So a nonconstant q | G has
+    |q(xi)| > (xi/2)**deg q >= xi/2.  So gamma < xi/2 leaves G constant.
+    For an accepted h, G = h q in Z[x], and q(xi) h(xi) = G(xi) divides
+    gamma = cont(H) h(xi), so q(xi) divides cont(H), which is nonzero and
+    at most xi/2, as H's digits are.  So q = 1.
 
     The loop ends.  With a = G A', b = G B', gamma is G(xi) times a
-    factor s that divides Res(A', B') != 0 (or gcd(A', B') when both are
-    constants), whatever xi is.  Once xi > 2 |s G| and the bounds on
-    G A' and G B' fit below xi/2, H = s G, h = G and both certificates
-    hold.  Two zero inputs give (0, 0, 0).
+    factor s that divides Res(A', B') != 0, whatever xi is; when A' and
+    B' are both constants, s = gcd(A', B').  A zero input is that case:
+    if b = 0, then G = pp(a), A' = +-cont(a), B' = 0 and s = cont(a).
+    Once xi > 2 |s G| and the bounds on G A' and G B' fit below xi/2,
+    H = s G, h = G and both certificates hold.  Two zero inputs give
+    (0, 0, 0).
     """
-    if a.is_zero or b.is_zero:
-        p = b if a.is_zero else a
-        if p.is_zero:
-            return p, p, p
-        coeffs = p.coeffs
-        c = gcd(*coeffs)
-        if coeffs[-1] < 0:
-            c = -c
-        g = Polynomial([d // c for d in coeffs])
-        c = Polynomial((c,))
-        return (g, Polynomial.zero(), c) if a.is_zero else (g, c, Polynomial.zero())
+    if a.is_zero and b.is_zero:
+        return a, a, b
     w = _slot(max(a.bits, b.bits))
     while True:
         va, vb = a._packed(w), b._packed(w)
@@ -484,11 +448,6 @@ class RationalFunction:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def value_at_zero(self) -> Rational:
-        if self.den.constant_term() == 0:
-            raise ZeroDivisionError("denominator vanishes at 0")
-        return _div(self.num.constant_term(), self.den.constant_term())
 
     # -- arithmetic ----------------------------------------------------
     @staticmethod
@@ -682,24 +641,10 @@ class PowerSeries:
         s.coeffs = coeffs
         return s
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, order: int) -> "PowerSeries":
-        c = p.coeffs[: order + 1]
-        return cls(c + (0,) * (order + 1 - len(c)))
-
     # -- basics ----------------------------------------------------------
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def coefficient(self, i: int) -> Rational:
-        if not 0 <= i <= self.order:
-            raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
-        return self.coeffs[i]
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:

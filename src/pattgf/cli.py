@@ -22,7 +22,7 @@ import sys
 
 from . import engine, oracle, relations
 from .algebra import RationalFunction, series_of
-from .chebyshev import sweep_identities, v_poly
+from .chebyshev import r_func, sweep_identities
 from .errors import (
     EnumerationCapExceeded,
     NotIn132Class,
@@ -49,11 +49,12 @@ FEQ_TERMS_CAP = 32
 
 
 def _known_v_quotient(f: RationalFunction) -> str | None:
-    """Name ``f`` if it is some R_p, whose canonical form is (V_{p-1}, V_p)
-    with deg V_p = floor(p/2)."""
+    """Name ``f`` if it is some R_p; R_p's denominator has degree
+    floor(p/2), so only p = 2d and 2d + 1 can match a denominator of
+    degree d."""
     d = f.den.degree
     for p in (2 * d, 2 * d + 1):
-        if p >= 1 and f.den == v_poly(p) and f.num == v_poly(p - 1):
+        if p >= 1 and f == r_func(p):
             return f"V_{{{p - 1}}}(x) / V_{{{p}}}(x)"
     return None
 
@@ -140,7 +141,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"{rel} has no pattern sizes and does not read --range")
     reports: list[relations.RelationReport] = []
     if rel in ("thm22feq", "thm32feq"):
-        reports.append(relations.verify_relation(rel, orders=(0, 8 if args.terms is None else args.terms)))
+        y_order = relations.DEFAULT_Y_ORDER if args.terms is None else args.terms
+        reports.append(relations.verify_relation(rel, orders=(0, y_order)))
     elif rel == "thm21":
         lo, hi = _parse_range(args.range, (1, 4))
         for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
@@ -148,7 +150,7 @@ def _cmd_verify(args) -> int:
                 reports.append(relations.verify_relation("thm21", perm))
     elif rel in ("thm23", "thm33", "thm31", "remark31"):
         lo, hi = _parse_range(args.range, (2, 5))
-        terms = 9 if args.terms is None else args.terms
+        terms = relations.DEFAULT_TERMS if args.terms is None else args.terms
         min_layers = 3 if rel == "remark31" else 2
         for k in range(lo, hi + 1):
             for tops in iter_layered_specs(k, min_layers=min_layers):
@@ -212,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="",
                    help="pattern-size range A:B for sweeps; not read by thm22feq/thm32feq")
     p.add_argument("--terms", type=int, default=None,
-                   help="series order for thm31/thm33/remark31 (default 9); the y order for "
-                        "thm22feq/thm32feq (default 8); not read by thm21/thm23")
+                   help=f"series order for thm31/thm33/remark31 (default {relations.DEFAULT_TERMS}); "
+                        f"the y order for thm22feq/thm32feq (default {relations.DEFAULT_Y_ORDER}); "
+                        "not read by thm21/thm23")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identities", help="exact product-identity sweep")

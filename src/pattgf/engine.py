@@ -15,8 +15,9 @@ recursion against.
 
 Results are memoized per flattened pattern, and one entry serves both
 tau and its inverse: the recursion runs on the pattern asked for and
-stores the value under tau and tau^-1 alike, so each inverse pair is
-solved once.  This is exact, canonical form included.  Transposing the
+stores the value under tau and tau^-1 alike.  The memo's keys are thus
+closed under inversion, a lookup of tau alone finds a value stored for
+tau^-1, and each inverse pair is solved once.  This is exact, canonical form included.  Transposing the
 plane maps the graph of a permutation pi to that of pi^-1, and each
 occurrence of tau in pi to an occurrence of tau^-1 in pi^-1.  Since
 (1,3,2) is its own inverse, pi -> pi^-1 is a bijection of S_n(132)
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .algebra import BivariateSeries, Polynomial, RationalFunction, series_of
+from .algebra import BivariateSeries, Polynomial, RationalFunction
 from .chebyshev import r_func, v_poly
 from .errors import NotIn132Class, UnsupportedPattern
 from .patterns import (
@@ -119,11 +120,6 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
     hit = _AVOID_MEMO.get(pat)
     if hit is not None:
         return hit
-    inv = inverse(pat)
-    hit = _AVOID_MEMO.get(inv)
-    if hit is not None:
-        _AVOID_MEMO[pat] = hit
-        return hit
     if len(pat) == 1:
         value = _ONE
     else:
@@ -141,7 +137,7 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
             rhs = rhs - _X * f_pre[r] * f_suf[r]
             divisor = _ONE - _X * f_pre[1] - _X * f_suf[r]
             value = rhs / divisor
-    _AVOID_MEMO[pat] = _AVOID_MEMO[inv] = value
+    _AVOID_MEMO[pat] = _AVOID_MEMO[inverse(pat)] = value
     return value
 
 
@@ -321,5 +317,4 @@ __all__ = [
     "psi_closed_series",
     "phi_functional_equation_residual",
     "psi_functional_equation_residual",
-    "series_of",
 ]

@@ -69,6 +69,11 @@ from .patterns import (
     suffix_pattern,
 )
 
+# ``verify_relation``'s defaults, shared with ``pattgf verify``: the series
+# order of the coefficient-wise checks, the y order of the feq checks
+DEFAULT_TERMS = 9
+DEFAULT_Y_ORDER = 8
+
 _SERIES_CACHE: dict[tuple, PowerSeries] = {}
 
 
@@ -228,7 +233,8 @@ def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
     return report
 
 
-def verify_relation(relation: str, params=None, terms: int = 9, orders: tuple[int, int] = (10, 8)) -> RelationReport:
+def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS,
+                    orders: tuple[int, int] = (10, DEFAULT_Y_ORDER)) -> RelationReport:
     """Verify one relation instance; see the module docstring for ids.
 
     ``params`` is a pattern in one-line notation (``thm21``, ``thm31``,

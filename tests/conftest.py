@@ -58,20 +58,6 @@ class Schoolbook:
     def shift(a, k):
         return Schoolbook.trim([0] * k + list(a)) if Schoolbook.trim(a) else ()
 
-    @staticmethod
-    def divide(a, b):
-        """a / b in Z[x] by long division, or None unless b divides a there."""
-        rem, b = list(Schoolbook.trim(a)), Schoolbook.trim(b)
-        q = [0] * max(len(rem) - len(b) + 1, 0)
-        for i in range(len(q) - 1, -1, -1):
-            f, r = divmod(rem[i + len(b) - 1], b[-1])
-            if r:
-                return None
-            q[i] = f
-            for j, c in enumerate(b):
-                rem[i + j] -= f * c
-        return Schoolbook.trim(q) if not any(rem) else None
-
 
 @pytest.fixture(scope="session")
 def schoolbook():

@@ -58,7 +58,6 @@ def test_negative_power_raises(call):
         lambda: Polynomial((1,)) + 1,
         lambda: Polynomial((1,)) - 1,
         lambda: 1 - Polynomial((1,)),
-        lambda: Polynomial((1,)).exact_div(1),
         lambda: PowerSeries((1,)) + 1,
         lambda: PowerSeries((1,)) - 1,
         lambda: PowerSeries((1,)) * 2,
@@ -73,7 +72,6 @@ def test_negative_power_raises(call):
         "Polynomial+int",
         "Polynomial-int",
         "int-Polynomial",
-        "Polynomial.exact_div",
         "PowerSeries+int",
         "PowerSeries-int",
         "PowerSeries*int",
@@ -120,22 +118,6 @@ class TestPolynomial:
         assert p + q == Polynomial((2,))
         assert p - p == Polynomial.zero()
         assert p.shift(2) == Polynomial((0, 0, 1, 1))
-
-    def test_divmod_exact(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            a = rand_poly(rng, rng.randint(0, 5))
-            b = rand_poly(rng, rng.randint(0, 3), zero_ok=False)
-            assert (a * b).exact_div(b) == a
-
-    @pytest.mark.parametrize(
-        "a, b",
-        [((3,), (2,)), ((1, 1), (2, 2)), ((1, 0, 1), (1, 1))],
-        ids=["constant", "non-integral-quotient", "remainder"],
-    )
-    def test_exact_div_refuses_inexact(self, a, b):
-        with pytest.raises(ValueError, match="inexact"):
-            Polynomial(a).exact_div(Polynomial(b))
 
     def test_gcd(self):
         a = Polynomial((1, -1)) * Polynomial((1, 1)) * Polynomial((2, 3))
@@ -263,9 +245,10 @@ class TestSeriesOf:
                 den = den + Polynomial((1,))
             f = RationalFunction(rand_poly(rng, 3), den)
             s = series_of(f, 8)
+            a, b = f.num.coeffs + (0,) * 9, f.den.coeffs + (0,) * 9
             for n in range(9):
-                acc = sum(f.den.coefficient(j) * s.coeffs[n - j] for j in range(0, n + 1))
-                assert acc == f.num.coefficient(n)
+                acc = sum(b[j] * s.coeffs[n - j] for j in range(0, n + 1))
+                assert acc == a[n]
 
     def test_multiplicative(self):
         rng = random.Random(5)
@@ -395,14 +378,16 @@ class TestPowerSeries:
             Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27), Fraction(-1, 81)
         )
 
-    def test_division_undoes_multiplication(self, recurrence):
+    def test_division_undoes_multiplication(self, recurrence, schoolbook):
         rng = random.Random(17)
         for b0 in (1, -1, 3):
             for _ in range(10):
                 b = Polynomial([b0] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
                 f = RationalFunction(rand_poly(rng, 8), b)
                 c = recurrence(f, 8)
-                assert PowerSeries.from_polynomial(f.den, 8) * c == PowerSeries.from_polynomial(f.num, 8)
+                # den * c and num agree through x**8
+                low = schoolbook.mul(f.den.coeffs[:9], c.coeffs)[:9]
+                assert schoolbook.trim(low) == schoolbook.trim(f.num.coeffs[:9])
 
     def test_zero_constant_divisor_raises(self, recurrence):
         with pytest.raises(ZeroDivisionError):

@@ -51,7 +51,7 @@ def test_v_matches_substituted_u():
         u = chebyshev_u(p)
         coeffs = {}
         for i in range(p + 1):
-            c = u.coefficient(i)
+            c = u.coeffs[i]
             if c:
                 assert (p - i) % 2 == 0
                 c = c / Fraction(2) ** i

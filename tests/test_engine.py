@@ -59,8 +59,7 @@ class TestAvoidGf:
     def test_value_at_zero_is_one(self):
         for pat in [(2, 1, 3), (3, 1, 2), decreasing(6), expand_layered((5, 2))]:
             f = avoid_gf(pat)
-            assert f.value_at_zero() == 1
-            assert f.den.constant_term() != 0
+            assert f.num.constant_term() == f.den.constant_term() == 1
 
     def test_linear_solve_divisor_never_zero(self):
         # the divisor 1 - x F_pre0 - x F_sufr has constant term 1
@@ -73,13 +72,13 @@ class TestAvoidGf:
                 - RationalFunction.x() * avoid_gf(prefix_pattern(d, 0))
                 - RationalFunction.x() * avoid_gf(suffix_pattern(d, d.r))
             )
-            assert div.value_at_zero() == 1
+            assert div.num.constant_term() == div.den.constant_term() == 1
 
     def test_memo_values_normalized(self):
         avoid_gf((4, 3, 2, 1))
         for key, value in _AVOID_MEMO.items():
             if key:
-                assert value.value_at_zero() == 1
+                assert value.num.constant_term() == value.den.constant_term() == 1
             else:
                 assert value.is_zero
 
@@ -179,6 +178,18 @@ class TestInverseSymmetry:
                 assert inverse(tau) in _AVOID_MEMO, tau
                 checked += 1
         assert checked == 2 + 8 + 32
+
+    def test_avoid_memo_keys_are_closed_under_inversion(self, cold_avoid_memo):
+        """After a cold sweep over S_6(132), sub-patterns included, every
+        key's inverse is a key holding the same entry, so a lookup of tau
+        alone serves tau^-1."""
+        cold_avoid_memo()
+        taus = list(enumerate_avoiders(6))
+        for tau in taus:
+            avoid_gf(tau)
+        assert set(taus) <= _AVOID_MEMO.keys()
+        for key, value in _AVOID_MEMO.items():
+            assert _AVOID_MEMO.get(inverse(key)) is value, key
 
 
 def test_output_digest():

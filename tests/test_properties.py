@@ -19,7 +19,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pattgf.algebra import Polynomial, PowerSeries, RationalFunction, polynomial_gcd, series_of
+from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of
 from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
@@ -109,8 +109,8 @@ engine_cofactors = (
 @example([1, 0, 0, 2**62], [2**62, 0, 1], 2)  # zero digits inside
 @example([2**32 - 1] * 2, [2**31 - 1] * 2, 0)  # the bound's length term decides the slot
 def test_wide_arithmetic_matches_schoolbook(schoolbook, a, b, k):
-    """Packed +, -, *, shift, exact_div, == and hash equal plain-list
-    arithmetic, including on results whose bounds are loose."""
+    """Packed +, -, *, shift, == and hash equal plain-list arithmetic,
+    including on results whose bounds are loose."""
     p, q = Polynomial(a), Polynomial(b)
     ab = schoolbook.mul(a, b)
     for got, want in [
@@ -128,20 +128,15 @@ def test_wide_arithmetic_matches_schoolbook(schoolbook, a, b, k):
         assert eval(repr(got)) == got
         assert got.degree == len(want) - 1
     assert (p == q) == (schoolbook.trim(a) == schoolbook.trim(b))
-    if not q.is_zero:
-        assert (p * q).exact_div(q) == p
-        want = schoolbook.divide(a, b)
-        if want is None:
-            with pytest.raises(ValueError, match="inexact"):
-                p.exact_div(q)
-        else:
-            assert p.exact_div(q).coeffs == want
 
 
 @ALGEBRA
 @given(engine_factors, engine_cofactors, engine_cofactors)
 @example(Polynomial(), Polynomial(), Polynomial())  # gcd(0, 0) = 0
 @example(Polynomial((1, 1)), Polynomial(), Polynomial((2, 1)))  # gcd(0, b)
+@example(Polynomial((1, 1)), Polynomial((-2, 1)), Polynomial())  # gcd(a, 0)
+@example(Polynomial((2**64 + 1, 0, -(2**70))), Polynomial((3,)), Polynomial())  # a wide a, b = 0
+@example(Polynomial((-(2**64), 5)), Polynomial(), Polynomial((-1,)))  # a = 0, a wide b
 @example(Polynomial((6,)), Polynomial((1, 2)), Polynomial((4,)))  # a constant input
 @example(Polynomial((1, -1, 1)), Polynomial((1,)), Polynomial((0, 2, 3)))  # a divides b
 @example(Polynomial((0, 1)), Polynomial((1, -1)), Polynomial((2, 1)))  # the first xi fails
@@ -309,14 +304,14 @@ def test_json_round_trip(f):
 
 @ALGEBRA
 @given(polys, st.lists(st.integers(-6, 6), max_size=4))
-def test_no_floats_when_den0_is_3(num, den_tail):
+def test_no_floats_when_den0_is_3(schoolbook, num, den_tail):
     f = RationalFunction(num, [3] + den_tail)
-    value = f.value_at_zero()
-    assert type(value) in (int, Fraction)
-    assert value == Fraction(num.constant_term(), 3)
     s = series_of(f, 8)
     assert all(type(x) in (int, Fraction) for x in s.coeffs)
-    assert PowerSeries.from_polynomial(f.den, 8) * s == PowerSeries.from_polynomial(f.num, 8)
+    assert s.coeffs[0] == Fraction(num.constant_term(), 3)
+    # den * s and num agree through x**8
+    low = schoolbook.mul(f.den.coeffs[:9], s.coeffs)[:9]
+    assert schoolbook.trim(low) == schoolbook.trim(f.num.coeffs[:9])
 
 
 @ALGEBRA
