@@ -70,8 +70,9 @@ Representations:
   two quotients are the cofactors; a rejected candidate means a larger
   xi.  ``polynomial_gcd``'s docstring proves that the shortcut and an
   accepted candidate are exact and that the loop ends.
-- ``PowerSeries``: coefficients c_0..c_N; arithmetic never claims
-  coefficients beyond the stated truncation order.  ``series_of``
+- ``PowerSeries``: coefficients c_0..c_N, with ``+`` and ``*`` only.
+  A sum or product is truncated at the smaller order of its operands,
+  so it never claims a coefficient that either lacks.  ``series_of``
   expands a ``RationalFunction`` by one integer division at a power of
   two, certified by its own remainder; its docstring proves the
   certificate exact.
@@ -625,15 +626,6 @@ class PowerSeries:
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the constant term")
 
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1] + [0] * order)
-
     @classmethod
     def _exact(cls, coeffs: tuple) -> "PowerSeries":
         """Wrap a tuple of exact coefficients as is; no ``_coeff``."""
@@ -645,11 +637,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
@@ -670,14 +657,6 @@ class PowerSeries:
         n = self._align(other)
         return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
@@ -687,11 +666,6 @@ class PowerSeries:
             for j in range(n + 1 - i):
                 out[i + j] += a * other.coeffs[j]
         return PowerSeries(out)
-
-    def mul_x_power(self, p: int) -> "PowerSeries":
-        """Shift up; the truncation order grows by p (nothing is lost)."""
-        _check_power(p)
-        return PowerSeries([0] * p + list(self.coeffs))
 
 
 class BivariateSeries:

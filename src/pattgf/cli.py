@@ -120,9 +120,9 @@ def _cmd_oracle(args) -> int:
 def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
     if not text:
         return default
-    lo, _, hi = text.partition(":")
+    lo, sep, hi = text.partition(":")
     try:
-        return (int(lo), int(hi or lo))
+        return (int(lo), int(hi if sep else lo))
     except ValueError:
         raise ValueError(f"--range must be A:B or A with integers A, B, got {text!r}") from None
 

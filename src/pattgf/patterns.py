@@ -61,12 +61,10 @@ def flatten(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in vals)
 
 
-def occurrence_count(host: Sequence[int], pat: Sequence[int], cap: int | None = None) -> int:
+def occurrence_count(host: Sequence[int], pat: Sequence[int]) -> int:
     """Number of index subsequences of ``host`` order-isomorphic to ``pat``.
 
-    Exhaustive subsequence search pruned by partial order-isomorphism;
-    with ``cap`` the search stops as soon as ``cap`` occurrences are
-    confirmed (the return value is then >= cap but not the full count).
+    Exhaustive subsequence search pruned by partial order-isomorphism.
     The empty pattern occurs exactly once in every host.
     """
     host = tuple(host)
@@ -79,29 +77,20 @@ def occurrence_count(host: Sequence[int], pat: Sequence[int], cap: int | None = 
     chosen: list[int] = []
     count = 0
 
-    def extend(j: int, start: int) -> bool:
+    def extend(j: int, start: int) -> None:
         nonlocal count
         for p in range(start, n - (k - j) + 1):
             v = host[p]
             if all((v > w) == (pat[j] > pat[a]) for a, w in enumerate(chosen)):
                 if j + 1 == k:
                     count += 1
-                    if cap is not None and count >= cap:
-                        return True
                 else:
                     chosen.append(v)
-                    done = extend(j + 1, p + 1)
+                    extend(j + 1, p + 1)
                     chosen.pop()
-                    if done:
-                        return True
-        return False
 
     extend(0, 0)
     return count
-
-
-def contains(host: Sequence[int], pat: Sequence[int]) -> bool:
-    return occurrence_count(host, pat, cap=1) > 0
 
 
 def contains_132(pat: Sequence[int]) -> bool:
@@ -110,7 +99,7 @@ def contains_132(pat: Sequence[int]) -> bool:
     ``stack`` holds a decreasing run of candidates for the "2";
     ``third`` is the largest value popped so far, i.e. a "2" with a
     larger "3" to its left.  An entry below ``third`` completes a 132.
-    ``contains(pat, (1, 3, 2))`` is the reference.
+    ``occurrence_count(pat, (1, 3, 2)) > 0`` is the reference.
 
     >>> contains_132((2, 4, 1, 3)), contains_132((3, 4, 1, 2))
     (True, False)

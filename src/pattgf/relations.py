@@ -14,10 +14,15 @@ generating functions:
   checked coefficient-wise to order n by ``_once_recursion_holds``.
   With G the oracle table "avoid every ν in ``nus``, contain μ exactly
   once" and avoid(i) = (suffix i-1 of μ, suffix i of each ν), it checks
-  (1 - x·F(prefix 0) - x·A(r+1))·G = Σ_{i=1..r} x·L_i·B_i: A(i) avoids
-  avoid(i), B_i also contains suffix i of μ once, L_i is
-  ``_left_factor``.  F(prefix 0) comes from ``avoid_gf``, every other
-  factor from the counting oracle.  ``thm31`` has nus = (); ``remark31``
+  the fixed point G = x·((F(prefix 0) + A(r+1))·G + Σ_{i=1..r} L_i·B_i):
+  A(i) avoids avoid(i), B_i also contains suffix i of μ once, L_i is
+  ``_left_factor``.  To order n that reads G_0 = 0, which holds as μ is
+  nonempty, and G_k = [x^(k-1)] of the bracket for 1 <= k <= n.  The x^k
+  coefficient of the paper's form
+  (1 - x·F(prefix 0) - x·A(r+1))·G = Σ x·L_i·B_i is the same equation,
+  so the two checks agree coefficient for coefficient to order n.
+  F(prefix 0) comes from ``avoid_gf``, every other factor from the
+  counting oracle.  ``thm31`` has nus = (); ``remark31``
   takes μ = prefix j-1 and nus = (prefix j,) for j >= 2; ``thm33`` is
   ``thm31`` on the expanded layered pattern plus a symbolic check that
   R_{m_0-m_1-1} and R_{m_r} are avoid_gf of prefix 0 and of suffix r.
@@ -95,10 +100,6 @@ def _oracle_series(
         hit = PowerSeries(oracle_series(ConstraintSpec(avoid, contain), n_max).counts)
         _SERIES_CACHE[key] = hit
     return hit
-
-
-def _xshift(s: PowerSeries, n: int) -> PowerSeries:
-    return s.mul_x_power(1).truncate(n)
 
 
 def _left_factor(d: CanonicalDecomposition, i: int, n: int) -> PowerSeries:
@@ -190,12 +191,13 @@ def _once_recursion_holds(d: CanonicalDecomposition, nus: tuple[tuple[int, ...],
 
     first = series_of(avoid_gf(prefix_pattern(d, 0)), n)
     last = _oracle_series(n, avoid=avoid(d.r + 1))
-    lhs = (PowerSeries.one(n) - _xshift(first + last, n)) * _oracle_series(n, avoid=nus, contain=d.pattern)
-    rhs = PowerSeries.zero(n)
+    g = _oracle_series(n, avoid=nus, contain=d.pattern)
+    total = (first + last) * g
     for i in range(1, d.r + 1):
         right = _oracle_series(n, avoid=avoid(i), contain=suffix_pattern(d, i))
-        rhs = rhs + _xshift(_left_factor(d, i, n) * right, n)
-    return lhs == rhs
+        total = total + _left_factor(d, i, n) * right
+    # G = x·total: the shift drops total's x^n coefficient
+    return g.coeffs == (0,) + total.coeffs[:n]
 
 
 def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:

@@ -35,14 +35,12 @@ def rand_poly(rng, degree, zero_ok=True):
         lambda: RationalFunction.x(-2),
         lambda: Polynomial((1, 2)).shift(-1),
         lambda: Polynomial().shift(-1),
-        lambda: PowerSeries((1, 2)).mul_x_power(-1),
     ],
     ids=[
         "Polynomial.x",
         "RationalFunction.x",
         "Polynomial.shift",
         "Polynomial.shift-zero",
-        "PowerSeries.mul_x_power",
     ],
 )
 def test_negative_power_raises(call):
@@ -299,7 +297,7 @@ class TestSeriesOf:
         assert series_of(rf((1,), (2, 0, 0, 9)), 0) == recurrence(rf((1,), (2, 0, 0, 9)), 0)
 
     def test_zero_numerator(self):
-        assert series_of(RationalFunction.zero(), 6) == PowerSeries.zero(6)
+        assert series_of(RationalFunction.zero(), 6).coeffs == (0,) * 7
         assert all(type(c) is int for c in series_of(RationalFunction.zero(), 6).coeffs)
 
     def test_fast_growth(self):
@@ -401,9 +399,6 @@ class TestPowerSeries:
         b = PowerSeries((1, 2, 3, 4, 5))
         assert (a + b).order == 2
         assert (a * b).order == 2
-        assert a.mul_x_power(2).order == 4
-        with pytest.raises(ValueError):
-            a.truncate(5)
 
 
 class TestBivariateSeries:

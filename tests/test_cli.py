@@ -188,7 +188,7 @@ def test_verify_unread_flag_is_usage_error(capsys, relation, flag, value):
     assert relation in err and f"does not read {flag}" in err
 
 
-@pytest.mark.parametrize("relation, text", [("thm21", "x"), ("thm31", "2:x"), ("thm23", ":3")])
+@pytest.mark.parametrize("relation, text", [("thm21", "x"), ("thm31", "2:x"), ("thm23", ":3"), ("thm21", "2:")])
 def test_verify_malformed_range_is_usage_error(capsys, relation, text):
     code, out, err = run(capsys, "verify", relation, "--range", text)
     assert code == 1

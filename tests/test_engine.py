@@ -383,7 +383,7 @@ class TestOnceGf:
             for tau in enumerate_avoiders(k):
                 if tau[-1] == k:
                     checked += 1
-                    twice = occurrence_count(tau, tau[:-1], cap=2) >= 2
+                    twice = occurrence_count(tau, tau[:-1]) >= 2
                     assert twice == (tau[-2] == k - 1), tau
         assert checked == 2055
 

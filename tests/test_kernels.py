@@ -117,7 +117,7 @@ def test_wide_avoid_table_matches_the_recursion():
 
 def test_wide_once_table_matches_enumeration_and_pinned_values():
     for n in range(10):
-        want = sum(occurrence_count(perm, WIDE, cap=2) == 1 for perm in enumerate_avoiders(n))
+        want = sum(occurrence_count(perm, WIDE) == 1 for perm in enumerate_avoiders(n))
         assert kernels.count_constrained(n, (), WIDE) == want, n
     # pinned from a tuple-of-counts implementation of the same DP
     got = [kernels.count_constrained(n, (), WIDE) for n in (18, 19, 20)]

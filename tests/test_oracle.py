@@ -13,7 +13,7 @@ from pattgf.oracle import (
     enumerate_avoiders,
     series,
 )
-from pattgf.patterns import contains, occurrence_count
+from pattgf.patterns import occurrence_count
 
 
 def test_enumerate_base_cases():
@@ -30,7 +30,7 @@ def test_enumerate_counts_are_catalan():
 def test_enumerate_never_yields_132_container():
     for n in range(0, 8):
         for perm in enumerate_avoiders(n):
-            assert not contains(perm, (1, 3, 2))
+            assert occurrence_count(perm, (1, 3, 2)) == 0
 
 
 def test_enumerate_deterministic():
@@ -116,7 +116,7 @@ def test_counts_partition_by_maximum_position():
     by_pos = Counter(
         perm.index(n)
         for perm in enumerate_avoiders(n)
-        if occurrence_count(perm, pat, cap=1) == 0
+        if occurrence_count(perm, pat) == 0
     )
     assert sum(by_pos.values()) == count(n, ConstraintSpec(avoid=(pat,)))
 

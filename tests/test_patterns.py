@@ -77,14 +77,7 @@ def test_occurrence_count_examples():
     assert occurrence_count((3, 2, 1), (3, 2, 1)) == 1
     assert occurrence_count((), ()) == 1
     assert occurrence_count((2, 1), ()) == 1
-
-
-def test_occurrence_count_cap_short_circuits():
-    host = tuple(range(8, 0, -1))
-    full = occurrence_count(host, (2, 1))
-    assert full == 28
-    assert occurrence_count(host, (2, 1), cap=3) >= 3
-    assert (occurrence_count(host, (2, 1), cap=1) > 0) == (full > 0)
+    assert occurrence_count(tuple(range(8, 0, -1)), (2, 1)) == 28
 
 
 def test_canonical_decomposition_examples():
@@ -287,8 +280,8 @@ def test_occurrence_zero_iff_avoids():
     host = (5, 3, 4, 1, 2)
     for k in range(1, 4):
         for pat in itertools.permutations(range(1, k + 1)):
-            count = occurrence_count(host, pat)
-            assert (count == 0) == (occurrence_count(host, pat, cap=1) == 0)
+            avoids = all(flatten(sub) != pat for sub in itertools.combinations(host, k))
+            assert (occurrence_count(host, pat) == 0) == avoids
 
 
 def test_occurrence_monotone_under_appended_maximum():
@@ -305,7 +298,7 @@ def test_contains_132_scan_matches_occurrence_search():
     checked = 0
     for k in range(8):
         for perm in itertools.permutations(range(1, k + 1)):
-            assert contains_132(perm) == (occurrence_count(perm, (1, 3, 2), cap=1) > 0), perm
+            assert contains_132(perm) == (occurrence_count(perm, (1, 3, 2)) > 0), perm
             checked += 1
     assert checked == 5914
 

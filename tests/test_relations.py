@@ -1,6 +1,7 @@
 import pytest
 
 from pattgf import relations
+from pattgf.algebra import PowerSeries
 from pattgf.errors import NotIn132Class, PatternError
 from pattgf.patterns import expand_layered, iter_layered_specs
 from pattgf.relations import verify_relation
@@ -45,6 +46,59 @@ def test_thm31_corrected_boundary_on_nonlayered_pattern():
     # prefix) fails brute force at n = 5; the prefix-closure boundary
     # implemented here keeps the relation exact.
     assert verify_relation("thm31", (3, 2, 4, 1), terms=8).passed
+
+
+@pytest.fixture
+def cold_series_cache():
+    relations._SERIES_CACHE.clear()
+    yield
+    relations._SERIES_CACHE.clear()
+
+
+def _bump(series, index):
+    coeffs = list(series.coeffs)
+    coeffs[index] += 1
+    return PowerSeries(coeffs)
+
+
+def _bump_table(monkeypatch, key, index):
+    """Add 1 to coefficient ``index`` of the oracle table (avoid, contain) = key."""
+    real = relations._oracle_series
+
+    def bumped(n_max, avoid=(), contain=None):
+        s = real(n_max, avoid, contain)
+        return _bump(s, index) if (avoid, contain) == key else s
+
+    monkeypatch.setattr(relations, "_oracle_series", bumped)
+
+
+def test_once_recursion_truncation_edge(monkeypatch, cold_series_cache):
+    # G = x·((F + A)·G + Σ L_i·B_i) to order n: every coefficient of G
+    # through x^n is checked, and the bracket's x^n coefficient is not
+    tops, n = (4, 2, 1), 9
+    real = relations._oracle_series
+    keys = set()
+
+    def record(n_max, avoid=(), contain=None):
+        keys.add((avoid, contain))
+        return real(n_max, avoid, contain)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(relations, "_oracle_series", record)
+        assert verify_relation("thm31", tops, terms=n).passed
+    g_key = ((), expand_layered(tops))
+    assert g_key in keys and len(keys) == 6  # G, A, L_1, L_2, B_1, B_2
+    for m in range(n + 1):
+        with monkeypatch.context() as mp:
+            _bump_table(mp, g_key, m)
+            assert not verify_relation("thm31", tops, terms=n).passed, m
+    for key in keys - {g_key}:
+        with monkeypatch.context() as mp:
+            _bump_table(mp, key, n)
+            assert verify_relation("thm31", tops, terms=n).passed, key
+    series_of = relations.series_of
+    monkeypatch.setattr(relations, "series_of", lambda f, order: _bump(series_of(f, order), n))
+    assert verify_relation("thm31", tops, terms=n).passed
 
 
 def test_thm33_instances():
