@@ -38,13 +38,8 @@ EXIT_UNSUPPORTED = 2
 EXIT_NOT_IN_CLASS = 3
 EXIT_VERIFY_FAILED = 4
 
-# ``series_of`` is one long division whose cost grows like N**3: at 1000
-# terms it takes at most 0.13 s over every avoid and once gf with k <= 8
-# (CPython 3.11, 2 vCPUs x86_64), 30-55 times the term recurrence.
-SERIES_TERMS_CAP = 1000
-
 # thm22feq to y order N takes 0.1 s at N = 24, 0.3 s at N = 32 and 1.3 s at
-# N = 48 (same machine).
+# N = 48 (CPython 3.11, 2 vCPUs x86_64).
 FEQ_TERMS_CAP = 32
 
 
@@ -84,19 +79,15 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.terms < 0:
-        raise ValueError(f"--terms must be at least 0, got {args.terms}")
-    if args.terms > SERIES_TERMS_CAP:
-        raise ValueError(f"--terms must be at most {SERIES_TERMS_CAP}, got {args.terms}")
     pat = parse_pattern(args.pattern)
     coeffs = series_of(_gf(pat, args.mode), args.terms).coeffs
     if args.format == "json":
         import json
 
         print(json.dumps({"pattern": format_pattern(pat), "mode": args.mode,
-                          "series": [str(int(c)) for c in coeffs]}))
+                          "series": [str(c) for c in coeffs]}))
     else:
-        print(" ".join(str(int(c)) for c in coeffs))
+        print(" ".join(map(str, coeffs)))
     return EXIT_OK
 
 

@@ -243,11 +243,14 @@ def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS,
     ``remark31``), layered layer tops (``thm23``, ``thm33``, also
     accepted by the pattern-based checks), or ignored for the
     functional-equation checks.  ``terms`` bounds the coefficient-wise
-    checks.  The functional-equation checks read only ``orders[1]``, the
-    y order; their levels are exact in x, so ``orders[0]`` is unused.
+    checks and must be at least 1, since to order 0 they read only G_0 = 0.
+    The functional-equation checks read only ``orders[1]``, the y order;
+    their levels are exact in x, so ``orders[0]`` is unused.
     """
     if params is None and relation in ("thm21", "thm23", "thm31", "thm33", "remark31"):
         raise PatternError(f"relation {relation!r} needs a pattern or layer tops")
+    if terms < 1 and relation in ("thm31", "thm33", "remark31"):
+        raise ValueError(f"{relation}: terms must be at least 1, got {terms}")
     if relation == "thm21":
         return _check_thm21(_resolve_pattern(params))
     if relation == "thm23":

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from pattgf.algebra import PowerSeries
-
 
 def _term_recurrence(f, order):
-    """Taylor coefficients of f = a/b from c*b = a, term by term:
-    c_n = (a_n - sum_{0<j<=n} b_j c_(n-j)) / b_0."""
+    """The Taylor coefficients c_0..c_order of f = a/b from c*b = a, term
+    by term: c_n = (a_n - sum_{0<j<=n} b_j c_(n-j)) / b_0.  A tuple of
+    ``Fraction``s, which compare equal to equal ``int``s."""
     a, b = f.num.coeffs, f.den.coeffs
     c = []
     for n in range(order + 1):
@@ -15,7 +14,7 @@ def _term_recurrence(f, order):
         for j in range(1, min(n, len(b) - 1) + 1):
             s -= b[j] * c[n - j]
         c.append(Fraction(s) / b[0])
-    return PowerSeries(c)
+    return tuple(c)
 
 
 @pytest.fixture(scope="session")

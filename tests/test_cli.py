@@ -67,11 +67,11 @@ def test_series_terms(capsys):
     code, out, err = run(capsys, "series", "321", "--terms", "-1")
     assert code == 1
     assert out == ""
-    assert "--terms must be at least 0, got -1" in err
+    assert "series order must be between 0 and 1000, got -1" in err
     code, out, err = run(capsys, "series", "321", "--terms", "1001")
     assert code == 1
     assert out == ""
-    assert "--terms must be at most 1000, got 1001" in err
+    assert "series order must be between 0 and 1000, got 1001" in err
     assert run(capsys, "series", "1", "--terms", "1000")[0] == 0
 
 

@@ -230,6 +230,34 @@ def test_avoid_census_k7():
     assert (checked, once_checked) == (625, 68)
 
 
+def test_expanded_functions_have_den0_one():
+    """``series_of`` expands only series in Z[[x]], whose canonical
+    denominator has constant term 1 (Fatou's lemma).  Every function the
+    engine returns counts permutations, so none is refused: every avoid
+    gf and every answered once gf with k <= 7, and every level of Phi and
+    Psi up to y**12, 719 functions in all."""
+    fs = [*phi_closed_series(12).levels, *psi_closed_series(12).levels]
+    for k in range(1, 8):
+        for tau in enumerate_avoiders(k):
+            fs.append(avoid_gf(tau))
+            try:
+                fs.append(once_gf(tau))
+            except UnsupportedPattern:
+                pass
+    assert len(fs) == 719
+    assert [f for f in fs if f.den.constant_term() != 1] == []
+
+
+def test_series_of_order_edges():
+    f = avoid_gf((3, 2, 1))  # c_n = 1 + n(n-1)/2
+    for order in (-1, 1001):
+        with pytest.raises(ValueError, match=f"between 0 and 1000, got {order}"):
+            series_of(f, order)
+    assert series_of(f, 1000).coeffs[-1] == 1 + 1000 * 999 // 2
+    with pytest.raises(ZeroDivisionError):
+        series_of(rf((1,), (0, 1)), 0)
+
+
 def test_avoid_digest_k8(cold_avoid_memo):
     """SHA-256 of the canonical avoid JSON over all 1430 patterns of
     S_8(132), solved from a cold memo, in sorted order: the value the

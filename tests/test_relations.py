@@ -151,6 +151,14 @@ def test_functional_equations_refuse_y_order_zero(relation):
         verify_relation(relation, orders=(0, 0))
 
 
+@pytest.mark.parametrize("terms", [0, -1])
+@pytest.mark.parametrize("relation", ["thm31", "thm33", "remark31"])
+def test_once_recursion_refuses_terms_below_one(relation, terms):
+    # to order 0 the check reads only G_0 = 0, which holds for every pattern
+    with pytest.raises(ValueError, match=f"{relation}: terms must be at least 1, got {terms}"):
+        verify_relation(relation, (4, 2, 1), terms=terms)
+
+
 def test_unknown_relation():
     with pytest.raises(PatternError):
         verify_relation("thm99", (3, 2, 1))
