@@ -744,6 +744,9 @@ def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
 # (CPython 3.11, 2 vCPUs x86_64), 30-55 times the term recurrence.
 SERIES_ORDER_CAP = 1000
 
+# certified expansions keyed by (f, order); see ``series_of``
+_SERIES_MEMO: dict[tuple[RationalFunction, int], PowerSeries] = {}
+
 
 def series_of(f: RationalFunction, order: int) -> PowerSeries:
     """First ``order``+1 Taylor coefficients of ``f`` at 0, read off one
@@ -796,15 +799,27 @@ def series_of(f: RationalFunction, order: int) -> PowerSeries:
     for the term recurrence.  The division wins while k spans a few
     machine digits (N near 30), but k grows with N, so its cost grows
     like N**3; hence ``SERIES_ORDER_CAP``.
+
+    Certified expansions are memoized by (f, N) for the life of the
+    process, and a repeated call returns the same shared ``PowerSeries``;
+    treat it as immutable.  ``f`` is keyed by its canonical form, which
+    is unique, so a hit is the series a fresh division would certify.
+    Both refusals run before the lookup, and only certified results are
+    stored.
     """
-    num, den = f.num.coeffs, f.den.coeffs
-    if den[0] != 1:
-        if den[0] == 0:
+    d0 = f.den.constant_term()
+    if d0 != 1:
+        if d0 == 0:
             raise ZeroDivisionError("denominator constant term is zero; no Taylor expansion at 0")
-        raise ValueError(f"the series is not in Z[[x]]: its denominator's constant term is {den[0]}, not 1")
-    n = order
+        raise ValueError(f"the series is not in Z[[x]]: its denominator's constant term is {d0}, not 1")
+    n = index(order)
     if not 0 <= n <= SERIES_ORDER_CAP:
         raise ValueError(f"the series order must be between 0 and {SERIES_ORDER_CAP}, got {n}")
+    key = (f, n)
+    hit = _SERIES_MEMO.get(key)
+    if hit is not None:
+        return hit
+    num, den = f.num.coeffs, f.den.coeffs
     p = num[: n + 1]
     deg = len(den) - 1
     norm_p = max(map(abs, p), default=0)
@@ -839,4 +854,5 @@ def series_of(f: RationalFunction, order: int) -> PowerSeries:
             break
         k *= 2
     e.reverse()
-    return PowerSeries._exact(tuple(e))
+    series = _SERIES_MEMO[key] = PowerSeries._exact(tuple(e))
+    return series

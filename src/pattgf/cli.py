@@ -38,10 +38,6 @@ EXIT_UNSUPPORTED = 2
 EXIT_NOT_IN_CLASS = 3
 EXIT_VERIFY_FAILED = 4
 
-# thm22feq to y order N takes 0.1 s at N = 24, 0.3 s at N = 32 and 1.3 s at
-# N = 48 (CPython 3.11, 2 vCPUs x86_64).
-FEQ_TERMS_CAP = 32
-
 
 def _known_v_quotient(f: RationalFunction) -> str | None:
     """Name ``f`` if it is some R_p; R_p's denominator has degree
@@ -124,8 +120,6 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--terms must be at least 1, got {args.terms}")
     if rel in ("thm31", "thm33", "remark31") and args.terms is not None and args.terms > oracle.COUNT_CAP:
         raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
-    if rel in ("thm22feq", "thm32feq") and args.terms is not None and args.terms > FEQ_TERMS_CAP:
-        raise ValueError(f"--terms must be at most {FEQ_TERMS_CAP} for {rel}, got {args.terms}")
     if rel in ("thm21", "thm23") and args.terms is not None:
         raise ValueError(f"{rel} is checked symbolically and does not read --terms")
     if rel in ("thm22feq", "thm32feq") and args.range:

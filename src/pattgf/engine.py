@@ -13,17 +13,26 @@ answer, the CLI's included, comes from this recursion;
 wedge patterns and serves only as a reference the tests compare the
 recursion against.
 
-Results are memoized per flattened pattern, and one entry serves both
-tau and its inverse: the recursion runs on the pattern asked for and
-stores the value under tau and tau^-1 alike.  The memo's keys are thus
+Two memos serve the recursion, and both are exact.  The pattern memo
+stores each result under the flattened pattern and its inverse alike:
+the recursion runs on the pattern asked for, so the memo's keys are
 closed under inversion, a lookup of tau alone finds a value stored for
-tau^-1, and each inverse pair is solved once.  This is exact, canonical form included.  Transposing the
-plane maps the graph of a permutation pi to that of pi^-1, and each
+tau^-1, and each inverse pair is solved once.  Transposing the plane
+maps the graph of a permutation pi to that of pi^-1, and each
 occurrence of tau in pi to an occurrence of tau^-1 in pi^-1.  Since
 (1,3,2) is its own inverse, pi -> pi^-1 is a bijection of S_n(132)
 that keeps occurrence counts and sends the tau-avoiders onto the
 tau^-1-avoiders.  So the two series agree term by term, and a rational
 series has exactly one canonical form.
+
+The level memo stores each solved level under its inputs: r and the
+series of prefixes 0..r-1 and suffixes 1..r (for r = 0, prefix 0
+alone; prefix -1 is empty and enters no term).  The level's equation
+reads nothing else, so equal inputs give an equal solution.  Inputs
+are compared by canonical form, which is unique, so a level met again
+through a different pattern (Wilf-equivalent prefixes or suffixes
+share their series) is solved once, and the value stored is the one a
+fresh solve would return, canonical form included.
 
 ``once_gf`` produces the analogous series for "contains tau exactly
 once".  It tries, in this order, the base case [1] = x, the closed
@@ -92,6 +101,9 @@ _ZERO = RationalFunction.zero()
 # inverse together (see the module docstring).  Entries are immutable
 # once written, so concurrent duplicate computation is harmless.
 _AVOID_MEMO: dict[tuple[int, ...], RationalFunction] = {(): RationalFunction.zero()}
+# one solved level of the avoid recursion per distinct equation, keyed by
+# (r, F(prefix 0), ..., F(prefix max(r-1, 0)), F(suffix 1), ..., F(suffix r))
+_LEVEL_MEMO: dict[tuple, RationalFunction] = {}
 _ONCE_MEMO: dict[tuple[int, ...], RationalFunction] = {(): RationalFunction.one()}
 
 
@@ -125,18 +137,23 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
     else:
         d = canonical_decompose(pat)
         r = d.r
-        # prefixes -1 .. max(r-1, 0); index i lives at slot i+1
-        f_pre = [_avoid(prefix_pattern(d, i)) for i in range(-1, max(r, 1))]
-        if r == 0:
-            value = _ONE / (_ONE - _X * f_pre[0 + 1])
-        else:
-            f_suf = [None] + [_avoid(suffix_pattern(d, i)) for i in range(1, r + 1)]
-            rhs = _ONE
-            for j in range(1, r):
-                rhs = rhs + _X * (f_pre[j + 1] - f_pre[j]) * f_suf[j]
-            rhs = rhs - _X * f_pre[r] * f_suf[r]
-            divisor = _ONE - _X * f_pre[1] - _X * f_suf[r]
-            value = rhs / divisor
+        # pre[i] = F(prefix i) for i = 0 .. max(r-1, 0), suf[i-1] = F(suffix i)
+        # for i = 1 .. r; F(prefix -1) = 0 enters no term
+        pre = [_avoid(prefix_pattern(d, i)) for i in range(max(r, 1))]
+        suf = [_avoid(suffix_pattern(d, i)) for i in range(1, r + 1)]
+        key = (r, *pre, *suf)
+        value = _LEVEL_MEMO.get(key)
+        if value is None:
+            if r == 0:
+                value = _ONE / (_ONE - _X * pre[0])
+            else:
+                rhs = _ONE
+                for j in range(1, r):
+                    rhs = rhs + _X * (pre[j] - pre[j - 1]) * suf[j - 1]
+                rhs = rhs - _X * pre[r - 1] * suf[r - 1]
+                divisor = _ONE - _X * pre[0] - _X * suf[r - 1]
+                value = rhs / divisor
+            _LEVEL_MEMO[key] = value
     _AVOID_MEMO[pat] = _AVOID_MEMO[inverse(pat)] = value
     return value
 

@@ -209,7 +209,7 @@ def test_verify_feq_terms_above_cap_is_usage_error(capsys):
         code, out, err = run(capsys, "verify", relation, "--terms", "33")
         assert code == 1
         assert out == ""
-        assert f"--terms must be at most 32 for {relation}, got 33" in err
+        assert f"{relation}: the y order must be at most 32, got 33" in err
     # thm32feq is the cheaper of the two at the cap
     assert run(capsys, "verify", "thm32feq", "--terms", "32") == (0, "thm32feq: 1/1 instances hold", "")
 

@@ -8,6 +8,7 @@ from pattgf.algebra import Polynomial, RationalFunction, series_of
 from pattgf.chebyshev import r_func, v_poly
 from pattgf.engine import (
     _AVOID_MEMO,
+    _LEVEL_MEMO,
     avoid_gf,
     avoid_gf_closed,
     once_gf,
@@ -114,16 +115,33 @@ class TestAvoidGf:
 @pytest.fixture
 def cold_avoid_memo():
     """Yield a function that empties ``_AVOID_MEMO`` down to its seed
-    entry; the memo's earlier contents are restored afterwards."""
-    saved = dict(_AVOID_MEMO)
+    entry and ``_LEVEL_MEMO`` entirely; both memos' earlier contents are
+    restored afterwards."""
+    saved = dict(_AVOID_MEMO), dict(_LEVEL_MEMO)
 
     def reset():
         _AVOID_MEMO.clear()
         _AVOID_MEMO[()] = RationalFunction.zero()
+        _LEVEL_MEMO.clear()
 
     yield reset
-    _AVOID_MEMO.clear()
-    _AVOID_MEMO.update(saved)
+    for memo, contents in zip((_AVOID_MEMO, _LEVEL_MEMO), saved):
+        memo.clear()
+        memo.update(contents)
+
+
+def test_cold_avoid_sweep_is_order_independent(cold_avoid_memo):
+    """A level-memo entry is written by the first pattern whose level
+    meets that equation.  Cold S_7(132) sweeps in sorted and in reverse
+    order give every tau the same canonical JSON, so which pattern wrote
+    an entry changes no result."""
+    taus = sorted(enumerate_avoiders(7))
+    runs = []
+    for order in (taus, taus[::-1]):
+        cold_avoid_memo()
+        runs.append({tau: json.dumps(avoid_gf(tau).as_json_dict()) for tau in order})
+    assert len(runs[0]) == 429
+    assert runs[0] == runs[1]
 
 
 class TestInverseSymmetry:
@@ -256,6 +274,26 @@ def test_series_of_order_edges():
     assert series_of(f, 1000).coeffs[-1] == 1 + 1000 * 999 // 2
     with pytest.raises(ZeroDivisionError):
         series_of(rf((1,), (0, 1)), 0)
+
+
+def test_series_of_memo_keeps_refusals(recurrence):
+    """Once ``series_of(f, 30)`` is memoized, the same call returns the
+    stored series, which equals the term recurrence; every refusal still
+    raises, and another order is its own expansion."""
+    f = avoid_gf((4, 2, 3, 1))
+    first = series_of(f, 30)
+    assert series_of(f, 30) is first
+    assert first.coeffs == recurrence(f, 30)
+    assert series_of(f, 12).coeffs == recurrence(f, 12)
+    for order in (-1, 1001):
+        with pytest.raises(ValueError, match=f"between 0 and 1000, got {order}"):
+            series_of(f, order)
+    with pytest.raises(TypeError):
+        series_of(f, 30.0)
+    with pytest.raises(ValueError, match="constant term is 3, not 1"):
+        series_of(f / 3, 30)
+    with pytest.raises(ZeroDivisionError):
+        series_of(f * rf((1,), (0, 1)), 30)
 
 
 def test_avoid_digest_k8(cold_avoid_memo):

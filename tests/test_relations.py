@@ -4,7 +4,7 @@ from pattgf import relations
 from pattgf.algebra import PowerSeries
 from pattgf.errors import NotIn132Class, PatternError
 from pattgf.patterns import expand_layered, iter_layered_specs
-from pattgf.relations import verify_relation
+from pattgf.relations import FEQ_TERMS_CAP, verify_relation
 
 
 def test_thm21_golden_instance():
@@ -149,6 +149,14 @@ def test_functional_equations():
 def test_functional_equations_refuse_y_order_zero(relation):
     with pytest.raises(ValueError, match="order_y must be at least 1"):
         verify_relation(relation, orders=(0, 0))
+
+
+@pytest.mark.parametrize("y_order", [33, 40])
+@pytest.mark.parametrize("relation", ["thm22feq", "thm32feq"])
+def test_functional_equations_refuse_y_order_above_cap(relation, y_order):
+    assert FEQ_TERMS_CAP == 32
+    with pytest.raises(ValueError, match=f"{relation}: the y order must be at most 32, got {y_order}"):
+        verify_relation(relation, orders=(0, y_order))
 
 
 @pytest.mark.parametrize("terms", [0, -1])
