@@ -11,18 +11,31 @@ Subcommands::
 Exit codes: 0 success, 1 usage error, 2 unsupported pattern,
 3 pattern outside the 132-avoiding class, 4 verification failure.
 
-Every call pays for interpreter start and this import, so ``json`` is
-imported only by the ``--format json`` branches that print it.
+Every call pays for interpreter start and this import, and with no
+bytecode cache each module is compiled on every call.  So this module
+imports ``argparse``, ``errors`` and ``patterns`` eagerly, and binds
+``algebra``, ``chebyshev``, ``kernels``, ``oracle``, ``engine`` and
+``relations`` to ``importlib.util.LazyLoader`` handles: each is in
+``sys.modules`` (and an attribute of ``pattgf``) from this import on,
+as the benchmark's tracer needs to resolve its entry points, but it is
+compiled and executed only on its first attribute access.  ``gf`` and
+``series`` never load ``oracle``, ``kernels`` or ``relations``;
+``oracle`` never loads ``algebra``, ``chebyshev``, ``engine`` or
+``relations``.  Names are read through their module at call time
+(``algebra.series_of``), so a rebound entry point is used.  Only this
+module creates lazy handles, and before CPython 3.12 a handle's first
+access is not thread-safe: load a module before sharing it between
+threads.  ``json`` is imported only by the ``--format json`` branches
+that print it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
+from types import ModuleType
 
-from . import engine, oracle, relations
-from .algebra import RationalFunction, series_of
-from .chebyshev import r_func, sweep_identities
 from .errors import (
     EnumerationCapExceeded,
     NotIn132Class,
@@ -30,7 +43,30 @@ from .errors import (
     UnsupportedPattern,
 )
 from .patterns import format_pattern, iter_layered_specs, parse_pattern
-from .oracle import ConstraintSpec
+
+
+def _lazy(name: str) -> ModuleType:
+    """``pattgf.<name>``, registered now and executed on first attribute
+    access; a module that is already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        # as the import system does; ``import pattgf.engine`` then binds it
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+algebra = _lazy("algebra")
+chebyshev = _lazy("chebyshev")
+kernels = _lazy("kernels")  # used through oracle; registered for the tracer
+oracle = _lazy("oracle")
+engine = _lazy("engine")
+relations = _lazy("relations")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,18 +75,18 @@ EXIT_NOT_IN_CLASS = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _known_v_quotient(f: RationalFunction) -> str | None:
+def _known_v_quotient(f: algebra.RationalFunction) -> str | None:
     """Name ``f`` if it is some R_p; R_p's denominator has degree
     floor(p/2), so only p = 2d and 2d + 1 can match a denominator of
     degree d."""
     d = f.den.degree
     for p in (2 * d, 2 * d + 1):
-        if p >= 1 and f == r_func(p):
+        if p >= 1 and f == chebyshev.r_func(p):
             return f"V_{{{p - 1}}}(x) / V_{{{p}}}(x)"
     return None
 
 
-def _render_gf(pat, mode: str, f: RationalFunction, fmt: str) -> str:
+def _render_gf(pat, mode: str, f: algebra.RationalFunction, fmt: str) -> str:
     if fmt == "json":
         import json
 
@@ -63,8 +99,7 @@ def _render_gf(pat, mode: str, f: RationalFunction, fmt: str) -> str:
     return str(f)
 
 
-def _gf(pat, mode: str) -> RationalFunction:
-    # looked up on ``engine`` at call time, so a rebound entry point is used
+def _gf(pat, mode: str) -> algebra.RationalFunction:
     return engine.avoid_gf(pat) if mode == "avoid" else engine.once_gf(pat)
 
 
@@ -76,7 +111,7 @@ def _cmd_gf(args) -> int:
 
 def _cmd_series(args) -> int:
     pat = parse_pattern(args.pattern)
-    coeffs = series_of(_gf(pat, args.mode), args.terms).coeffs
+    coeffs = algebra.series_of(_gf(pat, args.mode), args.terms).coeffs
     if args.format == "json":
         import json
 
@@ -91,9 +126,9 @@ def _cmd_oracle(args) -> int:
     pat = parse_pattern(args.pattern)
     also = tuple(parse_pattern(t) for t in args.also_avoid)
     if args.mode == "avoid":
-        spec = ConstraintSpec(avoid=(pat,) + also)
+        spec = oracle.ConstraintSpec(avoid=(pat,) + also)
     else:
-        spec = ConstraintSpec(avoid=also, contain=pat)
+        spec = oracle.ConstraintSpec(avoid=also, contain=pat)
     table = oracle.series(spec, args.max_n)
     if args.format == "json":
         import json
@@ -151,7 +186,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_identities(args) -> int:
     max_index = args.max
-    results = sweep_identities(max_index)
+    results = chebyshev.sweep_identities(max_index)
     empty = [part for part, (_, total) in sorted(results.items()) if total == 0]
     if empty:
         raise ValueError(f"no instances over 1..{max_index} for identity part(s) {', '.join(empty)}")
@@ -199,8 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="",
                    help="pattern-size range A:B for sweeps; not read by thm22feq/thm32feq")
     p.add_argument("--terms", type=int, default=None,
-                   help=f"series order for thm31/thm33/remark31 (default {relations.DEFAULT_TERMS}); "
-                        f"the y order for thm22feq/thm32feq (default {relations.DEFAULT_Y_ORDER}); "
+                   # relations.DEFAULT_TERMS and DEFAULT_Y_ORDER, written out so that
+                   # building the parser loads no lazy module
+                   help="series order for thm31/thm33/remark31 (default 9); "
+                        "the y order for thm22feq/thm32feq (default 8); "
                         "not read by thm21/thm23")
     p.set_defaults(func=_cmd_verify)
 

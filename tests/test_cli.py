@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from pattgf import relations
 from pattgf.algebra import RationalFunction
 from pattgf.chebyshev import r_func
 from pattgf.cli import _known_v_quotient, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LAZY = ("algebra", "chebyshev", "kernels", "oracle", "engine", "relations")
 
 
 def run(capsys, *argv):
@@ -269,13 +273,14 @@ def test_readme_cli_examples(capsys):
 
 
 def test_import_cli_loads_every_module_and_no_heavy_stdlib():
-    """``import pattgf.cli`` loads every pattgf module (the benchmark's
-    tracer wraps entry points in all of them), and none of the stdlib
-    modules that cost start-up time on every CLI call.  ``-S`` keeps
-    ``site`` from preloading anything.  An avoid series has den(0) = 1,
-    so ``gf`` and ``series`` stay in ``int``s, and the two feq checks
-    expand Phi and Psi over Q(x): ``fractions`` is still unloaded after
-    running all four."""
+    """``import pattgf.cli`` registers every pattgf module in
+    ``sys.modules`` (the benchmark's tracer wraps entry points in all of
+    them; most are lazy handles, executed on first use), and loads none
+    of the stdlib modules that cost start-up time on every CLI call.
+    ``-S`` keeps ``site`` from preloading anything.  An avoid series has
+    den(0) = 1, so ``gf`` and ``series`` stay in ``int``s, and the two
+    feq checks expand Phi and Psi over Q(x): ``fractions`` is still
+    unloaded after running all four."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
@@ -295,3 +300,59 @@ def test_import_cli_loads_every_module_and_no_heavy_stdlib():
     wrapped = {"patterns", "algebra", "chebyshev", "engine", "oracle", "kernels", "relations", "cli"}
     assert {f"pattgf.{name}" for name in wrapped} <= set(loaded)
     assert out[-1] == "False"
+
+
+def fresh(script):
+    """The stdout lines of ``script`` run by a fresh ``python -S``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (None, LAZY),
+        (["verify", "--help"], LAZY),
+        (["oracle", "321", "--max-n", "6"], ("algebra", "chebyshev", "engine", "relations")),
+        (["gf", "45231"], ("oracle", "kernels", "relations")),
+    ],
+)
+def test_commands_execute_only_the_modules_they_use(argv, unloaded):
+    """A lazy handle's type is ``_LazyModule`` until its first attribute
+    access executes it; ``type()`` reads no attribute, so it loads
+    nothing."""
+    call = "" if argv is None else f"pattgf.cli.main({argv!r}); "
+    out = fresh(
+        "import sys, types, pattgf.cli; " + call
+        + f"print(*[m for m in {LAZY!r} if type(sys.modules['pattgf.' + m]) is not types.ModuleType])"
+    )
+    assert set(unloaded) <= set(out[-1].split())
+
+
+def test_package_surface():
+    import pattgf
+
+    names = {}
+    exec("from pattgf import *", names)
+    for name in pattgf.__all__:
+        value = names[name]
+        assert value is getattr(sys.modules[value.__module__], name), name
+    assert set(pattgf.__all__) <= set(dir(pattgf))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pattgf.no_such_name
+    out = fresh(
+        "import sys, pattgf; print(*sorted(sys.modules)); "
+        "import pattgf.cli; import pattgf.engine; print(pattgf.engine.avoid_gf((3, 2, 1))); "
+        "print(pattgf.avoid_gf is pattgf.engine.avoid_gf)"
+    )
+    assert [m for m in out[0].split() if m.startswith("pattgf.")] == []
+    assert out[1:] == ["(1 - 2x + 2x^2) / (1 - 3x + 3x^2 - x^3)", "True"]
+
+
+def test_verify_help_states_the_relations_defaults(capsys):
+    assert main(["verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"series order for thm31/thm33/remark31 (default {relations.DEFAULT_TERMS});" in text
+    assert f"the y order for thm22feq/thm32feq (default {relations.DEFAULT_Y_ORDER});" in text
