@@ -424,7 +424,7 @@ class RationalFunction:
         )
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num.v, self.den.v))
 
     # -- arithmetic ----------------------------------------------------
     @staticmethod

@@ -36,7 +36,7 @@ def as_pattern(values: Iterable[int]) -> tuple[int, ...]:
     >>> as_pattern([3, 1, 2])
     (3, 1, 2)
     """
-    pat = tuple(int(v) for v in values)
+    pat = tuple(map(int, values))
     if sorted(pat) != list(range(1, len(pat) + 1)):
         raise PatternError(f"not a permutation of 1..{len(pat)}: {pat}")
     return pat
@@ -133,8 +133,14 @@ class CanonicalDecomposition(namedtuple("CanonicalDecomposition", "pattern posit
     ``positions`` indexes the right-to-left maxima of ``pattern``; their
     values ``maxima`` run m_0 = k > ... > m_r, and ``segments`` are the
     possibly empty stretches before each, so interleaving segment i
-    before maximum i reconstructs the pattern.  Every entry of segment
-    i exceeds maximum i+1 and everything in segment i+1.
+    before maximum i reconstructs the pattern.  When the pattern avoids
+    (1,3,2), every entry of segment i exceeds maximum i+1 and everything
+    in segment i+1.  Other patterns need not have that order; in
+    (1, 3, 2), segment 0 is (1,) and maximum 1 is 2:
+
+    >>> d = canonical_decompose((1, 3, 2))
+    >>> d.segments, d.maxima
+    (((1,), ()), (3, 2))
     """
 
     __slots__ = ()

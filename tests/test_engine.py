@@ -9,6 +9,7 @@ from pattgf.chebyshev import r_func, v_poly
 from pattgf.engine import (
     _AVOID_MEMO,
     _LEVEL_MEMO,
+    _parts,
     avoid_gf,
     avoid_gf_closed,
     once_gf,
@@ -20,6 +21,9 @@ from pattgf.engine import (
 from pattgf.errors import NotIn132Class, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, catalan, enumerate_avoiders, series
 from pattgf.patterns import (
+    as_pattern,
+    canonical_decompose,
+    contains_132,
     decreasing,
     expand_layered,
     expand_wedge_top,
@@ -27,6 +31,8 @@ from pattgf.patterns import (
     increasing,
     inverse,
     occurrence_count,
+    prefix_pattern,
+    suffix_pattern,
 )
 
 
@@ -142,6 +148,36 @@ def test_cold_avoid_sweep_is_order_independent(cold_avoid_memo):
         runs.append({tau: json.dumps(avoid_gf(tau).as_json_dict()) for tau in order})
     assert len(runs[0]) == 429
     assert runs[0] == runs[1]
+
+
+def test_parts_match_the_reference_decomposition():
+    """On every tau in S_k(132), k <= 8, the slices ``_avoid`` reads off
+    the block structure equal the flattened reference: r, prefixes
+    0..max(r-1, 0) and suffixes 1..r of ``canonical_decompose``."""
+    checked = 0
+    for k in range(1, 9):
+        for tau in enumerate_avoiders(k):
+            d = canonical_decompose(tau)
+            want = (
+                d.r,
+                [prefix_pattern(d, i) for i in range(max(d.r, 1))],
+                [suffix_pattern(d, i) for i in range(1, d.r + 1)],
+            )
+            assert _parts(tau) == want, tau
+            checked += 1
+    assert checked == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
+
+
+def test_avoid_memo_keys_avoid_132(cold_avoid_memo):
+    """The slicing is exact only on 132-avoiders.  After a cold
+    ``avoid_gf`` sweep over S_8(132), every pattern ``_avoid`` was
+    handed, sub-patterns included, is a 132-avoiding permutation of
+    1..len."""
+    cold_avoid_memo()
+    for tau in enumerate_avoiders(8):
+        avoid_gf(tau)
+    for key in _AVOID_MEMO:
+        assert as_pattern(key) == key and not contains_132(key), key
 
 
 class TestInverseSymmetry:

@@ -9,7 +9,8 @@ Exact algebra: integer polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; the operations and
 literals that skip the gcd, and those that cancel on their operands,
-must return what the constructor returns.
+must return what the constructor returns; equal functions must hash
+equal.
 """
 
 import json
@@ -300,6 +301,27 @@ def test_field_laws(a, b):
 @given(functions)
 def test_json_round_trip(f):
     assert RationalFunction.from_json_dict(json.loads(json.dumps(f.as_json_dict()))) == f
+
+
+@ALGEBRA
+@given(functions, functions, nonzero_polys)
+def test_equal_functions_hash_equal(f, g, c):
+    """A function built again by the constructor from a scaled pair, by
+    + and -, by * and /, or from JSON compares equal to it, hashes equal
+    and finds it as a dict key: the engine's level memo and the series
+    memo are keyed by value."""
+    twins = [
+        RationalFunction(f.num * c, f.den * c),
+        (f + g) - g,
+        RationalFunction.from_json_dict(json.loads(json.dumps(f.as_json_dict()))),
+    ]
+    if not g.is_zero:
+        twins.append(f * g / g)
+    memo = {f: f}
+    for twin in twins:
+        assert twin == f and hash(twin) == hash(f)
+        assert memo[twin] is f
+    assert len({f, *twins}) == 1
 
 
 @ALGEBRA
