@@ -7,9 +7,10 @@ For every tau in S_8(132) (1430 patterns), checks that
 n = 30, and the same for ``once_gf(tau)`` wherever it answers (30
 patterns).  Prints one summary line per mode and exits 1 on any
 mismatch, naming the pattern, and with ``series_of``'s message when it
-refuses the function.  Tier-1 runs the same check for every
-k <= 7; this script lives outside its test paths because k = 8 takes
-several seconds.
+refuses the function.  A third line prints the number of distinct avoid
+series over S_8(132); the script also exits 1 unless it is 67.  Tier-1
+runs the same checks for every k <= 7; this script lives outside its
+test paths because k = 8 takes several seconds.
 """
 
 import sys
@@ -23,14 +24,18 @@ from pattgf.patterns import format_pattern
 
 K = 8
 N = 30
+DISTINCT_AVOID = 67
 
 
 def main() -> int:
     started = time.perf_counter()
     checked = {"avoid": 0, "once": 0}
     bad: dict[str, list[str]] = {"avoid": [], "once": []}
+    avoid_gfs = set()
     for tau in enumerate_avoiders(K):
-        cases = [("avoid", avoid_gf(tau), ConstraintSpec(avoid=(tau,)))]
+        f = avoid_gf(tau)
+        avoid_gfs.add(f)
+        cases = [("avoid", f, ConstraintSpec(avoid=(tau,)))]
         try:
             cases.append(("once", once_gf(tau), ConstraintSpec(contain=tau)))
         except UnsupportedPattern:
@@ -47,11 +52,12 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     for mode in ("avoid", "once"):
         print(f"census k={K}: {checked[mode] - len(bad[mode])}/{checked[mode]} {mode} series match the DP to n={N}")
+    print(f"census k={K}: {len(avoid_gfs)} distinct avoid series (expected {DISTINCT_AVOID})")
     print(f"census k={K}: {elapsed:.1f}s")
     for mode in ("avoid", "once"):
         for word in bad[mode]:
             print(f"mismatch: {mode} {word}")
-    return 1 if bad["avoid"] or bad["once"] else 0
+    return 1 if bad["avoid"] or bad["once"] or len(avoid_gfs) != DISTINCT_AVOID else 0
 
 
 if __name__ == "__main__":

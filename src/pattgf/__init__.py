@@ -27,7 +27,6 @@ _EXPORTS = {
     "sweep_identities": "chebyshev",
     "v_poly": "chebyshev",
     "avoid_gf": "engine",
-    "avoid_gf_closed": "engine",
     "once_gf": "engine",
     "phi_closed_series": "engine",
     "psi_closed_series": "engine",
@@ -37,7 +36,6 @@ _EXPORTS = {
     "UnsupportedPattern": "errors",
     "ConstraintSpec": "oracle",
     "CountTable": "oracle",
-    "catalan": "oracle",
     "count": "oracle",
     "enumerate_avoiders": "oracle",
     "series": "oracle",
@@ -47,8 +45,6 @@ _EXPORTS = {
     "classify": "patterns",
     "flatten": "patterns",
     "format_pattern": "patterns",
-    "is_wedge": "patterns",
-    "iter_wedges": "patterns",
     "occurrence_count": "patterns",
     "parse_pattern": "patterns",
     "prefix_pattern": "patterns",

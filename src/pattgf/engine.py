@@ -8,10 +8,9 @@ resulting equation mentions the unknown on both sides, so each level is
 solved linearly (the divisor has constant term 1 and is never zero)
 and recursion only ever descends to strictly shorter prefixes and
 suffixes, which guarantees termination.  Every avoidance
-answer, the CLI's included, comes from this recursion;
-``avoid_gf_closed`` states the closed forms for layered, wedge-top and
-wedge patterns and serves only as a reference the tests compare the
-recursion against.
+answer, the CLI's included, comes from this recursion; the paper's
+closed forms (R_k for every wedge of size k, the three-layer formula)
+live in the tests, which compare the recursion against them.
 
 Two memos serve the recursion, and both are exact.  The pattern memo
 stores each result under the flattened pattern and its inverse alike:
@@ -98,9 +97,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .algebra import BivariateSeries, Polynomial, RationalFunction
-from .chebyshev import r_func, v_poly
+from .chebyshev import v_poly
 from .errors import NotIn132Class, UnsupportedPattern
-from .patterns import as_pattern, classify, contains_132, inverse, is_wedge
+from .patterns import as_pattern, classify, contains_132, inverse
 
 _X = RationalFunction.x()
 _ONE = RationalFunction.one()
@@ -191,45 +190,6 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
             _LEVEL_MEMO[key] = value
     _AVOID_MEMO[pat] = _AVOID_MEMO[inverse(pat)] = value
     return value
-
-
-def _three_layer_closed(k: int, m1: int, m2: int) -> RationalFunction:
-    """Closed form for the three-layer pattern [k, m1, m2], radical free.
-
-    With a = k-m1, b = m1-m2, c = m2 the value is
-
-        (V_{a+b} V_{a+c-1} V_{b+c} + x^(a+c) V_{b-1} V_b)
-        / (V_{a+b} V_{a+c} V_{b+c}).
-
-    Exponent bookkeeping: the numerator's first product carries
-    x^(-(a+b+c)+1/2) in U form and the denominator x^(1/2-(a+b+c)), so
-    clearing x^((a+b+c)-1/2) leaves exactly the power x^(a+c) on the
-    second numerator term and nothing else.
-    """
-    a, b, c = k - m1, m1 - m2, m2
-    num = v_poly(a + b) * v_poly(a + c - 1) * v_poly(b + c) + (v_poly(b - 1) * v_poly(b)).shift(a + c)
-    den = v_poly(a + b) * v_poly(a + c) * v_poly(b + c)
-    return RationalFunction(num, den)
-
-
-def avoid_gf_closed(pat: Sequence[int]) -> RationalFunction:
-    """Closed-form avoidance series for a pattern in one-line notation
-    that is a wedge or a three-layer pattern.
-
-    Wedge patterns of size k all share the series R_k; one- and
-    two-layer patterns and wedge-top patterns are wedges.  These are the
-    closed forms stated as theorems; ``avoid_gf`` never calls them, and
-    the tests compare the two.  Any other pattern raises
-    ``UnsupportedPattern``.
-    """
-    pat = as_pattern(pat)
-    _require_132_avoiding(pat)
-    if is_wedge(pat):
-        return r_func(len(pat))
-    spec = classify(pat)
-    if spec.kind == "layered" and len(spec.params) == 3:
-        return _three_layer_closed(*spec.params)
-    raise UnsupportedPattern(f"no closed avoidance form for {spec}")
 
 
 def once_gf(pat: Sequence[int]) -> RationalFunction:
@@ -363,7 +323,6 @@ def psi_functional_equation_residual(order_y: int) -> BivariateSeries:
 
 __all__ = [
     "avoid_gf",
-    "avoid_gf_closed",
     "once_gf",
     "phi_closed_series",
     "psi_closed_series",

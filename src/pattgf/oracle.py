@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import comb
 
 from . import kernels
 from .errors import EnumerationCapExceeded
@@ -29,10 +28,6 @@ from .patterns import as_pattern
 
 ENUMERATION_CAP = 12
 COUNT_CAP = 30
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 class ConstraintSpec(namedtuple("ConstraintSpec", "avoid contain")):

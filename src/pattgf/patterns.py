@@ -23,11 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import combinations, groupby
 
 from .errors import PatternError
-
-Pattern = tuple  # one-line notation, values 1..k
 
 
 def as_pattern(values: Iterable[int]) -> tuple[int, ...]:
@@ -157,13 +154,6 @@ class CanonicalDecomposition(namedtuple("CanonicalDecomposition", "pattern posit
     def segments(self) -> tuple[tuple[int, ...], ...]:
         starts = (0,) + tuple(i + 1 for i in self.positions)
         return tuple(self.pattern[a:b] for a, b in zip(starts, self.positions))
-
-    def reconstruct(self) -> tuple[int, ...]:
-        word: list[int] = []
-        for seg, m in zip(self.segments, self.maxima):
-            word.extend(seg)
-            word.append(m)
-        return tuple(word)
 
 
 def canonical_decompose(pat: Sequence[int]) -> CanonicalDecomposition:
@@ -347,48 +337,6 @@ def parse_pattern(text: str) -> tuple[int, ...]:
         raise PatternError(f"malformed pattern text {text!r}") from exc
 
 
-# -- wedge patterns ---------------------------------------------------------
-#
-# A wedge interleaves a layered permutation of 1..s (its layers kept as
-# contiguous blocks, in order) with the ascending run s+1,...,k so that
-# the word starts with an upper element and no two layers are adjacent.
-# Wedges avoid (1,3,2) and their avoidance series depends only on k.
-
-
-def is_wedge(pat: Sequence[int]) -> bool:
-    """Whether ``pat`` is a wedge pattern (any s), by one scan.
-
-    The upper values ascend and the word starts with an upper entry, so
-    pat[0] is the smallest upper value s + 1: a smaller s would make
-    pat[0] - 1 an upper value after pat[0].  With s fixed, every maximal
-    block of lower entries must be one whole layer, that is the ascending
-    run of consecutive values just below the previous block's (the first
-    block ending at s); the last block then ends at 1, since exactly s
-    entries are lower.
-
-    >>> is_wedge((6, 4, 5, 7, 8, 3, 9, 1, 2))
-    True
-    >>> is_wedge((3, 2, 1))
-    False
-    """
-    pat = as_pattern(pat)
-    if not pat:
-        return False
-    s = pat[0] - 1
-    upper, top = s + 1, s  # next upper value, top of the next layer
-    for is_upper, block in groupby(pat, lambda v: v > s):
-        block = tuple(block)
-        if is_upper:
-            expected = tuple(range(upper, upper + len(block)))
-            upper += len(block)
-        else:
-            expected = tuple(range(top - len(block) + 1, top + 1))
-            top -= len(block)
-        if block != expected:
-            return False
-    return True
-
-
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
@@ -396,35 +344,6 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, n + 1):
         for rest in _compositions(n - first):
             yield (first,) + rest
-
-
-def iter_wedges(k: int) -> Iterator[tuple[int, ...]]:
-    """All wedge patterns of size k, enumerated by their layered lower part.
-
-    Each wedge comes out once: from a word w the generator yields, s is
-    w[0] - 1, the lower blocks are the layer sizes and the upper runs
-    between them the slot counts.
-    """
-    for s in range(k):
-        for comp in _compositions(s):
-            q = len(comp)
-            # layers top-down as value runs
-            layers = []
-            top = s
-            for size in comp:
-                layers.append(tuple(range(top - size + 1, top + 1)))
-                top -= size
-            # upper values s+1..k into q+1 runs, first q nonempty: the
-            # i-th run ends at cuts[i], the trailing run may be empty
-            for cuts in combinations(range(s + 1, k + 1), q):
-                word: list[int] = []
-                nxt = s + 1
-                for cut, layer in zip(cuts, layers):
-                    word.extend(range(nxt, cut + 1))
-                    word.extend(layer)
-                    nxt = cut + 1
-                word.extend(range(nxt, k + 1))
-                yield tuple(word)
 
 
 def iter_layered_specs(k: int, min_layers: int = 1) -> Iterator[tuple[int, ...]]:

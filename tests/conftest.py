@@ -1,6 +1,10 @@
 from fractions import Fraction
+from itertools import groupby
+from math import comb
 
 import pytest
+
+from pattgf.patterns import as_pattern
 
 
 def _term_recurrence(f, order):
@@ -63,3 +67,60 @@ def schoolbook():
     """Plain-list Z[x] arithmetic: the reference that ``Polynomial``'s
     packed arithmetic must equal."""
     return Schoolbook
+
+
+def catalan(n):
+    """The n-th Catalan number, |S_n(132)|."""
+    return comb(2 * n, n) // (n + 1)
+
+
+@pytest.fixture(scope="session", name="catalan")
+def catalan_fixture():
+    """Catalan(n): the count every unconstrained table must reach."""
+    return catalan
+
+
+def is_wedge(pat):
+    """Whether ``pat`` is a wedge pattern, by one scan.
+
+    A wedge interleaves a layered permutation of 1..s (its layers kept
+    as contiguous blocks, in order) with the ascending run s+1,...,k so
+    that the word starts with an upper entry and no two layers are
+    adjacent.  Wedges avoid (1,3,2), there are 2^(k-1) of size k, and
+    each has the avoidance series R_k.
+
+    The upper values ascend and the word starts with an upper entry, so
+    pat[0] is the smallest upper value s + 1: a smaller s would make
+    pat[0] - 1 an upper value after pat[0].  With s fixed, every maximal
+    block of lower entries must be one whole layer, that is the ascending
+    run of consecutive values just below the previous block's (the first
+    block ending at s); the last block then ends at 1, since exactly s
+    entries are lower.
+
+    >>> is_wedge((6, 4, 5, 7, 8, 3, 9, 1, 2))
+    True
+    >>> is_wedge((3, 2, 1))
+    False
+    """
+    pat = as_pattern(pat)
+    if not pat:
+        return False
+    s = pat[0] - 1
+    upper, top = s + 1, s  # next upper value, top of the next layer
+    for is_upper, block in groupby(pat, lambda v: v > s):
+        block = tuple(block)
+        if is_upper:
+            expected = tuple(range(upper, upper + len(block)))
+            upper += len(block)
+        else:
+            expected = tuple(range(top - len(block) + 1, top + 1))
+            top -= len(block)
+        if block != expected:
+            return False
+    return True
+
+
+@pytest.fixture(scope="session", name="is_wedge")
+def is_wedge_fixture():
+    """The wedge detector: the reference for the wedge collapse theorem."""
+    return is_wedge

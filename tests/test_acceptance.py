@@ -9,7 +9,6 @@ import time
 from pattgf.algebra import Polynomial, RationalFunction, series_of
 from pattgf.chebyshev import r_func, sweep_identities, v_poly
 from pattgf.engine import (
-    _three_layer_closed,
     avoid_gf,
     once_gf,
     phi_closed_series,
@@ -17,14 +16,13 @@ from pattgf.engine import (
     psi_closed_series,
     psi_functional_equation_residual,
 )
-from pattgf.oracle import ConstraintSpec, catalan, enumerate_avoiders, series
+from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import (
     decreasing,
     expand_layered,
     expand_wedge_top,
     increasing,
     iter_layered_specs,
-    iter_wedges,
 )
 from pattgf.relations import verify_relation
 
@@ -40,6 +38,25 @@ def oracle_counts(n_max, avoid=(), contain=None):
 
 def gf_coeffs(f, n_max):
     return [int(c) for c in series_of(f, n_max).coeffs]
+
+
+def three_layer_closed(k, m1, m2):
+    """Closed form for the three-layer pattern [k, m1, m2], radical free.
+
+    With a = k-m1, b = m1-m2, c = m2 the value is
+
+        (V_{a+b} V_{a+c-1} V_{b+c} + x^(a+c) V_{b-1} V_b)
+        / (V_{a+b} V_{a+c} V_{b+c}).
+
+    Exponent bookkeeping: the numerator's first product carries
+    x^(-(a+b+c)+1/2) in U form and the denominator x^(1/2-(a+b+c)), so
+    clearing x^((a+b+c)-1/2) leaves exactly the power x^(a+c) on the
+    second numerator term and nothing else.
+    """
+    a, b, c = k - m1, m1 - m2, m2
+    num = v_poly(a + b) * v_poly(a + c - 1) * v_poly(b + c) + (v_poly(b - 1) * v_poly(b)).shift(a + c)
+    den = v_poly(a + b) * v_poly(a + c) * v_poly(b + c)
+    return RationalFunction(num, den)
 
 
 def test_criterion_01_avoid_321_closed_form():
@@ -75,6 +92,7 @@ def test_criterion_04_two_layer_collapse():
     for k in range(2, 11):
         for m in range(1, k):
             assert avoid_gf(expand_layered((k, m))) == r_func(k), (k, m)
+    assert avoid_gf(expand_layered((4, 2))) == RationalFunction((1, -2), (1, -3, 1))
     assert time.time() - t0 < 10.0
     report(4, "avoid series of [k,m] equals R_k for all 2 <= k <= 10", t0)
 
@@ -85,19 +103,21 @@ def test_criterion_05_three_layer_closed_form():
         for tops in iter_layered_specs(k, min_layers=3):
             if len(tops) > 3:
                 continue
-            assert avoid_gf(expand_layered(tops)) == _three_layer_closed(*tops), tops
+            assert avoid_gf(expand_layered(tops)) == three_layer_closed(*tops), tops
     report(5, "three-layer closed form exact for all k <= 8", t0)
 
 
-def test_criterion_06_wedge_collapse():
+def test_criterion_06_wedge_collapse(is_wedge):
     t0 = time.time()
     total = 0
     for k in range(1, 9):
-        for w in iter_wedges(k):
+        for w in filter(is_wedge, enumerate_avoiders(k)):
             assert avoid_gf(w) == r_func(k), w
             total += 1
     assert total == sum(2 ** (k - 1) for k in range(1, 9))
-    report(6, f"all {total} wedge patterns of size <= 8 collapse to R_k", t0)
+    w9 = (6, 4, 5, 7, 8, 3, 9, 1, 2)
+    assert is_wedge(w9) and avoid_gf(w9) == r_func(9)
+    report(6, f"all {total} wedge patterns of size <= 8, and one of size 9, collapse to R_k", t0)
 
 
 def test_criterion_07_phi_slices_and_equation():
@@ -109,7 +129,7 @@ def test_criterion_07_phi_slices_and_equation():
     report(7, "bivariate avoidance aggregate: slices exact in x, zero residual", t0)
 
 
-def test_criterion_08_catalan_prefix():
+def test_criterion_08_catalan_prefix(catalan):
     t0 = time.time()
     for k in range(1, 11):
         coeffs = gf_coeffs(avoid_gf(decreasing(k)), 9)

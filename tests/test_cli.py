@@ -334,6 +334,17 @@ def test_commands_execute_only_the_modules_they_use(argv, unloaded):
 def test_package_surface():
     import pattgf
 
+    assert pattgf.__all__ == [
+        "BivariateSeries", "CanonicalDecomposition", "ConstraintSpec", "CountTable",
+        "EnumerationCapExceeded", "FamilySpec", "NotIn132Class", "PatternError",
+        "Polynomial", "PowerSeries", "RationalFunction", "RelationReport",
+        "UnsupportedPattern", "avoid_gf", "canonical_decompose", "chebyshev_u",
+        "check_identity", "classify", "count", "enumerate_avoiders", "flatten",
+        "format_pattern", "occurrence_count", "once_gf", "parse_pattern",
+        "phi_closed_series", "prefix_pattern", "psi_closed_series", "r_func",
+        "series", "series_of", "suffix_pattern", "sweep_identities", "v_poly",
+        "verify_relation",
+    ]
     names = {}
     exec("from pattgf import *", names)
     for name in pattgf.__all__:

@@ -5,13 +5,12 @@ import threading
 import pytest
 
 from pattgf.algebra import Polynomial, RationalFunction, series_of
-from pattgf.chebyshev import r_func, v_poly
+from pattgf.chebyshev import v_poly
 from pattgf.engine import (
     _AVOID_MEMO,
     _LEVEL_MEMO,
     _parts,
     avoid_gf,
-    avoid_gf_closed,
     once_gf,
     phi_closed_series,
     phi_functional_equation_residual,
@@ -19,7 +18,7 @@ from pattgf.engine import (
     psi_functional_equation_residual,
 )
 from pattgf.errors import NotIn132Class, UnsupportedPattern
-from pattgf.oracle import ConstraintSpec, catalan, enumerate_avoiders, series
+from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import (
     as_pattern,
     canonical_decompose,
@@ -89,7 +88,7 @@ class TestAvoidGf:
             else:
                 assert value.is_zero
 
-    def test_trivial_prefix_is_catalan(self):
+    def test_trivial_prefix_is_catalan(self, catalan):
         for k in (4, 6):
             got = coeffs(avoid_gf(decreasing(k)), k - 1)
             assert got == [catalan(n) for n in range(k)]
@@ -269,11 +268,17 @@ def test_avoid_census_k7():
     that ``once_gf`` answers there (68), equals the counting DP to n = 30.
     The DP counts permutations, independently of the recursion that
     ``avoid_gf`` solves, of the closed forms and of ``series_of``'s
-    division; ``ci/census.py`` runs the same check over S_8(132)."""
+    division; ``ci/census.py`` runs the same check over S_8(132).  The
+    number of distinct avoid series is 1, 1, 2, 4, 8, 16, 32 for
+    k = 1..7."""
     checked = once_checked = 0
+    distinct = []
     for k in range(1, 8):
+        gfs = set()
         for tau in enumerate_avoiders(k):
-            assert series_of(avoid_gf(tau), 30).coeffs == series(ConstraintSpec(avoid=(tau,)), 30).counts, tau
+            f = avoid_gf(tau)
+            gfs.add(f)
+            assert series_of(f, 30).coeffs == series(ConstraintSpec(avoid=(tau,)), 30).counts, tau
             checked += 1
             try:
                 f = once_gf(tau)
@@ -281,7 +286,9 @@ def test_avoid_census_k7():
                 continue
             assert series_of(f, 30).coeffs == series(ConstraintSpec(contain=tau), 30).counts, tau
             once_checked += 1
+        distinct.append(len(gfs))
     assert (checked, once_checked) == (625, 68)
+    assert distinct == [1, 1, 2, 4, 8, 16, 32]
 
 
 def test_expanded_functions_have_den0_one():
@@ -344,58 +351,6 @@ def test_avoid_digest_k8(cold_avoid_memo):
     assert len(lines) == 1430
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "03f93ac9c780d60485d9d29a0e55ce779e702a26b49e2dd95461703cbc904d7e"
-
-
-class TestAvoidGfClosed:
-    def test_two_layer_is_r(self):
-        assert avoid_gf_closed(expand_layered((4, 2))) == r_func(4)
-        assert avoid_gf_closed(expand_layered((4, 2))) == rf((1, -2), (1, -3, 1))
-
-    def test_wedge_pattern_argument(self):
-        assert avoid_gf_closed((6, 4, 5, 7, 8, 3, 9, 1, 2)) == r_func(9)
-        assert avoid_gf_closed(expand_wedge_top(5, 4, 2)) == r_func(5)
-
-    def test_three_layer_matches_recursion(self):
-        assert avoid_gf_closed(expand_layered((3, 2, 1))) == avoid_gf((3, 2, 1))
-        assert avoid_gf_closed(expand_layered((5, 3, 1))) == avoid_gf(expand_layered((5, 3, 1)))
-
-    def test_decreasing_spec_small(self):
-        assert avoid_gf_closed(decreasing(3)) == avoid_gf((3, 2, 1))
-
-    def test_refusal_names_the_family(self):
-        with pytest.raises(UnsupportedPattern) as info:
-            avoid_gf_closed((4, 2, 1, 3))
-        assert str(info.value) == "no closed avoidance form for FamilySpec(kind='plain', params=())"
-        with pytest.raises(UnsupportedPattern) as info:
-            avoid_gf_closed(decreasing(4))
-        assert str(info.value).endswith("FamilySpec(kind='layered', params=(4, 3, 2, 1))")
-
-    def test_every_closed_form_matches_recursion(self):
-        # avoid_gf_closed is a reference only: wherever it answers, it
-        # must equal the recursion that serves every avoidance request
-        answered = 0
-        for k in range(1, 9):
-            for tau in enumerate_avoiders(k):
-                try:
-                    f = avoid_gf_closed(tau)
-                except UnsupportedPattern:
-                    continue
-                answered += 1
-                assert f == avoid_gf(tau), tau
-        assert answered == 311
-
-    def test_rejects_132_containers(self):
-        for pat in [(1, 3, 2), (1, 4, 3, 2), (2, 4, 1, 3)]:
-            with pytest.raises(NotIn132Class):
-                avoid_gf_closed(pat)
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedPattern):
-            avoid_gf_closed(expand_layered((4, 3, 2, 1)))
-        with pytest.raises(UnsupportedPattern):
-            avoid_gf_closed(decreasing(5))
-        with pytest.raises(UnsupportedPattern):
-            avoid_gf_closed(decreasing(4))  # four singleton layers, not a wedge
 
 
 class TestOnceGf:

@@ -18,7 +18,7 @@ from pattgf import kernels
 from pattgf.algebra import series_of
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
-from pattgf.oracle import catalan, enumerate_avoiders
+from pattgf.oracle import enumerate_avoiders
 from pattgf.patterns import flatten, occurrence_count
 
 N_MAX = 8
@@ -83,7 +83,7 @@ def test_dp_matches_enumeration_on_grid(census):
                 assert got == want, (n, avoid, contain)
 
 
-def test_dp_totals_are_catalan():
+def test_dp_totals_are_catalan(catalan):
     for n in range(31):
         assert kernels.count_constrained(n, (), None) == catalan(n)
 

@@ -8,7 +8,6 @@ from pattgf.errors import EnumerationCapExceeded, PatternError
 from pattgf.oracle import (
     ConstraintSpec,
     CountTable,
-    catalan,
     count,
     enumerate_avoiders,
     series,
@@ -22,7 +21,7 @@ def test_enumerate_base_cases():
     assert set(enumerate_avoiders(3)) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 1, 3), (1, 2, 3)}
 
 
-def test_enumerate_counts_are_catalan():
+def test_enumerate_counts_are_catalan(catalan):
     for n in range(0, 11):
         assert sum(1 for _ in enumerate_avoiders(n)) == catalan(n)
 
@@ -49,7 +48,7 @@ def test_count_examples():
     assert count(0, ConstraintSpec(contain=())) == 1
 
 
-def test_count_cap_guard():
+def test_count_cap_guard(catalan):
     with pytest.raises(EnumerationCapExceeded):
         count(31, ConstraintSpec())
     assert count(30, ConstraintSpec()) == catalan(30)
@@ -84,7 +83,7 @@ def test_once_series_helper():
     assert series(ConstraintSpec(avoid=((3, 1, 2),), contain=(2, 1)), 4).counts[:3] == (0, 0, 1)
 
 
-def test_counts_bounded_by_catalan():
+def test_counts_bounded_by_catalan(catalan):
     t = series(ConstraintSpec(contain=(2, 1, 3)), 8)
     assert all(c <= catalan(n) for n, c in enumerate(t.counts))
 
