@@ -37,11 +37,11 @@ Hence suffix i is tau[p_(i-1)+1:] as it stands, prefix i (i >= 1) is
 tau[:p_i+1] minus k-1-p_i, and prefix 0, which holds the values
 k-p_0..k-1, is tau[:p_0] minus the same k-1-p_0.  Every slice of a
 132-avoider is again one, so the recursion stays on 132-avoiders:
-``avoid_gf`` checks its input, and ``once_gf``'s chain step passes
-only checked 132-avoiders and their heads.  For every permutation,
-``patterns.canonical_decompose`` with ``prefix_pattern`` and
-``suffix_pattern`` flattens the same sub-patterns; the tests hold the
-slices against that reference.
+``avoid_gf`` and ``once_gf`` check their input (``require_132_avoiding``),
+and ``once_gf``'s chain step passes only checked 132-avoiders and their
+heads.  For every permutation, ``patterns.canonical_decompose`` with
+``prefix_pattern`` and ``suffix_pattern`` flattens the same
+sub-patterns; the tests hold the slices against that reference.
 
 The level memo stores each solved level under its inputs: r and the
 series of prefixes 0..r-1 and suffixes 1..r (for r = 0, prefix 0
@@ -98,8 +98,8 @@ from collections.abc import Sequence
 
 from .algebra import BivariateSeries, Polynomial, RationalFunction
 from .chebyshev import v_poly
-from .errors import NotIn132Class, UnsupportedPattern
-from .patterns import as_pattern, classify, contains_132, inverse
+from .errors import UnsupportedPattern
+from .patterns import as_pattern, classify, inverse, require_132_avoiding
 
 _X = RationalFunction.x()
 _ONE = RationalFunction.one()
@@ -116,14 +116,6 @@ _LEVEL_MEMO: dict[tuple, RationalFunction] = {}
 _ONCE_MEMO: dict[tuple[int, ...], RationalFunction] = {(): RationalFunction.one()}
 
 
-def _require_132_avoiding(pat: tuple[int, ...]) -> None:
-    if contains_132(pat):
-        raise NotIn132Class(
-            f"pattern {pat} contains (1,3,2); its avoidance series is the "
-            "Catalan generating function, which is not rational"
-        )
-
-
 def avoid_gf(pat: Sequence[int]) -> RationalFunction:
     """Rational series counting S_n(132) permutations that avoid ``pat``.
 
@@ -133,7 +125,7 @@ def avoid_gf(pat: Sequence[int]) -> RationalFunction:
     ('1 - 2x + 2x^2', '1 - 3x + 3x^2 - x^3')
     """
     pat = as_pattern(pat)
-    _require_132_avoiding(pat)
+    require_132_avoiding(pat)
     return _avoid(pat)
 
 
@@ -202,7 +194,7 @@ def once_gf(pat: Sequence[int]) -> RationalFunction:
             "every permutation contains the empty pattern exactly once; "
             "that series is the Catalan generating function, not rational"
         )
-    _require_132_avoiding(pat)
+    require_132_avoiding(pat)
     return _once(pat)
 
 

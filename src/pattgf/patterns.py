@@ -2,9 +2,11 @@
 
 A pattern is a plain tuple of distinct integers 1..k in one-line
 notation; the empty tuple is the empty pattern.  Everything here is a
-pure function of its arguments.  The records ``CanonicalDecomposition``
-and ``FamilySpec`` are ``namedtuple`` subclasses: immutable, hashable,
-and equal to the plain tuple of their fields.
+pure function of its arguments, and each pattern rule is checked here
+once, the (1,3,2) refusal ``require_132_avoiding`` included.  The records
+``CanonicalDecomposition`` and ``FamilySpec`` are ``namedtuple``
+subclasses: immutable, hashable, and equal to the plain tuple of their
+fields.
 
 Accepted text formats (``parse_pattern``):
 
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import combinations
 
-from .errors import PatternError
+from .errors import NotIn132Class, PatternError
 
 
 def as_pattern(values: Iterable[int]) -> tuple[int, ...]:
@@ -197,33 +200,17 @@ def suffix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
     return flatten(d.pattern[d.positions[i - 1] + 1 if i else 0 :])
 
 
-class FamilySpec(namedtuple("FamilySpec", "kind params")):
+class FamilySpec(namedtuple("FamilySpec", "kind params", defaults=((),))):
     """A pattern family as ``classify`` reports it: layered, wedge-top or
     plain.
 
     Parameters: layered -> the layer tops (m_0, ..., m_r); wedge-top ->
     (k, m, p) with k > m > p > 0; plain -> ().  Decreasing patterns are
-    layered, with all-singleton layers.
+    layered, with all-singleton layers.  A plain record: the ``expand_*``
+    functions check parameters given from outside.
     """
 
     __slots__ = ()
-
-    def __new__(cls, kind: str, params: tuple[int, ...] = ()):
-        if kind == "layered":
-            p = params
-            if not p or any(v <= 0 for v in p) or any(a <= b for a, b in zip(p, p[1:])):
-                raise PatternError(f"layered tops must be strictly decreasing positive: {p}")
-        elif kind == "wedge-top":
-            if len(params) != 3:
-                raise PatternError(f"wedge-top spec needs (k, m, p): {params}")
-            k, m, p = params
-            if not k > m > p > 0:
-                raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {params}")
-        elif kind != "plain":
-            raise PatternError(f"unknown family kind {kind!r}")
-        return super().__new__(cls, kind, params)
-
-    _make = classmethod(lambda cls, it: cls(*it))  # ``_replace`` validates too
 
 
 def increasing(k: int) -> tuple[int, ...]:
@@ -240,10 +227,11 @@ def expand_layered(tops: Sequence[int]) -> tuple[int, ...]:
     >>> expand_layered((5, 3, 1))
     (4, 5, 2, 3, 1)
     """
-    FamilySpec("layered", tuple(int(t) for t in tops))  # validates
+    tops = tuple(map(int, tops))
+    if not tops or tops[-1] <= 0 or any(a <= b for a, b in zip(tops, tops[1:])):
+        raise PatternError(f"layered tops must be strictly decreasing positive: {tops}")
     word: list[int] = []
-    bottoms = list(tops[1:]) + [0]
-    for top, bottom in zip(tops, bottoms):
+    for top, bottom in zip(tops, tops[1:] + (0,)):
         word.extend(range(bottom + 1, top + 1))
     return tuple(word)
 
@@ -254,7 +242,8 @@ def expand_wedge_top(k: int, m: int, p: int) -> tuple[int, ...]:
     >>> expand_wedge_top(5, 4, 2)
     (3, 4, 1, 2, 5)
     """
-    FamilySpec("wedge-top", (k, m, p))  # validates
+    if not k > m > p > 0:
+        raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {(k, m, p)}")
     return tuple(range(p + 1, m + 1)) + tuple(range(1, p + 1)) + tuple(range(m + 1, k + 1))
 
 
@@ -271,16 +260,13 @@ def _layered_tops(pat: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 def _wedge_top_params(pat: tuple[int, ...]) -> tuple[int, int, int] | None:
-    k = len(pat)
-    if k < 3:
+    """(k, m, p) if ``pat`` is the wedge-top {k,m,p}, else None: its first
+    entry is p+1, and 1 follows the run p+1..m."""
+    if not pat:
         return None
-    p = pat[0] - 1
-    if p < 1:
-        return None
+    k, p = len(pat), pat[0] - 1
     m = p + pat.index(1)
-    if not k > m > p:
-        return None
-    if pat == expand_wedge_top(k, m, p):
+    if k > m > p > 0 and pat == expand_wedge_top(k, m, p):
         return (k, m, p)
     return None
 
@@ -313,8 +299,7 @@ def parse_pattern(text: str) -> tuple[int, ...]:
         raise PatternError("empty pattern text")
     try:
         if text.startswith("[") and text.endswith("]"):
-            tops = tuple(int(tok) for tok in text[1:-1].split(","))
-            return expand_layered(tops)
+            return expand_layered(int(tok) for tok in text[1:-1].split(","))
         if text.startswith("<") and text.endswith(">"):
             k = int(text[1:-1])
             if k < 1:
@@ -323,11 +308,6 @@ def parse_pattern(text: str) -> tuple[int, ...]:
         if text.startswith("{") and text.endswith("}"):
             k, m, p = (int(tok) for tok in text[1:-1].split(","))
             return expand_wedge_top(k, m, p)
-    except PatternError:
-        raise
-    except ValueError as exc:
-        raise PatternError(f"malformed pattern text {text!r}") from exc
-    try:
         if " " in text:
             return as_pattern(int(tok) for tok in text.split())
         return as_pattern(int(ch) for ch in text)  # digit string, k <= 9
@@ -337,24 +317,20 @@ def parse_pattern(text: str) -> tuple[int, ...]:
         raise PatternError(f"malformed pattern text {text!r}") from exc
 
 
-def _compositions(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+def require_132_avoiding(pat: tuple[int, ...]) -> None:
+    """Raise ``NotIn132Class`` if ``pat`` contains (1,3,2); no S_n(132)
+    permutation contains such a pattern, so there is nothing to count."""
+    if contains_132(pat):
+        raise NotIn132Class(
+            f"pattern {pat} contains (1,3,2), so every permutation in S_n(132) "
+            "avoids it; only patterns that avoid (1,3,2) are supported"
+        )
 
 
 def iter_layered_specs(k: int, min_layers: int = 1) -> Iterator[tuple[int, ...]]:
     """Layer-top tuples of all layered patterns of size k with at least
-    ``min_layers`` layers."""
-    for comp in _compositions(k):
-        if len(comp) < min_layers:
-            continue
-        tops = []
-        top = k
-        for size in comp:
-            tops.append(top)
-            top -= size
-        yield tuple(tops)
+    ``min_layers`` layers, in decreasing lexicographic order: k, then any
+    decreasing run of smaller positive tops."""
+    runs = (run for n in range(min_layers - 1, k) for run in combinations(range(k - 1, 0, -1), n))
+    for run in sorted(runs, reverse=True):
+        yield (k, *run)

@@ -62,15 +62,14 @@ from .engine import (
     phi_functional_equation_residual,
     psi_functional_equation_residual,
 )
-from .errors import NotIn132Class, PatternError
+from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
 from .patterns import (
     CanonicalDecomposition,
-    as_pattern,
     canonical_decompose,
-    contains_132,
     expand_layered,
     prefix_pattern,
+    require_132_avoiding,
     suffix_pattern,
 )
 
@@ -176,13 +175,8 @@ def _resolve_pattern(params) -> tuple[int, ...]:
     seq = tuple(int(v) for v in params)
     if sorted(seq) != list(range(1, len(seq) + 1)):
         return expand_layered(seq)
-    pat = as_pattern(seq)
-    if contains_132(pat):
-        raise NotIn132Class(
-            f"pattern {pat} contains (1,3,2); the relations hold only for "
-            "patterns that avoid it"
-        )
-    return pat
+    require_132_avoiding(seq)
+    return seq
 
 
 def _once_recursion_holds(d: CanonicalDecomposition, nus: tuple[tuple[int, ...], ...], n: int) -> bool:

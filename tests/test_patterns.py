@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -171,15 +172,14 @@ def test_classify_families():
 
 
 def test_classify_layered_roundtrip():
-    # every permutation, so a pattern that only looks layered is caught too
+    # every permutation, so a pattern that only looks layered or wedge-top is caught too
     for k in range(1, 8):
-        layered = {expand_layered(tops): tops for tops in iter_layered_specs(k)}
+        families = {expand_layered(tops): FamilySpec("layered", tops) for tops in iter_layered_specs(k)}
+        for m in range(2, k):
+            for p in range(1, m):
+                families[expand_wedge_top(k, m, p)] = FamilySpec("wedge-top", (k, m, p))
         for pat in itertools.permutations(range(1, k + 1)):
-            spec = classify(pat)
-            if pat in layered:
-                assert spec == FamilySpec("layered", layered[pat])
-            else:
-                assert spec.kind != "layered", pat
+            assert classify(pat) == families.get(pat, FamilySpec("plain")), pat
 
 
 @pytest.mark.parametrize(
@@ -224,21 +224,34 @@ def test_frozen_records(make, other, field, text):
     assert a == b and repr(a) == text
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     assert a._replace() == a and type(a._replace()) is type(a)
-    # _replace rebuilds through the constructor, so it validates and coerces
-    with pytest.raises(PatternError):
-        FamilySpec("layered", (5, 3))._replace(params=(3, 3))
+    # _replace rebuilds through the constructor, so ConstraintSpec coerces
     assert ConstraintSpec(avoid=[[3, 2, 1]])._replace(contain=[2, 1]).contain == (2, 1)
 
 
-def test_family_spec_validation():
-    with pytest.raises(PatternError):
-        FamilySpec("layered", (3, 3))
-    with pytest.raises(PatternError):
-        FamilySpec("wedge-top", (3, 1, 2))
-    with pytest.raises(PatternError):
-        FamilySpec("oval", ())
-    with pytest.raises(PatternError):
-        FamilySpec("decreasing", (4,))  # decreasing patterns are layered
+def test_expand_validation():
+    for tops in [(3, 3), (2, 0), ()]:
+        with pytest.raises(PatternError, match="layered tops must be strictly decreasing positive"):
+            expand_layered(tops)
+    for params in [(3, 1, 2), (3, 2, 0)]:
+        with pytest.raises(PatternError, match=r"k > m > p > 0: \(3, "):
+            expand_wedge_top(*params)
+
+
+def test_iter_layered_specs_order():
+    assert list(iter_layered_specs(4)) == [
+        (4, 3, 2, 1), (4, 3, 2), (4, 3, 1), (4, 3), (4, 2, 1), (4, 2), (4, 1), (4,)
+    ]
+    # every (k, *decreasing run of smaller positive tops) with at least
+    # min_layers entries, each once, in decreasing lexicographic order
+    for k in range(1, 9):
+        for min_layers in (1, 2, 3):
+            got = list(iter_layered_specs(k, min_layers=min_layers))
+            assert got == sorted(set(got), reverse=True), (k, min_layers)
+            for tops in got:
+                assert tops[0] == k and len(tops) >= min_layers and tops[-1] > 0, tops
+                assert all(a > b for a, b in zip(tops, tops[1:])), tops
+            count = sum(math.comb(k - 1, n) for n in range(min_layers - 1, k))
+            assert len(got) == count, (k, min_layers)
 
 
 def test_wedge_examples(is_wedge):

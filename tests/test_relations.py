@@ -2,6 +2,7 @@ import pytest
 
 from pattgf import relations
 from pattgf.algebra import PowerSeries
+from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import NotIn132Class, PatternError
 from pattgf.patterns import expand_layered, iter_layered_specs
 from pattgf.relations import FEQ_TERMS_CAP, verify_relation
@@ -185,6 +186,15 @@ def test_report_lines():
 def test_132_containing_pattern_is_refused(relation, pat):
     with pytest.raises(NotIn132Class):
         verify_relation(relation, pat, terms=6)
+
+
+def test_132_refusal_has_one_message():
+    messages = []
+    for refuse in (avoid_gf, once_gf, lambda pat: verify_relation("thm21", pat)):
+        with pytest.raises(NotIn132Class) as info:
+            refuse((1, 3, 2))
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3 and messages[0].startswith("pattern (1, 3, 2) contains (1,3,2)")
 
 
 @pytest.mark.parametrize("relation", ["thm21", "thm23", "thm31", "thm33", "remark31"])
