@@ -47,8 +47,6 @@ _EXPORTS = {
     "format_pattern": "patterns",
     "occurrence_count": "patterns",
     "parse_pattern": "patterns",
-    "prefix_pattern": "patterns",
-    "suffix_pattern": "patterns",
     "RelationReport": "relations",
     "verify_relation": "relations",
 }

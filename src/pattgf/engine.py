@@ -24,24 +24,12 @@ that keeps occurrence counts and sends the tau-avoiders onto the
 tau^-1-avoiders.  So the two series agree term by term, and a rational
 series has exactly one canonical form.
 
-The prefixes and suffixes are slices of tau, read off its block
-structure.  Write tau of size k around its right-to-left maxima
-m_0 = k > m_1 > ... > m_r at positions p_0 < ... < p_r, with segment i
-the stretch just before m_i.  For a 132-avoider every entry at or
-before p_i exceeds every entry after it: an entry a before p_i below a
-later entry b would make (a, m_i, b) a 132, since m_i exceeds
-everything to its right.  So a segment's entries exceed every later
-maximum and segment, the entries after p_i are exactly 1..k-p_i-1 (and
-m_(i+1) = k-p_i-1), and those up to p_i are the top p_i+1 values.
-Hence suffix i is tau[p_(i-1)+1:] as it stands, prefix i (i >= 1) is
-tau[:p_i+1] minus k-1-p_i, and prefix 0, which holds the values
-k-p_0..k-1, is tau[:p_0] minus the same k-1-p_0.  Every slice of a
-132-avoider is again one, so the recursion stays on 132-avoiders:
-``avoid_gf`` and ``once_gf`` check their input (``require_132_avoiding``),
-and ``once_gf``'s chain step passes only checked 132-avoiders and their
-heads.  For every permutation, ``patterns.canonical_decompose`` with
-``prefix_pattern`` and ``suffix_pattern`` flattens the same
-sub-patterns; the tests hold the slices against that reference.
+The prefixes and suffixes are slices of tau that ``patterns.blocks``
+reads off its block structure; its docstring proves the slicing exact.
+Every slice of a 132-avoider is again one, so the recursion stays on
+132-avoiders: ``avoid_gf`` and ``once_gf`` check their input
+(``require_132_avoiding``), and ``once_gf``'s chain step passes only
+checked 132-avoiders and their heads.
 
 The level memo stores each solved level under its inputs: r and the
 series of prefixes 0..r-1 and suffixes 1..r (for r = 0, prefix 0
@@ -99,7 +87,7 @@ from collections.abc import Sequence
 from .algebra import BivariateSeries, Polynomial, RationalFunction
 from .chebyshev import v_poly
 from .errors import UnsupportedPattern
-from .patterns import as_pattern, classify, inverse, require_132_avoiding
+from .patterns import as_pattern, blocks, classify, inverse, require_132_avoiding
 
 _X = RationalFunction.x()
 _ONE = RationalFunction.one()
@@ -129,31 +117,6 @@ def avoid_gf(pat: Sequence[int]) -> RationalFunction:
     return _avoid(pat)
 
 
-def _parts(pat: tuple[int, ...]) -> tuple[int, list, list]:
-    """(r, prefixes 0..max(r-1, 0), suffixes 1..r) of a nonempty
-    132-avoider, sliced as the module docstring shows.
-
-    The right-to-left maxima follow one another by value: after p_i come
-    exactly the values 1..k-p_i-1, so m_(i+1) = k-p_i-1.
-
-    >>> _parts((4, 5, 2, 3, 1))
-    (2, [(1,), (3, 4, 1, 2)], [(2, 3, 1), (1,)])
-    """
-    k = len(pat)
-    p = pat.index(k)
-    positions = [p]
-    while p < k - 1:
-        p = pat.index(k - 1 - p, p + 1)
-        positions.append(p)
-    r = len(positions) - 1
-    # prefix i is shifted down by k-1-p_i; prefix 0 stops before m_0
-    prefixes = [
-        tuple(map((q + 1 - k).__add__, pat[: q + (i > 0)]))
-        for i, q in enumerate(positions[: max(r, 1)])
-    ]
-    return r, prefixes, [pat[q + 1 :] for q in positions[:-1]]
-
-
 def _avoid(pat: tuple[int, ...]) -> RationalFunction:
     """The avoidance series of ``pat``, which must avoid (1,3,2)."""
     hit = _AVOID_MEMO.get(pat)
@@ -162,7 +125,7 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
     if len(pat) == 1:
         value = _ONE
     else:
-        r, prefixes, suffixes = _parts(pat)
+        r, prefixes, suffixes = blocks(pat)
         # pre[i] = F(prefix i) for i = 0 .. max(r-1, 0), suf[i-1] = F(suffix i)
         # for i = 1 .. r; F(prefix -1) = 0 enters no term
         pre = [_avoid(q) for q in prefixes]

@@ -3,7 +3,10 @@
 A pattern is a plain tuple of distinct integers 1..k in one-line
 notation; the empty tuple is the empty pattern.  Everything here is a
 pure function of its arguments, and each pattern rule is checked here
-once, the (1,3,2) refusal ``require_132_avoiding`` included.  The records
+once, the (1,3,2) refusal ``require_132_avoiding`` included.  This
+module also owns the block slices of a 132-avoider: ``blocks`` cuts the
+prefixes and suffixes around its right-to-left maxima that the
+avoidance recursion and the relation checks read.  The records
 ``CanonicalDecomposition`` and ``FamilySpec`` are ``namedtuple``
 subclasses: immutable, hashable, and equal to the plain tuple of their
 fields.
@@ -178,26 +181,38 @@ def canonical_decompose(pat: Sequence[int]) -> CanonicalDecomposition:
     return CanonicalDecomposition(pat, tuple(reversed(positions)))
 
 
-def prefix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
-    """The i-th prefix: segments and maxima up to maximum i, flattened.
+def blocks(pat: tuple[int, ...]) -> tuple[int, list, list]:
+    """(r, prefixes 0..max(r-1, 0), suffixes 1..r) of a nonempty
+    132-avoider tau of size k, whose right-to-left maxima
+    m_0 = k > ... > m_r sit at positions p_0 < ... < p_r.
 
-    i = -1 gives the empty pattern; i = 0 gives the flattened first
-    segment alone (without its maximum).
+    Prefix i is what comes up to m_i (prefix 0 stops just before it),
+    suffix i what comes from m_i on, both flattened.  Every entry at or
+    before p_i exceeds every entry after it: an entry a before p_i below
+    a later b would make (a, m_i, b) a 132, since m_i exceeds everything
+    to its right.  So the entries after p_i are exactly 1..k-p_i-1 (and
+    m_(i+1) = k-p_i-1), and those up to p_i are the top p_i+1 values.
+    Hence suffix i is tau[p_(i-1)+1:] as it stands, and prefix i is
+    tau[:p_i+1] for i >= 1, tau[:p_0] for i = 0, minus k-1-p_i.  Every
+    slice of a 132-avoider is again one.  The ends need no slicing:
+    prefix -1 and suffix r+1 are empty, suffix 0 is tau, and prefix r is
+    tau when r >= 1.
+
+    >>> blocks((4, 5, 2, 3, 1))
+    (2, [(1,), (3, 4, 1, 2)], [(2, 3, 1), (1,)])
     """
-    if not -1 <= i <= d.r:
-        raise PatternError(f"prefix index {i} out of range [-1, {d.r}]")
-    end = d.positions[i] + (i > 0) if i >= 0 else 0  # prefix 0 stops before m_0
-    return flatten(d.pattern[:end])
-
-
-def suffix_pattern(d: CanonicalDecomposition, i: int) -> tuple[int, ...]:
-    """The i-th suffix: segments and maxima from maximum i on, flattened.
-
-    i = 0 is the whole pattern, i = r + 1 the empty pattern.
-    """
-    if not 0 <= i <= d.r + 1:
-        raise PatternError(f"suffix index {i} out of range [0, {d.r + 1}]")
-    return flatten(d.pattern[d.positions[i - 1] + 1 if i else 0 :])
+    k = len(pat)
+    p = pat.index(k)
+    positions = [p]
+    while p < k - 1:  # the next maximum is k-1-p
+        p = pat.index(k - 1 - p, p + 1)
+        positions.append(p)
+    r = len(positions) - 1
+    prefixes = [
+        tuple(map((q + 1 - k).__add__, pat[: q + (i > 0)]))
+        for i, q in enumerate(positions[: max(r, 1)])
+    ]
+    return r, prefixes, [pat[q + 1 :] for q in positions[:-1]]
 
 
 class FamilySpec(namedtuple("FamilySpec", "kind params", defaults=((),))):

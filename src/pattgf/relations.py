@@ -6,10 +6,10 @@ generating functions:
 - ``thm21``     the avoidance recursion, checked symbolically for any
                 132-avoiding pattern.
 - ``thm23``     its layered specialization with R-function boundary
-                terms, checked symbolically on the canonical
-                decomposition of the expanded layered pattern: the
-                layer tops are its maxima, and the layered patterns
-                the recursion names are its prefixes and suffixes.
+                terms, checked symbolically on the block slices of the
+                expanded layered pattern: the layer tops are its
+                maxima, and the layered patterns the recursion names
+                are its prefixes and suffixes.
 - ``thm31``, ``thm33``, ``remark31``: one exactly-once recursion,
   checked coefficient-wise to order n by ``_once_recursion_holds``.
   With G the oracle table "avoid every ν in ``nus``, contain μ exactly
@@ -64,14 +64,7 @@ from .engine import (
 )
 from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
-from .patterns import (
-    CanonicalDecomposition,
-    canonical_decompose,
-    expand_layered,
-    prefix_pattern,
-    require_132_avoiding,
-    suffix_pattern,
-)
+from .patterns import blocks, expand_layered, require_132_avoiding
 
 # ``verify_relation``'s defaults, shared with ``pattgf verify``: the series
 # order of the coefficient-wise checks, the y order of the feq checks
@@ -104,16 +97,25 @@ def _oracle_series(
     return hit
 
 
-def _left_factor(d: CanonicalDecomposition, i: int, n: int) -> PowerSeries:
+def _slices(pat: tuple[int, ...]) -> tuple[int, list, list]:
+    """(r, pre, suf) of a nonempty 132-avoider: ``blocks`` padded with the
+    ends, so pre[i] is prefix i for i = -1..r (prefix -1, which is empty,
+    sits last) and suf[i] is suffix i for i = 0..r+1."""
+    r, pre, suf = blocks(pat)
+    if r:
+        pre.append(pat)  # blocks stops at prefix r-1
+    return r, pre + [()], [pat, *suf, ()]
+
+
+def _left_factor(pre: list, i: int, n: int) -> PowerSeries:
     """Left factor of summand i >= 1: avoid prefix i (the prefix closure
     when i = 1, see the module docstring), contain prefix i-1 once."""
     if i == 1:
-        head = prefix_pattern(d, 0)
         # m_0 exceeds every entry of segment 0, so the closure appends a new maximum
-        avoided = head + (len(head) + 1,)
+        avoided = pre[0] + (len(pre[0]) + 1,)
     else:
-        avoided = prefix_pattern(d, i)
-    return _oracle_series(n, avoid=(avoided,), contain=prefix_pattern(d, i - 1))
+        avoided = pre[i]
+    return _oracle_series(n, avoid=(avoided,), contain=pre[i - 1])
 
 
 class RelationCheck(namedtuple("RelationCheck", "label passed")):
@@ -144,12 +146,12 @@ class RelationReport:
 
 def _check_thm21(pat: tuple[int, ...]) -> RelationReport:
     report = RelationReport("thm21", f"pattern {pat}")
-    d = canonical_decompose(pat)
+    r, pre, suf = _slices(pat)
     x = RationalFunction.x()
     rhs = RationalFunction.one()
-    for j in range(d.r + 1):
-        diff = avoid_gf(prefix_pattern(d, j)) - avoid_gf(prefix_pattern(d, j - 1))
-        rhs = rhs + x * diff * avoid_gf(suffix_pattern(d, j))
+    for j in range(r + 1):
+        diff = avoid_gf(pre[j]) - avoid_gf(pre[j - 1])
+        rhs = rhs + x * diff * avoid_gf(suf[j])
     report.add("symbolic identity", avoid_gf(pat) == rhs)
     return report
 
@@ -158,14 +160,14 @@ def _check_thm23(tops: tuple[int, ...]) -> RelationReport:
     report = RelationReport("thm23", f"layered {list(tops)}")
     if len(tops) < 2:
         raise PatternError("the layered recursion needs at least two layers")
-    d = canonical_decompose(expand_layered(tops))
+    r, pre, suf = _slices(expand_layered(tops))
     x = RationalFunction.x()
     head = r_func_or_zero(tops[0] - tops[1] - 1)
-    lhs = (RationalFunction.one() - x * head - x * r_func_or_zero(tops[-1])) * avoid_gf(d.pattern)
-    rhs = RationalFunction.one() - x * head * avoid_gf(suffix_pattern(d, 1))
-    for j in range(2, d.r + 1):
-        tail = avoid_gf(suffix_pattern(d, j - 1)) - avoid_gf(suffix_pattern(d, j))
-        rhs = rhs + x * avoid_gf(prefix_pattern(d, j - 1)) * tail
+    lhs = (RationalFunction.one() - x * head - x * r_func_or_zero(tops[-1])) * avoid_gf(suf[0])
+    rhs = RationalFunction.one() - x * head * avoid_gf(suf[1])
+    for j in range(2, r + 1):
+        tail = avoid_gf(suf[j - 1]) - avoid_gf(suf[j])
+        rhs = rhs + x * avoid_gf(pre[j - 1]) * tail
     report.add("symbolic identity", lhs == rhs)
     return report
 
@@ -173,36 +175,38 @@ def _check_thm23(tops: tuple[int, ...]) -> RelationReport:
 def _resolve_pattern(params) -> tuple[int, ...]:
     """Accept a pattern in one-line notation or layered layer tops."""
     seq = tuple(int(v) for v in params)
+    if not seq:
+        raise PatternError("empty pattern has no canonical decomposition")
     if sorted(seq) != list(range(1, len(seq) + 1)):
         return expand_layered(seq)
     require_132_avoiding(seq)
     return seq
 
 
-def _once_recursion_holds(d: CanonicalDecomposition, nus: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """The exactly-once recursion of the module docstring, to order n."""
-    d_nus = [canonical_decompose(nu) for nu in nus]
+def _once_recursion_holds(r: int, pre: list, suf: list, nus: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """The exactly-once recursion of the module docstring for μ = suf[0], to order n."""
+    nu_sufs = [_slices(nu)[2] for nu in nus]
 
     def avoid(i: int) -> tuple[tuple[int, ...], ...]:
-        return (suffix_pattern(d, i - 1), *(suffix_pattern(e, i) for e in d_nus))
+        return (suf[i - 1], *(s[i] for s in nu_sufs))
 
-    first = series_of(avoid_gf(prefix_pattern(d, 0)), n)
-    last = _oracle_series(n, avoid=avoid(d.r + 1))
-    g = _oracle_series(n, avoid=nus, contain=d.pattern)
+    first = series_of(avoid_gf(pre[0]), n)
+    last = _oracle_series(n, avoid=avoid(r + 1))
+    g = _oracle_series(n, avoid=nus, contain=suf[0])
     total = (first + last) * g
-    for i in range(1, d.r + 1):
-        right = _oracle_series(n, avoid=avoid(i), contain=suffix_pattern(d, i))
-        total = total + _left_factor(d, i, n) * right
+    for i in range(1, r + 1):
+        right = _oracle_series(n, avoid=avoid(i), contain=suf[i])
+        total = total + _left_factor(pre, i, n) * right
     # G = x·total: the shift drops total's x^n coefficient
     return g.coeffs == (0,) + total.coeffs[:n]
 
 
 def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("thm31", f"pattern {pat}, n <= {n}")
-    d = canonical_decompose(pat)
-    if d.r < 1:
+    r, pre, suf = _slices(pat)
+    if r < 1:
         raise PatternError("the exactly-once recursion needs at least two maxima")
-    report.add("coefficients 0..%d" % n, _once_recursion_holds(d, (), n))
+    report.add("coefficients 0..%d" % n, _once_recursion_holds(r, pre, suf, (), n))
     return report
 
 
@@ -210,24 +214,23 @@ def _check_thm33(tops: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("thm33", f"layered {list(tops)}, n <= {n}")
     if len(tops) < 2:
         raise PatternError("the layered exactly-once recursion needs at least two layers")
-    d = canonical_decompose(expand_layered(tops))
+    r, pre, suf = _slices(expand_layered(tops))
     report.add(
         "boundary terms",
-        r_func_or_zero(tops[0] - tops[1] - 1) == avoid_gf(prefix_pattern(d, 0))
-        and r_func_or_zero(tops[-1]) == avoid_gf(suffix_pattern(d, d.r)),
+        r_func_or_zero(tops[0] - tops[1] - 1) == avoid_gf(pre[0])
+        and r_func_or_zero(tops[-1]) == avoid_gf(suf[r]),
     )
-    report.add("coefficients 0..%d" % n, _once_recursion_holds(d, (), n))
+    report.add("coefficients 0..%d" % n, _once_recursion_holds(r, pre, suf, (), n))
     return report
 
 
 def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("remark31", f"pattern {pat}, n <= {n}")
-    d = canonical_decompose(pat)
-    for j in range(2, d.r + 1):
-        mu = canonical_decompose(prefix_pattern(d, j - 1))
-        holds = _once_recursion_holds(mu, (prefix_pattern(d, j),), n)
+    r, pre, _ = _slices(pat)
+    for j in range(2, r + 1):
+        holds = _once_recursion_holds(*_slices(pre[j - 1]), (pre[j],), n)
         report.add(f"j={j} coefficients 0..{n}", holds)
-    if d.r < 2:
+    if r < 2:
         report.add("no instances (needs at least three maxima)", True)
     return report
 

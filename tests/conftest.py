@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from pattgf.patterns import as_pattern
+from pattgf.errors import PatternError
+from pattgf.patterns import as_pattern, flatten
 
 
 def _term_recurrence(f, order):
@@ -124,3 +125,41 @@ def is_wedge(pat):
 def is_wedge_fixture():
     """The wedge detector: the reference for the wedge collapse theorem."""
     return is_wedge
+
+
+def prefix_pattern(d, i):
+    """The i-th prefix of the decomposition ``d``: segments and maxima up
+    to maximum i, flattened.
+
+    i = -1 gives the empty pattern; i = 0 gives the flattened first
+    segment alone (without its maximum).
+    """
+    if not -1 <= i <= d.r:
+        raise PatternError(f"prefix index {i} out of range [-1, {d.r}]")
+    end = d.positions[i] + (i > 0) if i >= 0 else 0  # prefix 0 stops before m_0
+    return flatten(d.pattern[:end])
+
+
+def suffix_pattern(d, i):
+    """The i-th suffix of the decomposition ``d``: segments and maxima
+    from maximum i on, flattened.
+
+    i = 0 is the whole pattern, i = r + 1 the empty pattern.
+    """
+    if not 0 <= i <= d.r + 1:
+        raise PatternError(f"suffix index {i} out of range [0, {d.r + 1}]")
+    return flatten(d.pattern[d.positions[i - 1] + 1 if i else 0 :])
+
+
+@pytest.fixture(scope="session", name="prefix_pattern")
+def prefix_pattern_fixture():
+    """Prefix i of a ``canonical_decompose`` record by ``flatten``: the
+    reference for the prefixes ``patterns.blocks`` slices."""
+    return prefix_pattern
+
+
+@pytest.fixture(scope="session", name="suffix_pattern")
+def suffix_pattern_fixture():
+    """Suffix i of a ``canonical_decompose`` record by ``flatten``: the
+    reference for the suffixes ``patterns.blocks`` slices."""
+    return suffix_pattern

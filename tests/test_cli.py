@@ -341,9 +341,8 @@ def test_package_surface():
         "UnsupportedPattern", "avoid_gf", "canonical_decompose", "chebyshev_u",
         "check_identity", "classify", "count", "enumerate_avoiders", "flatten",
         "format_pattern", "occurrence_count", "once_gf", "parse_pattern",
-        "phi_closed_series", "prefix_pattern", "psi_closed_series", "r_func",
-        "series", "series_of", "suffix_pattern", "sweep_identities", "v_poly",
-        "verify_relation",
+        "phi_closed_series", "psi_closed_series", "r_func", "series",
+        "series_of", "sweep_identities", "v_poly", "verify_relation",
     ]
     names = {}
     exec("from pattgf import *", names)

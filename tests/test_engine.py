@@ -9,7 +9,6 @@ from pattgf.chebyshev import v_poly
 from pattgf.engine import (
     _AVOID_MEMO,
     _LEVEL_MEMO,
-    _parts,
     avoid_gf,
     once_gf,
     phi_closed_series,
@@ -30,8 +29,6 @@ from pattgf.patterns import (
     increasing,
     inverse,
     occurrence_count,
-    prefix_pattern,
-    suffix_pattern,
 )
 
 
@@ -67,10 +64,8 @@ class TestAvoidGf:
             f = avoid_gf(pat)
             assert f.num.constant_term() == f.den.constant_term() == 1
 
-    def test_linear_solve_divisor_never_zero(self):
+    def test_linear_solve_divisor_never_zero(self, prefix_pattern, suffix_pattern):
         # the divisor 1 - x F_pre0 - x F_sufr has constant term 1
-        from pattgf.patterns import canonical_decompose, prefix_pattern, suffix_pattern
-
         for pat in [(3, 2, 1), (4, 3, 2, 1), expand_layered((5, 3, 1))]:
             d = canonical_decompose(pat)
             div = (
@@ -147,24 +142,6 @@ def test_cold_avoid_sweep_is_order_independent(cold_avoid_memo):
         runs.append({tau: json.dumps(avoid_gf(tau).as_json_dict()) for tau in order})
     assert len(runs[0]) == 429
     assert runs[0] == runs[1]
-
-
-def test_parts_match_the_reference_decomposition():
-    """On every tau in S_k(132), k <= 8, the slices ``_avoid`` reads off
-    the block structure equal the flattened reference: r, prefixes
-    0..max(r-1, 0) and suffixes 1..r of ``canonical_decompose``."""
-    checked = 0
-    for k in range(1, 9):
-        for tau in enumerate_avoiders(k):
-            d = canonical_decompose(tau)
-            want = (
-                d.r,
-                [prefix_pattern(d, i) for i in range(max(d.r, 1))],
-                [suffix_pattern(d, i) for i in range(1, d.r + 1)],
-            )
-            assert _parts(tau) == want, tau
-            checked += 1
-    assert checked == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
 
 
 def test_avoid_memo_keys_avoid_132(cold_avoid_memo):

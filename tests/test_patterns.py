@@ -10,6 +10,7 @@ from pattgf.oracle import ConstraintSpec, CountTable, enumerate_avoiders
 from pattgf.patterns import (
     FamilySpec,
     as_pattern,
+    blocks,
     canonical_decompose,
     classify,
     contains_132,
@@ -23,8 +24,6 @@ from pattgf.patterns import (
     iter_layered_specs,
     occurrence_count,
     parse_pattern,
-    prefix_pattern,
-    suffix_pattern,
 )
 
 
@@ -98,7 +97,7 @@ def test_decomposition_roundtrip_exhaustive():
             assert _interleave(d.maxima, d.segments, 0, d.r + 1) == perm
 
 
-def test_prefix_suffix_examples():
+def test_prefix_suffix_examples(prefix_pattern, suffix_pattern):
     d = canonical_decompose((3, 2, 1))
     assert prefix_pattern(d, 1) == (2, 1)
     assert prefix_pattern(d, -1) == ()
@@ -140,7 +139,7 @@ def _interleave(maxima, segments, lo, hi):
     return _reference_flatten(word)
 
 
-def test_slices_match_interleave_reference():
+def test_slices_match_interleave_reference(prefix_pattern, suffix_pattern):
     # every tau in S_k(132), k <= 7, every valid index
     for k in range(1, 8):
         for pat in enumerate_avoiders(k):
@@ -160,6 +159,24 @@ def test_slices_match_interleave_reference():
             for bad in (-1, r + 2):
                 with pytest.raises(PatternError):
                     suffix_pattern(d, bad)
+
+
+def test_blocks_match_the_reference_decomposition(prefix_pattern, suffix_pattern):
+    """On every tau in S_k(132), k <= 8, the slices ``blocks`` reads off
+    the block structure equal the flattened reference: r, prefixes
+    0..max(r-1, 0) and suffixes 1..r of ``canonical_decompose``."""
+    checked = 0
+    for k in range(1, 9):
+        for tau in enumerate_avoiders(k):
+            d = canonical_decompose(tau)
+            want = (
+                d.r,
+                [prefix_pattern(d, i) for i in range(max(d.r, 1))],
+                [suffix_pattern(d, i) for i in range(1, d.r + 1)],
+            )
+            assert blocks(tau) == want, tau
+            checked += 1
+    assert checked == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
 
 
 def test_classify_families():

@@ -4,7 +4,8 @@ from pattgf import relations
 from pattgf.algebra import PowerSeries
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import NotIn132Class, PatternError
-from pattgf.patterns import expand_layered, iter_layered_specs
+from pattgf.oracle import enumerate_avoiders
+from pattgf.patterns import canonical_decompose, expand_layered, iter_layered_specs
 from pattgf.relations import FEQ_TERMS_CAP, verify_relation
 
 
@@ -13,8 +14,6 @@ def test_thm21_golden_instance():
 
 
 def test_thm21_sweep_small():
-    from pattgf.oracle import enumerate_avoiders
-
     for k in range(1, 5):
         for perm in enumerate_avoiders(k):
             assert verify_relation("thm21", perm).passed, perm
@@ -201,3 +200,27 @@ def test_132_refusal_has_one_message():
 def test_pattern_relation_without_params(relation):
     with pytest.raises(PatternError, match=relation):
         verify_relation(relation)
+
+
+def test_padded_slices_match_the_reference(prefix_pattern, suffix_pattern):
+    """On every tau in S_k(132), k <= 8, the padded lists the checks read
+    hold prefix i at index i for i = -1..r and suffix i at index i for
+    i = 0..r+1, as the ``flatten`` reference cuts them."""
+    for k in range(1, 9):
+        for tau in enumerate_avoiders(k):
+            d = canonical_decompose(tau)
+            r, pre, suf = relations._slices(tau)
+            assert r == d.r and len(pre) == len(suf) == r + 2, tau
+            assert [pre[i] for i in range(-1, r + 1)] == [prefix_pattern(d, i) for i in range(-1, r + 1)], tau
+            assert suf == [suffix_pattern(d, i) for i in range(r + 2)], tau
+
+
+@pytest.mark.parametrize("relation", ["thm21", "thm31", "remark31"])
+def test_empty_pattern_is_refused(relation):
+    with pytest.raises(PatternError, match="^empty pattern has no canonical decomposition$"):
+        verify_relation(relation, ())
+
+
+def test_thm31_refuses_a_single_maximum():
+    with pytest.raises(PatternError, match="^the exactly-once recursion needs at least two maxima$"):
+        verify_relation("thm31", (1, 2, 3))
