@@ -49,6 +49,13 @@ place-the-maximum argument and verified against the oracle:
   Writing only the suffix of μ (as the displayed recursion does) fails
   the oracle already for the layered pattern [4,2,1] at j = 2, n = 4
   (1 instead of 2 permutations).
+
+The oracle tables are built once per inverse pair.  By the bijection
+argument of the ``engine`` docstring, π -> π^-1 maps S_n(132) onto
+itself and keeps every occurrence count, so the table of "avoid every
+α in A, contain γ once" equals that of (A^-1, γ^-1).  A sweep over
+S_k(132) meets both orientations, and ``_oracle_series`` serves the
+second from the table of the first.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from .engine import (
 )
 from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
-from .patterns import blocks, expand_layered, require_132_avoiding
+from .patterns import blocks, expand_layered, inverse, require_132_avoiding
 
 # ``verify_relation``'s defaults, shared with ``pattgf verify``: the series
 # order of the coefficient-wise checks, the y order of the feq checks
@@ -88,9 +95,18 @@ def _oracle_series(
     empty contained pattern combinatorially (every permutation contains
     it exactly once), so boundary factors like avoid-(1)/contain-empty
     come out as the constant series 1 with no special casing.
+
+    One table serves each inverse pair (the module docstring, after
+    ``engine``'s bijection argument): the table of (A, γ) equals that of
+    (A^-1, γ^-1).  A miss returns the mirror's series when it is cached,
+    and otherwise builds the table and stores it under the key asked for
+    only, so the cache holds one entry per table built.
     """
     key = (tuple(sorted(avoid)), contain, n_max)
     hit = _SERIES_CACHE.get(key)
+    if hit is None:
+        mirror = (tuple(sorted(map(inverse, avoid))), None if contain is None else inverse(contain), n_max)
+        hit = _SERIES_CACHE.get(mirror)
     if hit is None:
         hit = PowerSeries(oracle_series(ConstraintSpec(avoid, contain), n_max).counts)
         _SERIES_CACHE[key] = hit

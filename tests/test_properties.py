@@ -5,6 +5,10 @@ S_k(132), k <= 9, and every generating function the engine returns must
 expand to the DP oracle's table up to n = 25.  Instances of the six
 V/U product identities are drawn with indices up to 24.
 
+Inverse symmetry: constraint sets of two patterns from S_k(132),
+k <= 5, must have the table of their inverses, and brute force's up to
+n = 7; the relation checks' cache must serve both from one table.
+
 Exact algebra: integer polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; the operations and
@@ -20,15 +24,18 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pattgf import relations
 from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of
 from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
+from pattgf.patterns import inverse, occurrence_count
 
 N = 25
 S132 = [list(enumerate_avoiders(k)) for k in range(10)]
 patterns_132 = st.integers(0, 9).flatmap(lambda k: st.sampled_from(S132[k]))
+patterns_up_to_5 = st.integers(0, 5).flatmap(lambda k: st.sampled_from(S132[k]))
 identities = st.sampled_from(["i", "ii", "iii", "iv", "v", "vi"]).flatmap(
     lambda which: st.tuples(st.just(which), st.sampled_from(identity_instances(which, 24)))
 )
@@ -47,6 +54,37 @@ def test_gf_series_match_dp(tau):
     except UnsupportedPattern:
         return
     assert coeffs(once) == series(ConstraintSpec(contain=tau), N).counts
+
+
+def brute_force_table(spec, n_max):
+    """The table of ``spec`` counted over enumerated S_n(132)."""
+    return tuple(
+        sum(
+            all(occurrence_count(pi, a) == 0 for a in spec.avoid)
+            and (spec.contain is None or occurrence_count(pi, spec.contain) == 1)
+            for pi in enumerate_avoiders(n)
+        )
+        for n in range(n_max + 1)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(patterns_up_to_5, patterns_up_to_5, patterns_up_to_5, st.integers(0, 9))
+def test_constraint_tables_are_inverse_symmetric(alpha, beta, gamma, n):
+    """pi -> pi^-1 keeps S_n(132) and every occurrence count, so the table
+    of (A, gamma) is that of (A^-1, gamma^-1), and the relation checks'
+    cache serves both from the one table it builds."""
+    for spec in (ConstraintSpec((alpha,), gamma), ConstraintSpec((alpha, beta))):
+        contain = None if spec.contain is None else inverse(spec.contain)
+        mirror = ConstraintSpec(tuple(map(inverse, spec.avoid)), contain)
+        table = series(spec, n).counts
+        assert series(mirror, n).counts == table
+        if n <= 7:
+            assert brute_force_table(spec, n) == table
+        relations._SERIES_CACHE.clear()
+        assert relations._oracle_series(n, spec.avoid, spec.contain).coeffs == table
+        assert relations._oracle_series(n, mirror.avoid, mirror.contain).coeffs == table
+        assert len(relations._SERIES_CACHE) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,10 @@
 import pytest
 
-from pattgf import relations
+from pattgf import oracle, relations
 from pattgf.algebra import PowerSeries
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import NotIn132Class, PatternError
-from pattgf.oracle import enumerate_avoiders
+from pattgf.oracle import ConstraintSpec, enumerate_avoiders
 from pattgf.patterns import canonical_decompose, expand_layered, iter_layered_specs
 from pattgf.relations import FEQ_TERMS_CAP, verify_relation
 
@@ -99,6 +99,34 @@ def test_once_recursion_truncation_edge(monkeypatch, cold_series_cache):
     series_of = relations.series_of
     monkeypatch.setattr(relations, "series_of", lambda f, order: _bump(series_of(f, order), n))
     assert verify_relation("thm31", tops, terms=n).passed
+
+
+def test_inverse_pattern_reuses_the_mirror_tables(monkeypatch, cold_series_cache):
+    """thm31 on (3,4,2,1) builds its six tables; on the inverse (4,3,1,2)
+    half of its tables are mirrors of those, so it builds only three, and
+    each series it reads equals a fresh table of its own constraint set."""
+    built, handed = [], []
+    real_build, real_lookup = relations.oracle_series, relations._oracle_series
+
+    def build(spec, n_max):
+        built.append(spec)
+        return real_build(spec, n_max)
+
+    def lookup(n_max, avoid=(), contain=None):
+        s = real_lookup(n_max, avoid, contain)
+        handed.append((ConstraintSpec(avoid, contain), n_max, s))
+        return s
+
+    monkeypatch.setattr(relations, "oracle_series", build)
+    monkeypatch.setattr(relations, "_oracle_series", lookup)
+    assert verify_relation("thm31", (3, 4, 2, 1)).passed
+    assert len(built) == 6
+    built.clear()
+    handed.clear()
+    assert verify_relation("thm31", (4, 3, 1, 2)).passed
+    assert len(built) == 3 and len(handed) == 6
+    for spec, n_max, s in handed:
+        assert s.coeffs == oracle.series(spec, n_max).counts, spec
 
 
 def test_thm33_instances():
