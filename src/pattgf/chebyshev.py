@@ -115,7 +115,21 @@ def check_identity(which: str, **params: int) -> bool:
         x^(1/2 - (a+b+1)/2 + (a+b)/2) = x^0).
     - ``vi``  for a >= b+1 >= 2:  R_a - R_b = x^b * V_{a-b-1}/(V_a*V_b)
         (here x^(-(a-b-1)/2 - 1/2 + (a+b)/2) = x^b survives).
+
+    A missing or unexpected parameter is a ``ValueError`` naming the
+    part's parameters, as is a parameter outside the part's range.
     """
+    if which in ("i", "ii"):
+        names, known = "s, t, w", len(params) == 3 and "s" in params and "t" in params and "w" in params
+    elif which == "iii":
+        names, known = "p", len(params) == 1 and "p" in params
+    elif which in ("iv", "v", "vi"):
+        names, known = "a, b", len(params) == 2 and "a" in params and "b" in params
+    else:
+        raise ValueError(f"unknown identity {which!r}; expected one of i..vi")
+    if not known:
+        got = ", ".join(sorted(params)) or "none"
+        raise ValueError(f"identity ({which}) takes the parameters {names}, got {got}")
     if which == "i":
         s, t, w = params["s"], params["t"], params["w"]
         if not (w >= 1 and t >= w and s + w - 1 >= t):
@@ -145,13 +159,11 @@ def check_identity(which: str, **params: int) -> bool:
             raise ValueError(f"need a,b >= 1, got a={a} b={b}")
         lhs = RationalFunction.one() - RationalFunction.x() * r_func(a) - RationalFunction.x() * r_func(b)
         return lhs == _rf([v_poly(a + b + 1)], [v_poly(a), v_poly(b)])
-    if which == "vi":
-        a, b = params["a"], params["b"]
-        if not (a >= b + 1 >= 2):
-            raise ValueError(f"need a >= b+1 >= 2, got a={a} b={b}")
-        lhs = r_func(a) - r_func(b)
-        return lhs == _rf([v_poly(a - b - 1)], [v_poly(a), v_poly(b)], x_power=b)
-    raise ValueError(f"unknown identity {which!r}; expected one of i..vi")
+    a, b = params["a"], params["b"]  # which == "vi"
+    if not (a >= b + 1 >= 2):
+        raise ValueError(f"need a >= b+1 >= 2, got a={a} b={b}")
+    lhs = r_func(a) - r_func(b)
+    return lhs == _rf([v_poly(a - b - 1)], [v_poly(a), v_poly(b)], x_power=b)
 
 
 def identity_instances(which: str, max_index: int):

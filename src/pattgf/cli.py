@@ -155,14 +155,13 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--terms must be at least 1, got {args.terms}")
     if rel in ("thm31", "thm33", "remark31") and args.terms is not None and args.terms > oracle.COUNT_CAP:
         raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
-    if rel in ("thm21", "thm23") and args.terms is not None:
+    if rel in ("thm21", "thm23", "thm22feq", "thm32feq") and args.terms is not None:
         raise ValueError(f"{rel} is checked symbolically and does not read --terms")
     if rel in ("thm22feq", "thm32feq") and args.range:
         raise ValueError(f"{rel} has no pattern sizes and does not read --range")
     reports: list[relations.RelationReport] = []
     if rel in ("thm22feq", "thm32feq"):
-        y_order = relations.DEFAULT_Y_ORDER if args.terms is None else args.terms
-        reports.append(relations.verify_relation(rel, orders=(0, y_order)))
+        reports.append(relations.verify_relation(rel))
     elif rel == "thm21":
         lo, hi = _parse_range(args.range, (1, 4))
         for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
@@ -234,11 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="",
                    help="pattern-size range A:B for sweeps; not read by thm22feq/thm32feq")
     p.add_argument("--terms", type=int, default=None,
-                   # relations.DEFAULT_TERMS and DEFAULT_Y_ORDER, written out so that
-                   # building the parser loads no lazy module
+                   # relations.DEFAULT_TERMS, written out so that building the
+                   # parser loads no lazy module
                    help="series order for thm31/thm33/remark31 (default 9); "
-                        "the y order for thm22feq/thm32feq (default 8); "
-                        "not read by thm21/thm23")
+                        "not read by the symbolic thm21/thm23/thm22feq/thm32feq")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("identities", help="exact product-identity sweep")

@@ -61,7 +61,8 @@ families below (V_p denotes the companion polynomials from
   from {m+1,m,p} leaves a pattern with a unique occurrence inside it,
   which invalidates the unrestricted-chain shortcut at that step.
 - the decreasing pattern k...1 (k >= 3):  the y^k level of Psi below,
-  x^k N_{k-1}(x) / (1-x)^(k-1) with N_m the m-th Narayana polynomial.
+  x^(k-1) N_{k-1}(x) / (1-x)^(k-1), where the m-th Narayana polynomial
+  N_m(x) = sum_{j=1..m} (1/m) C(m,j) C(m,j-1) x^j starts at x^1.
 - the chain step, for tau of size k ending in k-1, k:
   G = x*F*G'/(1 - x*F'), where F, F' are the avoidance series of tau
   and its head tau' = tau[:-1] and G' is the once series of tau'.  It
@@ -77,12 +78,14 @@ tables: ``pattgf oracle <pattern> --mode once``).
 ``phi_closed_series`` / ``psi_closed_series`` expand the bivariate
 closed forms that aggregate the decreasing patterns, with y marking the
 pattern size, as power series in y: their y^k levels are the exact
-avoidance and exactly-once series of k...1, rational functions of x.
+avoidance and exactly-once series of k...1, rational functions of x,
+and the tests' reference for them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import comb
 
 from .algebra import BivariateSeries, Polynomial, RationalFunction
 from .chebyshev import v_poly
@@ -175,8 +178,11 @@ def _once(pat: tuple[int, ...]) -> RationalFunction:
             den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
             value = RationalFunction(Polynomial.one().shift(k), den)
         elif fam.kind == "layered" and len(fam.params) == k:
-            # the decreasing pattern k...1: the y^k level of Psi
-            value = psi_closed_series(k).levels[k]
+            # the decreasing pattern k...1: x^(k-1) N_(k-1)(x) / (1-x)^(k-1)
+            m = k - 1
+            num = Polynomial([0] * k + [comb(m, j) * comb(m, j - 1) // m for j in range(1, k)])
+            den = Polynomial([(-1) ** j * comb(m, j) for j in range(k)])
+            value = RationalFunction(num, den)
         elif fam.kind == "wedge-top":
             _, m, p = fam.params
             q = max(p, m - p)
@@ -236,51 +242,9 @@ def psi_closed_series(order_y: int = 10) -> BivariateSeries:
     return (u - root) / _y_poly(order_y, 2 * _X)
 
 
-def phi_functional_equation_residual(order_y: int) -> BivariateSeries:
-    """Residual of Phi = y/(1-y) + x Phi (Phi/y - 1 - Phi) + x y Phi,
-    multiplied through by y, at y^0..y^(order_y+1).
-
-    This is the aggregate of the avoidance recursion over decreasing
-    patterns: summing F_k = 1 + x F_2 F_{k-1} + x * sum_{j>=2}
-    (F_{j+1} - F_j) F_{k-j} against y^k.  (The j = 1 telescoping term
-    contributes F_2 alone because the 0-th prefix of a decreasing
-    pattern is empty and the empty-pattern series is 0.)  The closed
-    form solves exactly this equation: its quadratic in Phi has
-    discriminant y^2 [(1+x-xy)^2 - 4x], the radicand of the closed
-    form.  Times y the equation needs no Phi/y, so its y^m level reads
-    P_(m-1) - [m >= 2] - x (S_m - P_(m-1) - S_(m-1) + P_(m-2)) with
-    P = Phi and S = Phi^2; a correct Phi leaves every level exactly 0.
-    """
-    if order_y < 1:  # Phi is expanded one order further, so check here
-        raise ValueError("order_y must be at least 1")
-    phi = phi_closed_series(order_y + 1)
-    p = (_ZERO, _ZERO) + phi.levels  # p[m] = P_(m-2)
-    s = (_ZERO,) + (phi * phi).levels  # s[m] = S_(m-1)
-    return BivariateSeries(
-        p[m + 1] - (_ONE if m >= 2 else _ZERO) - _X * (s[m + 1] - p[m + 1] - s[m] + p[m])
-        for m in range(order_y + 2)
-    )
-
-
-def psi_functional_equation_residual(order_y: int) -> BivariateSeries:
-    """Residual of (1-x)(Psi - xy) = x Psi^2 + x(1-x) y Psi at
-    y^0..y^order_y: level m is (1-x)(Q_m - x[m = 1]) - x S_m
-    - x(1-x) Q_(m-1) with Q = Psi and S = Psi^2."""
-    psi = psi_closed_series(order_y)
-    q = (_ZERO,) + psi.levels  # q[m] = Q_(m-1)
-    s = (psi * psi).levels
-    c = _ONE - _X
-    return BivariateSeries(
-        c * (q[m + 1] - (_X if m == 1 else _ZERO)) - _X * s[m] - _X * c * q[m]
-        for m in range(order_y + 1)
-    )
-
-
 __all__ = [
     "avoid_gf",
     "once_gf",
     "phi_closed_series",
     "psi_closed_series",
-    "phi_functional_equation_residual",
-    "psi_functional_equation_residual",
 ]

@@ -29,9 +29,8 @@ generating functions:
   Its other summands are exactly those prefixes and suffixes, and
   A(r+1) is the series of avoid_gf(suffix r), so the two checks imply
   the layered recursion written with R-functions.
-- ``thm22feq``  / ``thm32feq``: the bivariate aggregates satisfy their
-                functional equations exactly: every y^m level of the
-                residual, a rational function of x, is zero.
+- ``thm22feq``  / ``thm32feq``: the functional equations of the
+                bivariate aggregates Φ and Ψ, as exact identities (below).
 
 Boundary bookkeeping for the numeric checks, derived by re-running the
 place-the-maximum argument and verified against the oracle:
@@ -56,30 +55,40 @@ itself and keeps every occurrence count, so the table of "avoid every
 α in A, contain γ once" equals that of (A^-1, γ^-1).  A sweep over
 S_k(132) meets both orientations, and ``_oracle_series`` serves the
 second from the table of the first.
+
+By Theorems 2.2 and 3.2, Φ = Σ_k y^k avoid_gf(k...1) solves
+Φ = y/(1-y) + xΦ(Φ/y - 1 - Φ) + xyΦ and Ψ = Σ_k y^k once_gf(k...1)
+solves (1-x)(Ψ - xy) = xΨ^2 + x(1-x)yΨ.  With E = y(1-y)·(LHS - RHS),
+resp. LHS - RHS, in Z[x, y, F], each closed form is F = (b - sqrt(D))/(2xc):
+c = 1 - y, b = ya, D = y^2(a^2 - 4x), a = 1 + x - xy for Φ; c = 1,
+b = (1-x)(1-xy), D = b^2 - 4x^2(1-x)y for Ψ.  ``_check_feq`` checks
+(2xcF - b)^2 - D = -4x·E, so E(F) = 0 exactly for the closed form with
+either root, at y = x^8, F = x^64: one to one on the monomials
+x^i y^j F^l with i, j < 8, which are all that either side has.  The
+lowest level picks the root: E_Φ's y^0 level is -xΦ_0^2 and its y^2
+level -(xΦ_1 - 1)(Φ_1 - 1); E_Ψ's y^0 level is Ψ_0(1 - x - xΨ_0).  The
+series root, y(1 - x) + O(y^2), resp. 1 - x + O(y), gives
+Φ_1 = 1 = avoid_gf(1) and Ψ_0 = 0, not 1/x and (1-x)/x.  Past it, the
+newest level Φ_m (at y^(m+1)) or Ψ_m (at y^m) enters linearly with the
+coefficient 1 - 2xΦ_1 + x = 1 - x - 2xΨ_0 = 1 - x ≠ 0, so each level is
+fixed by those below it: the series root is unique, and the check holds
+at every y order.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import PowerSeries, RationalFunction, series_of
+from .algebra import Polynomial, PowerSeries, RationalFunction, series_of
 from .chebyshev import r_func_or_zero
-from .engine import (
-    avoid_gf,
-    phi_functional_equation_residual,
-    psi_functional_equation_residual,
-)
+from .engine import avoid_gf
 from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
 from .patterns import blocks, expand_layered, inverse, require_132_avoiding
 
-# ``verify_relation``'s defaults, shared with ``pattgf verify``: the series
-# order of the coefficient-wise checks, the y order of the feq checks
+# ``verify_relation``'s series order for the coefficient-wise checks,
+# shared with ``pattgf verify``
 DEFAULT_TERMS = 9
-DEFAULT_Y_ORDER = 8
-# the largest y order of the feq checks: thm22feq to y order N takes 0.1 s
-# at N = 24, 0.3 s at N = 32 and 1.3 s at N = 48 (CPython 3.11, 2 vCPUs x86_64)
-FEQ_TERMS_CAP = 32
 
 _SERIES_CACHE: dict[tuple, PowerSeries] = {}
 
@@ -251,8 +260,28 @@ def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
     return report
 
 
-def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS,
-                    orders: tuple[int, int] = (10, DEFAULT_Y_ORDER)) -> RelationReport:
+def _check_feq(relation: str) -> RelationReport:
+    """``thm22feq`` (Φ) or ``thm32feq`` (Ψ), as the module docstring says."""
+    report = RelationReport(relation, "closed form")
+    one, x, y, f = Polynomial.one(), Polynomial.x(), Polynomial.x(8), Polynomial.x(64)
+    two_x, four_x, rx = Polynomial((0, 2)), Polynomial((0, 4)), RationalFunction.x()
+    if relation == "thm22feq":
+        a = one + x - x * y
+        e = y * (one - y) * f - y * y - x * (one - y) * f * (f - y - y * f) - x * y * y * (one - y) * f
+        c, b, d = one - y, y * a, y * y * (a * a - four_x)
+        b0, lowest = 1 + rx, avoid_gf((1,))  # b/y at y = 0, and Φ_1
+    else:
+        e = (one - x) * (f - x * y) - x * f * f - x * (one - x) * y * f
+        c, b = one, (one - x) * (one - x * y)
+        d = b * b - four_x * x * (one - x) * y
+        b0, lowest = 1 - rx, RationalFunction.zero()  # b at y = 0, and Ψ_0
+    root = two_x * c * f - b
+    report.add("exact identity", root * root - d == -(four_x * e))
+    report.add("series root", (b0 - (1 - rx)) / (2 * rx) == lowest)
+    return report
+
+
+def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS, orders=None) -> RelationReport:
     """Verify one relation instance; see the module docstring for ids.
 
     ``params`` is a pattern in one-line notation (``thm21``, ``thm31``,
@@ -260,9 +289,9 @@ def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS,
     accepted by the pattern-based checks), or ignored for the
     functional-equation checks.  ``terms`` bounds the coefficient-wise
     checks and must be at least 1, since to order 0 they read only G_0 = 0.
-    The functional-equation checks read only ``orders[1]``, the y order,
-    which must lie in 1..``FEQ_TERMS_CAP``; their levels are exact in x,
-    so ``orders[0]`` is unused.
+    ``orders`` is accepted and not read: the functional-equation checks
+    are exact at every y order.  It is kept only for
+    ``perfbench/workloads.py``, which passes it.
     """
     if params is None and relation in ("thm21", "thm23", "thm31", "thm33", "remark31"):
         raise PatternError(f"relation {relation!r} needs a pattern or layer tops")
@@ -278,11 +307,6 @@ def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS,
         return _check_thm33(tuple(int(v) for v in params), terms)
     if relation == "remark31":
         return _check_remark31(_resolve_pattern(params), terms)
-    residuals = {"thm22feq": phi_functional_equation_residual, "thm32feq": psi_functional_equation_residual}
-    if relation in residuals:
-        if orders[1] > FEQ_TERMS_CAP:
-            raise ValueError(f"{relation}: the y order must be at most {FEQ_TERMS_CAP}, got {orders[1]}")
-        report = RelationReport(relation, f"y order {orders[1]}")
-        report.add("zero residual", residuals[relation](orders[1]).is_zero)
-        return report
+    if relation in ("thm22feq", "thm32feq"):
+        return _check_feq(relation)
     raise PatternError(f"unknown relation {relation!r}")

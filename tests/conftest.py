@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from pattgf.algebra import BivariateSeries, RationalFunction
+from pattgf.engine import phi_closed_series, psi_closed_series
 from pattgf.errors import PatternError
 from pattgf.patterns import as_pattern, flatten
 
@@ -163,3 +165,59 @@ def suffix_pattern_fixture():
     """Suffix i of a ``canonical_decompose`` record by ``flatten``: the
     reference for the suffixes ``patterns.blocks`` slices."""
     return suffix_pattern
+
+
+_ZERO, _ONE, _X = RationalFunction.zero(), RationalFunction.one(), RationalFunction.x()
+
+
+def phi_functional_equation_residual(order_y):
+    """Residual of Phi = y/(1-y) + x Phi (Phi/y - 1 - Phi) + x y Phi,
+    multiplied through by y, at y^0..y^(order_y+1), from the expansion
+    ``phi_closed_series``.
+
+    This is the aggregate of the avoidance recursion over decreasing
+    patterns: summing F_k = 1 + x F_2 F_{k-1} + x * sum_{j>=2}
+    (F_{j+1} - F_j) F_{k-j} against y^k.  (The j = 1 telescoping term
+    contributes F_2 alone because the 0-th prefix of a decreasing
+    pattern is empty and the empty-pattern series is 0.)  Times y the
+    equation needs no Phi/y, so its y^m level reads
+    P_(m-1) - [m >= 2] - x (S_m - P_(m-1) - S_(m-1) + P_(m-2)) with
+    P = Phi and S = Phi^2; a correct Phi leaves every level exactly 0.
+    """
+    phi = phi_closed_series(order_y + 1)
+    p = (_ZERO, _ZERO) + phi.levels  # p[m] = P_(m-2)
+    s = (_ZERO,) + (phi * phi).levels  # s[m] = S_(m-1)
+    return BivariateSeries(
+        p[m + 1] - (_ONE if m >= 2 else _ZERO) - _X * (s[m + 1] - p[m + 1] - s[m] + p[m])
+        for m in range(order_y + 2)
+    )
+
+
+def psi_functional_equation_residual(order_y):
+    """Residual of (1-x)(Psi - xy) = x Psi^2 + x(1-x) y Psi at
+    y^0..y^order_y, from the expansion ``psi_closed_series``: level m is
+    (1-x)(Q_m - x[m = 1]) - x S_m - x(1-x) Q_(m-1) with Q = Psi and
+    S = Psi^2."""
+    psi = psi_closed_series(order_y)
+    q = (_ZERO,) + psi.levels  # q[m] = Q_(m-1)
+    s = (psi * psi).levels
+    c = _ONE - _X
+    return BivariateSeries(
+        c * (q[m + 1] - (_X if m == 1 else _ZERO)) - _X * s[m] - _X * c * q[m]
+        for m in range(order_y + 1)
+    )
+
+
+@pytest.fixture(scope="session", name="phi_functional_equation_residual")
+def phi_residual_fixture():
+    """Phi's functional equation level by level on the expansion: the
+    cross-check of ``phi_closed_series`` that ``relations`` checks
+    exactly as a polynomial identity."""
+    return phi_functional_equation_residual
+
+
+@pytest.fixture(scope="session", name="psi_functional_equation_residual")
+def psi_residual_fixture():
+    """Psi's functional equation level by level on the expansion: the
+    cross-check of ``psi_closed_series``."""
+    return psi_functional_equation_residual

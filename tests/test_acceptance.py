@@ -8,14 +8,7 @@ import time
 
 from pattgf.algebra import Polynomial, RationalFunction, series_of
 from pattgf.chebyshev import r_func, sweep_identities, v_poly
-from pattgf.engine import (
-    avoid_gf,
-    once_gf,
-    phi_closed_series,
-    phi_functional_equation_residual,
-    psi_closed_series,
-    psi_functional_equation_residual,
-)
+from pattgf.engine import avoid_gf, once_gf, phi_closed_series, psi_closed_series
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import (
     decreasing,
@@ -120,7 +113,7 @@ def test_criterion_06_wedge_collapse(is_wedge):
     report(6, f"all {total} wedge patterns of size <= 8, and one of size 9, collapse to R_k", t0)
 
 
-def test_criterion_07_phi_slices_and_equation():
+def test_criterion_07_phi_slices_and_equation(phi_functional_equation_residual):
     t0 = time.time()
     phi = phi_closed_series(10)
     for k in range(1, 11):
@@ -173,7 +166,7 @@ def test_criterion_09_once_closed_forms():
     report(9, "exactly-once closed forms exact and oracle-verified", t0)
 
 
-def test_criterion_10_psi_slices_and_equation():
+def test_criterion_10_psi_slices_and_equation(psi_functional_equation_residual):
     t0 = time.time()
     psi = psi_closed_series(10)
     for k in range(1, 11):

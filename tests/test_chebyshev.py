@@ -94,6 +94,20 @@ def test_identity_range_validation():
         check_identity("vii", a=1, b=1)
 
 
+@pytest.mark.parametrize("which", ["i", "ii", "iii", "iv", "v", "vi"])
+def test_identity_parameter_names_are_checked(which):
+    """A missing or an unexpected parameter is a ``ValueError`` that
+    names the part's parameters, not a ``KeyError`` or a silent pass."""
+    valid = identity_instances(which, 6)[0]
+    names = ", ".join(valid)
+    missing = dict(valid)
+    missing.popitem()
+    for params in (missing, {**valid, "q": 1}, {}):
+        with pytest.raises(ValueError, match=rf"^identity \({which}\) takes the parameters {names}, got "):
+            check_identity(which, **params)
+    assert check_identity(which, **valid)
+
+
 def test_identity_iv_explicit_form():
     # 1 - x R_1 R_1 == V_2 / (V_1 V_1) == 1 - x
     lhs = RationalFunction.one() - RationalFunction.x() * r_func(1) * r_func(1)

@@ -162,7 +162,7 @@ def test_verify_thm23_sweep(capsys):
 
 
 def test_verify_feq(capsys):
-    code, out, _ = run(capsys, "verify", "thm32feq", "--terms", "8")
+    code, out, _ = run(capsys, "verify", "thm32feq")
     assert code == 0
     assert out == "thm32feq: 1/1 instances hold"
 
@@ -181,6 +181,8 @@ def test_verify_terms_below_one_is_usage_error(capsys, relation, terms):
     [
         ("thm21", "--terms", "5"),
         ("thm23", "--terms", "40"),
+        ("thm22feq", "--terms", "8"),
+        ("thm32feq", "--terms", "8"),
         ("thm22feq", "--range", "2:4"),
         ("thm32feq", "--range", "2"),
     ],
@@ -189,7 +191,8 @@ def test_verify_unread_flag_is_usage_error(capsys, relation, flag, value):
     code, out, err = run(capsys, "verify", relation, flag, value)
     assert code == 1
     assert out == ""
-    assert relation in err and f"does not read {flag}" in err
+    reason = "is checked symbolically" if flag == "--terms" else "has no pattern sizes"
+    assert err == f"error: {relation} {reason} and does not read {flag}"
 
 
 @pytest.mark.parametrize("relation, text", [("thm21", "x"), ("thm31", "2:x"), ("thm23", ":3"), ("thm21", "2:")])
@@ -208,21 +211,10 @@ def test_verify_terms_above_count_cap_is_usage_error(capsys, relation):
     assert "--terms" in err and "oracle.COUNT_CAP = 30" in err and "got 40" in err
 
 
-def test_verify_feq_terms_above_cap_is_usage_error(capsys):
-    for relation in ("thm22feq", "thm32feq"):
-        code, out, err = run(capsys, "verify", relation, "--terms", "33")
-        assert code == 1
-        assert out == ""
-        assert f"{relation}: the y order must be at most 32, got 33" in err
-    # thm32feq is the cheaper of the two at the cap
-    assert run(capsys, "verify", "thm32feq", "--terms", "32") == (0, "thm32feq: 1/1 instances hold", "")
-
-
 def test_verify_default_terms(capsys):
     assert run(capsys, "verify", "thm31", "--range", "2:3") == run(
         capsys, "verify", "thm31", "--range", "2:3", "--terms", "9"
     )
-    assert run(capsys, "verify", "thm22feq") == run(capsys, "verify", "thm22feq", "--terms", "8")
 
 
 @pytest.mark.parametrize(
@@ -279,8 +271,8 @@ def test_import_cli_loads_every_module_and_no_heavy_stdlib():
     of the stdlib modules that cost start-up time on every CLI call.
     ``-S`` keeps ``site`` from preloading anything.  An avoid series has
     den(0) = 1, so ``gf`` and ``series`` stay in ``int``s, and the two
-    feq checks expand Phi and Psi over Q(x): ``fractions`` is still
-    unloaded after running all four."""
+    feq checks are identities in Z[x]: ``fractions`` is still unloaded
+    after running all four."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     script = (
@@ -365,4 +357,4 @@ def test_verify_help_states_the_relations_defaults(capsys):
     assert main(["verify", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     assert f"series order for thm31/thm33/remark31 (default {relations.DEFAULT_TERMS});" in text
-    assert f"the y order for thm22feq/thm32feq (default {relations.DEFAULT_Y_ORDER});" in text
+    assert "not read by the symbolic thm21/thm23/thm22feq/thm32feq" in text

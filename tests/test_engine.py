@@ -12,9 +12,7 @@ from pattgf.engine import (
     avoid_gf,
     once_gf,
     phi_closed_series,
-    phi_functional_equation_residual,
     psi_closed_series,
-    psi_functional_equation_residual,
 )
 from pattgf.errors import NotIn132Class, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
@@ -452,9 +450,18 @@ class TestBivariateAggregates:
         got = list(series(ConstraintSpec(contain=(3, 2, 1)), 8).counts)
         assert coeffs(psi.levels[3], 8) == got
 
-    def test_functional_equation_residuals_vanish(self):
+    def test_functional_equation_residuals_vanish(
+        self, phi_functional_equation_residual, psi_functional_equation_residual
+    ):
         assert phi_functional_equation_residual(6).is_zero
         assert psi_functional_equation_residual(6).is_zero
+
+    def test_once_of_decreasing_is_psi_slice(self):
+        """``once_gf(k...1)``'s Narayana form equals the y^k level of the
+        expansion of Psi."""
+        psi = psi_closed_series(16)
+        for k in range(3, 17):
+            assert once_gf(decreasing(k)) == psi.levels[k], k
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import NotIn132Class, PatternError
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders
 from pattgf.patterns import canonical_decompose, expand_layered, iter_layered_specs
-from pattgf.relations import FEQ_TERMS_CAP, verify_relation
+from pattgf.relations import verify_relation
 
 
 def test_thm21_golden_instance():
@@ -169,22 +169,11 @@ def test_remark31_on_nonlayered_pattern():
 
 
 def test_functional_equations():
-    assert verify_relation("thm22feq", orders=(9, 7)).passed
-    assert verify_relation("thm32feq", orders=(9, 7)).passed
-
-
-@pytest.mark.parametrize("relation", ["thm22feq", "thm32feq"])
-def test_functional_equations_refuse_y_order_zero(relation):
-    with pytest.raises(ValueError, match="order_y must be at least 1"):
-        verify_relation(relation, orders=(0, 0))
-
-
-@pytest.mark.parametrize("y_order", [33, 40])
-@pytest.mark.parametrize("relation", ["thm22feq", "thm32feq"])
-def test_functional_equations_refuse_y_order_above_cap(relation, y_order):
-    assert FEQ_TERMS_CAP == 32
-    with pytest.raises(ValueError, match=f"{relation}: the y order must be at most 32, got {y_order}"):
-        verify_relation(relation, orders=(0, y_order))
+    for relation in ("thm22feq", "thm32feq"):
+        report = verify_relation(relation)
+        assert [(c.label, c.passed) for c in report.checks] == [("exact identity", True), ("series root", True)]
+        # ``orders`` is accepted and not read; perfbench/workloads.py passes it
+        assert verify_relation(relation, orders=(9, 7)).passed
 
 
 @pytest.mark.parametrize("terms", [0, -1])
