@@ -211,6 +211,17 @@ def test_verify_terms_above_count_cap_is_usage_error(capsys, relation):
     assert "--terms" in err and "oracle.COUNT_CAP = 30" in err and "got 40" in err
 
 
+def test_verify_feq_terms_above_cap_is_usage_error(capsys):
+    """The feq checks read no y order: ``--terms`` is refused on both
+    sides of the former cap of 32, and without it both still hold."""
+    for relation in ("thm22feq", "thm32feq"):
+        for terms in ("32", "33"):
+            assert run(capsys, "verify", relation, "--terms", terms) == (
+                1, "", f"error: {relation} is checked symbolically and does not read --terms"
+            )
+        assert run(capsys, "verify", relation) == (0, f"{relation}: 1/1 instances hold", "")
+
+
 def test_verify_default_terms(capsys):
     assert run(capsys, "verify", "thm31", "--range", "2:3") == run(
         capsys, "verify", "thm31", "--range", "2:3", "--terms", "9"

@@ -1,6 +1,6 @@
 import pytest
 
-from pattgf import oracle, relations
+from pattgf import cli, oracle, relations
 from pattgf.algebra import PowerSeries
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import NotIn132Class, PatternError
@@ -174,6 +174,20 @@ def test_functional_equations():
         assert [(c.label, c.passed) for c in report.checks] == [("exact identity", True), ("series root", True)]
         # ``orders`` is accepted and not read; perfbench/workloads.py passes it
         assert verify_relation(relation, orders=(9, 7)).passed
+
+
+@pytest.mark.parametrize("y_order", [33, 40])
+@pytest.mark.parametrize("relation", ["thm22feq", "thm32feq"])
+def test_functional_equations_refuse_y_order_above_cap(capsys, relation, y_order):
+    """The feq checks are exact, so a y order past the former cap of 32
+    changes nothing in ``verify_relation``, and ``pattgf verify``, where
+    a user can give one, refuses it as ``--terms``."""
+    report = verify_relation(relation, orders=(0, y_order))
+    assert [(c.label, c.passed) for c in report.checks] == [("exact identity", True), ("series root", True)]
+    assert cli.main(["verify", relation, "--terms", str(y_order)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {relation} is checked symbolically and does not read --terms"
 
 
 @pytest.mark.parametrize("terms", [0, -1])
