@@ -78,6 +78,12 @@ Representations:
   takes the exact root of the y^0 coefficient from the caller and
   checks it, so every coefficient stays in Q(x), with no ``Fraction``
   and no truncation in x.
+
+``vanishes`` decides whether an expression in ``+``, ``-`` and ``*``
+over ``RationalFunction`` inputs is zero by one integer evaluation at a
+power of two, with the denominators cleared and the power fixed by a
+coefficient bound, as in the heuristic gcd; no gcd is taken and no
+canonical form is built.  Its docstring proves the test exact.
 """
 
 from __future__ import annotations
@@ -738,6 +744,112 @@ def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
 
 
 # -- module-level operations -------------------------------------------------
+
+
+class _Cleared:
+    """n / prod_a d_a**e_a over the distinct input denominators d_a of
+    ``vanishes``, with n and each d_a an ``int`` (a value at x = 2**w)
+    and e the exponent tuple.  A product adds exponents; a sum lifts
+    both sides to the larger exponent of each d_a."""
+
+    __slots__ = ("n", "e", "dens")
+
+    def __init__(self, n: int, e: tuple[int, ...], dens: list[int]):
+        self.n, self.e, self.dens = n, e, dens
+
+    def _lift(self, other: "_Cleared") -> tuple[int, int, tuple[int, ...]]:
+        """Both numerators over the common denominator, and its exponents."""
+        n1, n2, e1, e2 = self.n, other.n, self.e, other.e
+        if e1 == e2:
+            return n1, n2, e1
+        for d, a, b in zip(self.dens, e1, e2):
+            if a < b:
+                n1 *= d ** (b - a)
+            elif b < a:
+                n2 *= d ** (a - b)
+        return n1, n2, tuple(map(max, e1, e2))
+
+    def __add__(self, other: "_Cleared") -> "_Cleared":
+        n1, n2, e = self._lift(other)
+        return type(self)(n1 + n2, e, self.dens)
+
+    def __sub__(self, other: "_Cleared") -> "_Cleared":
+        n1, n2, e = self._lift(other)
+        return type(self)(n1 - n2, e, self.dens)
+
+    def __mul__(self, other: "_Cleared") -> "_Cleared":
+        return type(self)(self.n * other.n, tuple(map(add, self.e, other.e)), self.dens)
+
+
+class _Norm(_Cleared):
+    """``_Cleared`` over l1 norms: n bounds the l1 norm of the numerator,
+    so subtraction adds."""
+
+    __slots__ = ()
+
+    def __sub__(self, other: "_Cleared") -> "_Cleared":
+        return self + other
+
+
+def vanishes(expr, *inputs: RationalFunction) -> bool:
+    """Whether ``expr(one, x, *inputs)`` is the zero function, for an
+    ``expr`` built with binary ``+``, ``-`` and ``*`` alone.
+
+    Let d_1, ..., d_m be the distinct denominators of the inputs other
+    than 1.  Every value of the expression is N / prod_a d_a**e_a with
+    N in Z[x]: an input num/d_a has N = num and e_a = 1, ``one`` and
+    ``x`` have N = 1 and x; a product multiplies the numerators and adds
+    the exponents, and a sum or difference first multiplies each side's
+    N by d_a**(e - e_a) to reach the larger exponent e of each d_a, so
+    that an equal denominator is shared as in an lcm.  ``expr`` runs
+    twice, over ``_Cleared`` numbers.  The first run replaces every
+    polynomial by its l1 norm, where a sum or difference adds and a
+    product multiplies; the triangle inequality and |pq|_1 <= |p|_1 |q|_1
+    make its result a bound on |N|_1, and B is the largest of it and the
+    l1 norms of the inputs' numerators and denominators.  The second run
+    evaluates every polynomial at X = 2**w, w = ``_slot(B.bit_length() +
+    1)``, which is each packed value at the slot w; as evaluation is a
+    ring map, it ends with N(X).  The identity holds iff N(X) = 0:
+
+    - every d_a(X) != 0, and the cleared denominator prod_a d_a**e_a is
+      a nonzero polynomial, so the expression is 0 iff N = 0;
+    - every coefficient of N, d_a and the numerators is at most
+      B < 2**(w-1) = X/2 in absolute value, and balanced base-X digits
+      are unique, so a nonzero polynomial among them is nonzero at X;
+      N(X) = 0 thus holds iff N = 0, and d_a(X) != 0.
+
+    w comes from B, not from the slots of the inputs: f = x and the
+    constant g = 2**62 both sit in 64-bit slots, and f - 4g is nonzero
+    but vanishes at x = 2**64, where B = 2**64 + 1 puts X at 2**128.
+    The expression itself needs no gcd, no canonical form and no
+    ``RationalFunction`` arithmetic.
+    """
+    index: dict[Polynomial, int] = {}
+    for f in inputs:
+        if f.den.v != 1:
+            index.setdefault(f.den, len(index))
+    unit = (0,) * len(index)
+    exps = []
+    for f in inputs:
+        e = list(unit)
+        if f.den.v != 1:
+            e[index[f.den]] = 1
+        exps.append(tuple(e))
+    dens = [(d, d.coeffs) for d in index]
+    nums = [(f.num, f.num.coeffs) for f in inputs]
+    norms = [sum(map(abs, c)) for _, c in dens]
+    bounds = [sum(map(abs, c)) for _, c in nums]
+    one = _Norm(1, unit, norms)  # |1|_1 = |x|_1 = 1
+    bound = expr(one, one, *(_Norm(b, e, norms) for b, e in zip(bounds, exps))).n
+    w = _slot(max((bound, *norms, *bounds)).bit_length() + 1)
+
+    def at(p: Polynomial, coeffs: tuple[int, ...]) -> int:
+        return p.v if _slot(p.bits) == w else _pack(coeffs, w)
+
+    vals = [at(*d) for d in dens]
+    values = [_Cleared(at(*p), e, vals) for p, e in zip(nums, exps)]
+    return not expr(_Cleared(1, unit, vals), _Cleared(1 << w, unit, vals), *values).n
+
 
 # ``series_of`` is one long division whose cost grows like N**3: at 1000
 # terms it takes at most 0.13 s over every avoid and once gf with k <= 8

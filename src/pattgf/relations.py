@@ -3,13 +3,20 @@
 Each relation identifier names one recursion satisfied by the
 generating functions:
 
-- ``thm21``     the avoidance recursion, checked symbolically for any
-                132-avoiding pattern.
+- ``thm21``     the avoidance recursion, for any 132-avoiding pattern.
 - ``thm23``     its layered specialization with R-function boundary
-                terms, checked symbolically on the block slices of the
-                expanded layered pattern: the layer tops are its
-                maxima, and the layered patterns the recursion names
-                are its prefixes and suffixes.
+                terms, on the block slices of the expanded layered
+                pattern: the layer tops are its maxima, and the layered
+                patterns the recursion names are its prefixes and
+                suffixes.
+- Both are exact identities in Q(x), decided by ``algebra.vanishes``:
+  the difference of the two sides, written once over the ``avoid_gf``
+  and ``r_func_or_zero`` values, is evaluated at one power of two
+  X = 2**w with every denominator cleared, after a coefficient bound has
+  fixed w; its docstring proves that the difference is 0 iff that
+  integer is.  The check itself does no ``RationalFunction`` arithmetic
+  and takes no gcd, so it shares none of that code with the engine
+  whose values it reads.
 - ``thm31``, ``thm33``, ``remark31``: one exactly-once recursion,
   checked coefficient-wise to order n by ``_once_recursion_holds``.
   With G the oracle table "avoid every ν in ``nus``, contain μ exactly
@@ -79,7 +86,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import Polynomial, PowerSeries, RationalFunction, series_of
+from .algebra import Polynomial, PowerSeries, RationalFunction, series_of, vanishes
 from .chebyshev import r_func_or_zero
 from .engine import avoid_gf
 from .errors import PatternError
@@ -172,12 +179,16 @@ class RelationReport:
 def _check_thm21(pat: tuple[int, ...]) -> RelationReport:
     report = RelationReport("thm21", f"pattern {pat}")
     r, pre, suf = _slices(pat)
-    x = RationalFunction.x()
-    rhs = RationalFunction.one()
-    for j in range(r + 1):
-        diff = avoid_gf(pre[j]) - avoid_gf(pre[j - 1])
-        rhs = rhs + x * diff * avoid_gf(suf[j])
-    report.add("symbolic identity", avoid_gf(pat) == rhs)
+
+    def identity(one, x, *v):
+        # f[j] = F(prefix j) for j = -1..r, as in ``pre``; g[j] = F(suffix j) for j = 0..r
+        f, g = v[: r + 2], v[r + 2 :]
+        rhs = one
+        for j in range(r + 1):
+            rhs = rhs + x * (f[j] - f[j - 1]) * g[j]
+        return g[0] - rhs
+
+    report.add("symbolic identity", vanishes(identity, *map(avoid_gf, pre + suf[: r + 1])))
     return report
 
 
@@ -186,14 +197,18 @@ def _check_thm23(tops: tuple[int, ...]) -> RelationReport:
     if len(tops) < 2:
         raise PatternError("the layered recursion needs at least two layers")
     r, pre, suf = _slices(expand_layered(tops))
-    x = RationalFunction.x()
-    head = r_func_or_zero(tops[0] - tops[1] - 1)
-    lhs = (RationalFunction.one() - x * head - x * r_func_or_zero(tops[-1])) * avoid_gf(suf[0])
-    rhs = RationalFunction.one() - x * head * avoid_gf(suf[1])
-    for j in range(2, r + 1):
-        tail = avoid_gf(suf[j - 1]) - avoid_gf(suf[j])
-        rhs = rhs + x * avoid_gf(pre[j - 1]) * tail
-    report.add("symbolic identity", lhs == rhs)
+    boundary = r_func_or_zero(tops[0] - tops[1] - 1), r_func_or_zero(tops[-1])
+
+    def identity(one, x, head, last, *v):
+        # g[j] = F(suffix j) for j = 0..r, f[j] = F(prefix j) for j = 0..r-1
+        g, f = v[: r + 1], v[r + 1 :]
+        rhs = one - x * head * g[1]
+        for j in range(2, r + 1):
+            rhs = rhs + x * f[j - 1] * (g[j - 1] - g[j])
+        return (one - x * head - x * last) * g[0] - rhs
+
+    gfs = map(avoid_gf, suf[: r + 1] + pre[:r])
+    report.add("symbolic identity", vanishes(identity, *boundary, *gfs))
     return report
 
 
@@ -288,14 +303,18 @@ def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS, orde
     ``remark31``), layered layer tops (``thm23``, ``thm33``, also
     accepted by the pattern-based checks), or ignored for the
     functional-equation checks.  ``terms`` bounds the coefficient-wise
-    checks and must be at least 1, since to order 0 they read only G_0 = 0.
-    ``orders`` is accepted and not read: the functional-equation checks
-    are exact at every y order.  It is kept only for
-    ``perfbench/workloads.py``, which passes it.
+    checks and must be at least 1 for every relation, since to order 0
+    they read only G_0 = 0.  The symbolic checks (``thm21``, ``thm23``
+    and both functional equations) read no order, so any ``terms`` of
+    at least 1 leaves them as they are; ``perfbench/workloads.py``
+    passes one to ``thm21`` and ``thm23``.  ``orders`` is accepted and
+    not read: the functional-equation checks are exact at every y
+    order.  It is kept only for ``perfbench/workloads.py``, which passes
+    it.
     """
     if params is None and relation in ("thm21", "thm23", "thm31", "thm33", "remark31"):
         raise PatternError(f"relation {relation!r} needs a pattern or layer tops")
-    if terms < 1 and relation in ("thm31", "thm33", "remark31"):
+    if terms < 1:
         raise ValueError(f"{relation}: terms must be at least 1, got {terms}")
     if relation == "thm21":
         return _check_thm21(_resolve_pattern(params))

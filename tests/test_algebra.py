@@ -13,6 +13,7 @@ from pattgf.algebra import (
     polynomial_gcd,
     polynomial_str,
     series_of,
+    vanishes,
 )
 
 
@@ -227,6 +228,31 @@ class TestRationalFunction:
     def test_str(self):
         assert polynomial_str(Polynomial((1, -2, 2))) == "1 - 2x + 2x^2"
         assert str(rf((0, 0, 1), (1, -1))) == "(x^2) / (1 - x)"
+
+
+class TestVanishes:
+    def test_slot_comes_from_the_bound(self):
+        # f = x and g = 2**62 both sit in 64-bit slots, where f - 4g reads 0
+        # at x = 2**64; the bound |f - 4g|_1 = 2**64 + 1 moves X to 2**128
+        f, g = RationalFunction.x(), RationalFunction.constant(2**62)
+        assert f.num.bits < 64 and g.num.bits < 64 and f.num.v == 4 * g.num.v
+        assert not vanishes(lambda one, x, f, g: f - g - g - g - g, f, g)
+        assert vanishes(lambda one, x, f, g: f - x - g + g, f, g)
+
+    def test_shared_and_distinct_denominators(self):
+        a, b = rf((1,), (1, -1)), rf((2, 1), (1, -1))
+        c = rf((1,), (1, -2))
+        assert vanishes(lambda one, x, a, b, c: (a + b) * c - a * c - b * c, a, b, c)
+        assert vanishes(lambda one, x, a, b: a * b - b * a + (a - a) * x, a, b)
+        # 1/(1-x) - 1 = x/(1-x)
+        assert vanishes(lambda one, x, a: a - one - x * a, a)
+        assert not vanishes(lambda one, x, a: a - one - a, a)
+        assert not vanishes(lambda one, x, a, c: a - c, a, c)
+
+    def test_no_inputs(self):
+        assert vanishes(lambda one, x: x * x - x * x)
+        assert not vanishes(lambda one, x: x - one)
+        assert not vanishes(lambda one, x: one)
 
 
 class TestSeriesOf:

@@ -14,7 +14,9 @@ canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; the operations and
 literals that skip the gcd, and those that cancel on their operands,
 must return what the constructor returns; equal functions must hash
-equal.
+equal.  ``vanishes`` must accept two identities, reject them once one
+occurrence of an input is perturbed, and agree with ``RationalFunction``
+arithmetic on both.
 """
 
 import json
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pattgf import relations
-from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of
+from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of, vanishes
 from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
@@ -333,6 +335,37 @@ def test_field_laws(a, b):
     assert (a + b) - b == a
     if not b.is_zero:
         assert a * b / b == a
+
+
+@st.composite
+def identity_inputs(draw):
+    """f, g, h nonzero and canonical, with wide coefficients and with
+    denominators drawn from two, so that equal ones are shared; and a
+    nonzero perturbation d."""
+    nonzero = (polys | wide_polys).filter(lambda p: not p.is_zero)
+    dens = [draw(nonzero), draw(nonzero)]
+    f, g, h = (RationalFunction(draw(nonzero), draw(st.sampled_from(dens))) for _ in range(3))
+    return f, g, h, RationalFunction(draw(nonzero), draw(nonzero))
+
+
+# p is f in one place: (f + g)h - fh - gh and (f - g)(f + g) - ff + gg
+# read -dh and -df when p = f + d
+IDENTITIES = [
+    lambda one, x, f, g, h, p: (f + g) * h - p * h - g * h,
+    lambda one, x, f, g, h, p: (f - g) * (f + g) - p * f + g * g,
+]
+
+
+@ALGEBRA
+@given(identity_inputs())
+@example((RationalFunction.x(), RationalFunction.constant(2**62), RationalFunction.one(), RationalFunction.one()))
+def test_vanishes_agrees_with_rational_arithmetic(inputs):
+    f, g, h, d = inputs
+    one, x = RationalFunction.one(), RationalFunction.x()
+    for expr in IDENTITIES:
+        for p, holds in ((f, True), (f + d, False)):
+            assert vanishes(expr, f, g, h, p) is holds
+            assert expr(one, x, f, g, h, p).is_zero is holds
 
 
 @ALGEBRA

@@ -1,7 +1,7 @@
 import pytest
 
 from pattgf import cli, oracle, relations
-from pattgf.algebra import PowerSeries
+from pattgf.algebra import PowerSeries, RationalFunction
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import NotIn132Class, PatternError
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders
@@ -151,6 +151,20 @@ def test_thm33_catches_a_wrong_boundary_index(monkeypatch):
     assert verify_relation("thm21", expand_layered((5, 3, 1))).passed
 
 
+def test_thm21_catches_a_wrong_suffix(monkeypatch):
+    # F(suffix 1) of (4,5,2,3,1) off by x^12, past any coefficient-wise
+    # check to the default order; thm23 reads the same suffix
+    pat, suffix = expand_layered((5, 3, 1)), (2, 3, 1)
+    real = relations.avoid_gf
+    monkeypatch.setattr(
+        relations, "avoid_gf", lambda p: real(p) + RationalFunction.x(12) if p == suffix else real(p)
+    )
+    rep = verify_relation("thm21", pat)
+    assert [(c.label, c.passed) for c in rep.checks] == [("symbolic identity", False)]
+    assert not verify_relation("thm23", (5, 3, 1)).passed
+    assert verify_relation("thm21", (3, 2, 1)).passed
+
+
 def test_remark31_instances():
     rep = verify_relation("remark31", (4, 2, 1), terms=8)
     assert rep.passed
@@ -191,9 +205,10 @@ def test_functional_equations_refuse_y_order_above_cap(capsys, relation, y_order
 
 
 @pytest.mark.parametrize("terms", [0, -1])
-@pytest.mark.parametrize("relation", ["thm31", "thm33", "remark31"])
+@pytest.mark.parametrize("relation", ["thm31", "thm33", "remark31", "thm21", "thm23", "thm22feq", "thm32feq"])
 def test_once_recursion_refuses_terms_below_one(relation, terms):
-    # to order 0 the check reads only G_0 = 0, which holds for every pattern
+    # to order 0 the check reads only G_0 = 0, which holds for every pattern;
+    # the symbolic checks read no order, but refuse the same values
     with pytest.raises(ValueError, match=f"{relation}: terms must be at least 1, got {terms}"):
         verify_relation(relation, (4, 2, 1), terms=terms)
 
