@@ -19,9 +19,11 @@ The quotient R_p(x) = U_{p-1}(z) / (sqrt(x) * U_p(z)) then collapses to
 x^((p-1)/2) U_{p-1} / (x^(1/2) x^(p/2) U_p) * x^... = V_{p-1} / V_p: the
 x-powers cancel exactly, so R_p is rational with no radical.
 
-``check_identity`` verifies six exact identities; parts (i)-(ii) in z,
-parts (iii)-(vi) in x via the V translation, whose exponent bookkeeping
-is documented on the function.
+``check_identity`` verifies six identities, each as an exact identity
+of integer polynomials: parts (i)-(ii) in z, parts (iii)-(vi) in x via
+the V translation, with the denominators V_q cleared (every V_q(0) = 1,
+so none vanishes).  The exponent bookkeeping is documented on the
+function.
 """
 
 from __future__ import annotations
@@ -80,16 +82,6 @@ def r_func_or_zero(p: int) -> RationalFunction:
     return r_func(p)
 
 
-def _rf(num_polys, den_polys, x_power: int = 0) -> RationalFunction:
-    num = Polynomial((1,))
-    for q in num_polys:
-        num = num * q
-    den = Polynomial((1,))
-    for q in den_polys:
-        den = den * q
-    return RationalFunction(num.shift(x_power), den)
-
-
 def check_identity(which: str, **params: int) -> bool:
     """Exactly verify one of six product identities.
 
@@ -102,19 +94,23 @@ def check_identity(which: str, **params: int) -> bool:
     - ``ii`` for s,t >= 0, w >= 1:
         U_{s+w}*U_{t+w} - U_s*U_t = U_{w-1}*U_{s+t+w+1}.
 
-    Parts in x (checked as canonical rational-function identities).
-    Translating with U_q = x^(-q/2) V_q, the stray sqrt(x) powers cancel
-    as annotated:
+    Parts in x.  Translating with U_q = x^(-q/2) V_q, the stray sqrt(x)
+    powers cancel as annotated.  With R_p = V_{p-1}/V_p, each part is
+    checked as the polynomial identity after "in V", which is the R form
+    times its denominators (all nonzero, as every V_q(0) = 1):
 
-    - ``iii`` for p >= 1:  R_{p+1} = 1/(1 - x*R_p)
-        (in V terms this is exactly the recurrence V_{p+1} = V_p - x*V_{p-1}).
+    - ``iii`` for p >= 1:  R_{p+1} = 1/(1 - x*R_p);
+        in V: V_{p+1} = V_p - x*V_{p-1}.
     - ``iv``  for a,b >= 1:  1 - x*R_a*R_b = V_{a+b}/(V_a*V_b)
-        (x^(-(a+b)/2) clears identically on both sides).
+        (x^(-(a+b)/2) clears identically on both sides);
+        in V: V_a*V_b - x*V_{a-1}*V_{b-1} = V_{a+b}.
     - ``v``   for a,b >= 1:  1 - x*R_a - x*R_b = V_{a+b+1}/(V_a*V_b)
         (the right-hand side carries sqrt(x)*U_{a+b+1}, contributing
-        x^(1/2 - (a+b+1)/2 + (a+b)/2) = x^0).
+        x^(1/2 - (a+b+1)/2 + (a+b)/2) = x^0);
+        in V: V_a*V_b - x*V_{a-1}*V_b - x*V_a*V_{b-1} = V_{a+b+1}.
     - ``vi``  for a >= b+1 >= 2:  R_a - R_b = x^b * V_{a-b-1}/(V_a*V_b)
-        (here x^(-(a-b-1)/2 - 1/2 + (a+b)/2) = x^b survives).
+        (here x^(-(a-b-1)/2 - 1/2 + (a+b)/2) = x^b survives);
+        in V: V_{a-1}*V_b - V_{b-1}*V_a = x^b * V_{a-b-1}.
 
     A missing or unexpected parameter is a ``ValueError`` naming the
     part's parameters, as is a parameter outside the part's range.
@@ -146,24 +142,22 @@ def check_identity(which: str, **params: int) -> bool:
         p = params["p"]
         if p < 1:
             raise ValueError(f"need p >= 1, got {p}")
-        return r_func(p + 1) == RationalFunction.one() / (RationalFunction.one() - RationalFunction.x() * r_func(p))
+        return v_poly(p + 1) == v_poly(p) - v_poly(p - 1).shift(1)
     if which == "iv":
         a, b = params["a"], params["b"]
         if not (a >= 1 and b >= 1):
             raise ValueError(f"need a,b >= 1, got a={a} b={b}")
-        lhs = RationalFunction.one() - RationalFunction.x() * r_func(a) * r_func(b)
-        return lhs == _rf([v_poly(a + b)], [v_poly(a), v_poly(b)])
+        return v_poly(a) * v_poly(b) - (v_poly(a - 1) * v_poly(b - 1)).shift(1) == v_poly(a + b)
     if which == "v":
         a, b = params["a"], params["b"]
         if not (a >= 1 and b >= 1):
             raise ValueError(f"need a,b >= 1, got a={a} b={b}")
-        lhs = RationalFunction.one() - RationalFunction.x() * r_func(a) - RationalFunction.x() * r_func(b)
-        return lhs == _rf([v_poly(a + b + 1)], [v_poly(a), v_poly(b)])
+        lhs = v_poly(a) * v_poly(b) - (v_poly(a - 1) * v_poly(b) + v_poly(a) * v_poly(b - 1)).shift(1)
+        return lhs == v_poly(a + b + 1)
     a, b = params["a"], params["b"]  # which == "vi"
     if not (a >= b + 1 >= 2):
         raise ValueError(f"need a >= b+1 >= 2, got a={a} b={b}")
-    lhs = r_func(a) - r_func(b)
-    return lhs == _rf([v_poly(a - b - 1)], [v_poly(a), v_poly(b)], x_power=b)
+    return v_poly(a - 1) * v_poly(b) - v_poly(b - 1) * v_poly(a) == v_poly(a - b - 1).shift(b)
 
 
 def identity_instances(which: str, max_index: int):

@@ -16,7 +16,9 @@ contained).  Capping commutes with sums of products of nonnegative
 integers, so the state of π follows from those of L and R.  The table
 for size n maps each state to the number of permutations having it.
 Occurrence counts never decrease when a permutation grows, so a state
-that already breaks a constraint is dropped for good.  Patterns that
+that already breaks a constraint is dropped for good.  Each call of
+``count_constrained`` builds one table for every size up to its n_max
+and keeps nothing, so concurrent calls share no state.  Patterns that
 contain 132 need no special case (their counts stay 0), nor does the
 empty pattern (its count stays 1).
 
@@ -62,8 +64,6 @@ clear; the segment of ADD is 2**m - 1.
 
 from __future__ import annotations
 
-import threading
-
 BACKEND_NAME = "dp"
 
 
@@ -83,7 +83,7 @@ def _splits(sigma: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ..
 
 
 class _Table:
-    """Per-size state tables for one constraint set, grown on demand.
+    """Per-size state tables for one constraint set.
 
     ``patterns[q]`` is closure pattern q and ``guards[q]`` its guard bit.
     States are interned: ``states[i]`` is the key ``ge1 | ge2 << 1`` of
@@ -94,7 +94,6 @@ class _Table:
     """
 
     def __init__(self, avoid, contain):
-        self.key = (avoid, contain)
         roots = list(avoid) if contain is None else [*avoid, contain]
         patterns: list[tuple[int, ...]] = []
         splits: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
@@ -187,34 +186,22 @@ class _Table:
                         out[s] = out.get(s, 0) + a * b
         return out
 
-    def count(self, n: int) -> int:
-        while len(self.levels) <= n:
+    def counts(self, n_max: int) -> tuple[int, ...]:
+        while len(self.levels) <= n_max:
             self.levels.append(self._next_level())
-        c = self.contain
+        levels, c = self.levels[:n_max + 1], self.contain
         if not c:
-            return sum(self.levels[n].values())
+            return tuple(sum(level.values()) for level in levels)
         # states with c in ge2 were dropped, so c in ge1 means count == 1
-        return sum(m for i, m in self.levels[n].items() if self.states[i] & c)
-
-
-_current: _Table | None = None  # only the most recent constraint set is kept
-_lock = threading.Lock()
+        return tuple(sum(m for i, m in level.items() if self.states[i] & c) for level in levels)
 
 
 def count_constrained(
-    n: int,
+    n_max: int,
     avoid: tuple[tuple[int, ...], ...],
     contain: tuple[int, ...] | None,
-) -> int:
-    """Number of 132-avoiding permutations of length n that avoid every
-    pattern in ``avoid`` and, unless ``contain`` is None, contain it
-    exactly once.
-
-    Repeated calls with the same constraints reuse the tables already
-    built, so a series for n = 0..N costs one table build.
-    """
-    global _current
-    with _lock:
-        if _current is None or _current.key != (avoid, contain):
-            _current = _Table(avoid, contain)
-        return _current.count(n)
+) -> tuple[int, ...]:
+    """Numbers of 132-avoiding permutations of each length n = 0..n_max
+    that avoid every pattern in ``avoid`` and, unless ``contain`` is
+    None, contain it exactly once."""
+    return _Table(avoid, contain).counts(n_max)

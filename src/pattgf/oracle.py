@@ -7,7 +7,8 @@ total count is Catalan(n)); with ``patterns.occurrence_count`` it is the
 brute-force ground truth.  ``count``/``series`` ask the two questions the
 recursions need, "avoid every pattern in a set" and "contain one pattern
 exactly once", of the polynomial-time counting DP of ``kernels``, which
-never lists a permutation.
+never lists a permutation.  ``series`` is one kernel call for every
+n = 0..n_max, and ``count(n)`` reads entry n of ``series`` up to n.
 
 Fixed safety caps bound both: enumeration at n <= 12 and constraint
 counting at n <= 30.
@@ -87,17 +88,12 @@ def enumerate_avoiders(n: int) -> Iterator[tuple[int, ...]]:
 
 def count(n: int, spec: ConstraintSpec) -> int:
     """Number of permutations in S_n(132) meeting all constraints."""
-    if not 0 <= n <= COUNT_CAP:
-        raise EnumerationCapExceeded(f"n={n} outside the counting cap [0, {COUNT_CAP}]")
-    return kernels.count_constrained(n, spec.avoid, spec.contain)
+    return series(spec, n).counts[n]
 
 
 def series(spec: ConstraintSpec, n_max: int) -> CountTable:
-    """Counts for every n = 0..n_max as a CountTable.
-
-    The counting DP keeps the tables of the latest constraint set, so
-    each ``count`` here extends them by one size instead of rebuilding.
-    """
+    """Counts for every n = 0..n_max as a CountTable, from one table of
+    the counting DP."""
     if not 0 <= n_max <= COUNT_CAP:
         raise EnumerationCapExceeded(f"n_max={n_max} outside the counting cap [0, {COUNT_CAP}]")
-    return CountTable(tuple(count(n, spec) for n in range(n_max + 1)))
+    return CountTable(kernels.count_constrained(n_max, spec.avoid, spec.contain))

@@ -108,6 +108,26 @@ def test_identity_parameter_names_are_checked(which):
     assert check_identity(which, **valid)
 
 
+def test_v_forms_agree_with_the_r_forms():
+    """Parts (iii)-(vi) as stated in R_p, by ``RationalFunction``
+    arithmetic: the reference for their cleared forms in V."""
+    one, x = RationalFunction.one(), RationalFunction.x()
+
+    def over(num, a, b):
+        return RationalFunction(num, v_poly(a) * v_poly(b))
+
+    r_forms = {
+        "iii": lambda p: r_func(p + 1) == one / (one - x * r_func(p)),
+        "iv": lambda a, b: one - x * r_func(a) * r_func(b) == over(v_poly(a + b), a, b),
+        "v": lambda a, b: one - x * r_func(a) - x * r_func(b) == over(v_poly(a + b + 1), a, b),
+        "vi": lambda a, b: r_func(a) - r_func(b) == over(v_poly(a - b - 1).shift(b), a, b),
+    }
+    for which, holds in r_forms.items():
+        for kw in identity_instances(which, 12):
+            assert holds(**kw), (which, kw)
+            assert check_identity(which, **kw), (which, kw)
+
+
 def test_identity_iv_explicit_form():
     # 1 - x R_1 R_1 == V_2 / (V_1 V_1) == 1 - x
     lhs = RationalFunction.one() - RationalFunction.x() * r_func(1) * r_func(1)

@@ -1,8 +1,10 @@
 import json
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-
-from collections import Counter
 
 from pattgf.errors import EnumerationCapExceeded, PatternError
 from pattgf.oracle import (
@@ -69,6 +71,50 @@ def test_series_above_cap_refused_before_counting(monkeypatch):
     monkeypatch.setattr(kernels, "count_constrained", refuse)
     with pytest.raises(EnumerationCapExceeded, match="n_max=31"):
         series(ConstraintSpec(contain=(8, 7, 5, 6, 4, 3, 2, 1)), 31)
+
+
+def test_series_and_count_make_one_kernel_call(monkeypatch):
+    from pattgf import kernels
+
+    calls = []
+    real = kernels.count_constrained
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "count_constrained", counted)
+    spec = ConstraintSpec(avoid=((3, 2, 1),))
+    assert series(spec, 9).counts[9] == 37
+    assert calls == [(9, ((3, 2, 1),), None)]
+    assert count(9, spec) == 37
+    assert len(calls) == 2
+
+
+def test_concurrent_series_match_sequential():
+    """The counting DP keeps no state between calls, so threads that
+    count different constraint sets at once get the sequential tables."""
+    specs = [
+        ConstraintSpec(avoid=((3, 2, 1),)),
+        ConstraintSpec(contain=(2, 1, 3)),
+        ConstraintSpec(avoid=((2, 1, 3),), contain=(2, 1)),
+        ConstraintSpec(contain=(4, 3, 1, 2)),
+    ]
+    want = [series(spec, 20) for spec in specs]
+    start = threading.Barrier(len(specs))
+
+    def run(spec):
+        start.wait(timeout=60)
+        return series(spec, 20)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-table
+    try:
+        with ThreadPoolExecutor(len(specs)) as pool:
+            got = list(pool.map(run, specs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_series_examples():
