@@ -26,8 +26,11 @@ def _term_recurrence(f, order):
 
 @pytest.fixture(scope="session")
 def recurrence():
-    """The term recurrence: the independent reference that ``series_of``'s
-    division must equal."""
+    """The term recurrence over ``Fraction``s, dividing by b_0: the
+    reference that ``series_of`` must equal on every f whose series lies
+    in Z[[x]].  ``series_of`` runs the same recurrence in ``int``s, so the
+    ``schoolbook`` residual den * c = num is the check that shares no
+    algorithm with it."""
     return _term_recurrence
 
 

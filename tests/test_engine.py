@@ -1,6 +1,7 @@
 import hashlib
 import json
 import threading
+from math import comb
 
 import pytest
 
@@ -243,7 +244,7 @@ def test_avoid_census_k7():
     that ``once_gf`` answers there (68), equals the counting DP to n = 30.
     The DP counts permutations, independently of the recursion that
     ``avoid_gf`` solves, of the closed forms and of ``series_of``'s
-    division; ``ci/census.py`` runs the same check over S_8(132).  The
+    term recurrence; ``ci/census.py`` runs the same check over S_8(132).  The
     number of distinct avoid series is 1, 1, 2, 4, 8, 16, 32 for
     k = 1..7."""
     checked = once_checked = 0
@@ -289,9 +290,19 @@ def test_series_of_order_edges():
     for order in (-1, 1001):
         with pytest.raises(ValueError, match=f"between 0 and 1000, got {order}"):
             series_of(f, order)
-    assert series_of(f, 1000).coeffs[-1] == 1 + 1000 * 999 // 2
+    assert series_of(f, 1000).coeffs == tuple(1 + comb(n, 2) for n in range(1001))
     with pytest.raises(ZeroDivisionError):
         series_of(rf((1,), (0, 1)), 0)
+
+
+def test_series_of_residual_at_the_cap(schoolbook):
+    """For the k = 12 pattern pinned in CI, whose avoid gf has degree 44
+    over 44, series * den = num through x**1000, by plain-list products
+    that share no algorithm with ``series_of``."""
+    f = avoid_gf((12, 10, 8, 7, 9, 6, 5, 4, 11, 2, 3, 1))
+    assert (len(f.num.coeffs), len(f.den.coeffs)) == (45, 45)
+    low = schoolbook.mul(f.den.coeffs, series_of(f, 1000).coeffs)[:1001]
+    assert schoolbook.trim(low) == schoolbook.trim(f.num.coeffs)
 
 
 def test_series_of_memo_keeps_refusals(recurrence):

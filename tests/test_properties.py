@@ -416,11 +416,15 @@ def test_series_of_refuses_a_series_outside_z(num, den0, den_tail, order):
     st.integers(0, 30),
 )
 @example(Polynomial((1,)), 1, [-(2**100)], 30)  # 2**(100 n)
-@example(Polynomial((1,)), 1, [-1, 2**100, -(2**100)], 30)  # the first width is too narrow
-def test_series_of_matches_the_recurrence(recurrence, num, den0, den_tail, order):
-    """One integer division gives what the term recurrence gives."""
+@example(Polynomial((1,)), 1, [-1, 2**100, -(2**100)], 30)  # root moduli 1 and 2**50
+def test_series_of_matches_the_recurrence(recurrence, schoolbook, num, den0, den_tail, order):
+    """``series_of`` equals the ``Fraction`` term recurrence, and its
+    residual vanishes: series * den = num through x**order."""
     f = RationalFunction(num, [den0] + den_tail)
-    assert series_of(f, order).coeffs == recurrence(f, order)
+    got = series_of(f, order).coeffs
+    assert got == recurrence(f, order)
+    low = schoolbook.mul(f.den.coeffs, got)[: order + 1]
+    assert schoolbook.trim(low) == schoolbook.trim(f.num.coeffs[: order + 1])
 
 
 def test_series_of_refuses_den0_3():
