@@ -81,10 +81,11 @@ Representations:
   and no truncation in x.
 
 ``vanishes`` decides whether an expression in ``+``, ``-`` and ``*``
-over ``RationalFunction`` inputs is zero by one integer evaluation at a
-power of two, with the denominators cleared and the power fixed by a
-coefficient bound, as in the heuristic gcd; no gcd is taken and no
-canonical form is built.  Its docstring proves the test exact.
+over ``RationalFunction`` inputs is zero by evaluating it with the
+denominators cleared at a power of two, as in the heuristic gcd, and
+certifies the power by a coefficient bound carried in the same pass;
+no gcd is taken and no canonical form is built.  Its docstring proves
+the test exact.
 """
 
 from __future__ import annotations
@@ -749,47 +750,41 @@ def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
 
 class _Cleared:
     """n / prod_a d_a**e_a over the distinct input denominators d_a of
-    ``vanishes``, with n and each d_a an ``int`` (a value at x = 2**w)
-    and e the exponent tuple.  A product adds exponents; a sum lifts
-    both sides to the larger exponent of each d_a."""
+    ``vanishes``, with n = N(2**w) and each d_a an ``int``, e the
+    exponent tuple and b >= |N|_1; ``dens`` holds the pairs
+    (d_a(2**w), |d_a|_1).  A product adds exponents and multiplies
+    bounds; a sum or difference lifts both sides to the larger exponent
+    of each d_a and adds the bounds."""
 
-    __slots__ = ("n", "e", "dens")
+    __slots__ = ("n", "b", "e", "dens")
 
-    def __init__(self, n: int, e: tuple[int, ...], dens: list[int]):
-        self.n, self.e, self.dens = n, e, dens
+    def __init__(self, n: int, b: int, e: tuple[int, ...], dens: list[tuple[int, int]]):
+        self.n, self.b, self.e, self.dens = n, b, e, dens
 
-    def _lift(self, other: "_Cleared") -> tuple[int, int, tuple[int, ...]]:
-        """Both numerators over the common denominator, and its exponents."""
-        n1, n2, e1, e2 = self.n, other.n, self.e, other.e
+    def _lift(self, other: "_Cleared") -> tuple[int, int, int, int, tuple[int, ...]]:
+        """Both numerators and bounds over the common denominator, and its exponents."""
+        n1, b1, n2, b2, e1, e2 = self.n, self.b, other.n, other.b, self.e, other.e
         if e1 == e2:
-            return n1, n2, e1
-        for d, a, b in zip(self.dens, e1, e2):
-            if a < b:
-                n1 *= d ** (b - a)
-            elif b < a:
-                n2 *= d ** (a - b)
-        return n1, n2, tuple(map(max, e1, e2))
+            return n1, b1, n2, b2, e1
+        for (d, l1), a, c in zip(self.dens, e1, e2):
+            if a < c:
+                n1 *= d ** (c - a)
+                b1 *= l1 ** (c - a)
+            elif c < a:
+                n2 *= d ** (a - c)
+                b2 *= l1 ** (a - c)
+        return n1, b1, n2, b2, tuple(map(max, e1, e2))
 
     def __add__(self, other: "_Cleared") -> "_Cleared":
-        n1, n2, e = self._lift(other)
-        return type(self)(n1 + n2, e, self.dens)
+        n1, b1, n2, b2, e = self._lift(other)
+        return _Cleared(n1 + n2, b1 + b2, e, self.dens)
 
     def __sub__(self, other: "_Cleared") -> "_Cleared":
-        n1, n2, e = self._lift(other)
-        return type(self)(n1 - n2, e, self.dens)
+        n1, b1, n2, b2, e = self._lift(other)
+        return _Cleared(n1 - n2, b1 + b2, e, self.dens)
 
     def __mul__(self, other: "_Cleared") -> "_Cleared":
-        return type(self)(self.n * other.n, tuple(map(add, self.e, other.e)), self.dens)
-
-
-class _Norm(_Cleared):
-    """``_Cleared`` over l1 norms: n bounds the l1 norm of the numerator,
-    so subtraction adds."""
-
-    __slots__ = ()
-
-    def __sub__(self, other: "_Cleared") -> "_Cleared":
-        return self + other
+        return _Cleared(self.n * other.n, self.b * other.b, tuple(map(add, self.e, other.e)), self.dens)
 
 
 def vanishes(expr, *inputs: RationalFunction) -> bool:
@@ -802,28 +797,21 @@ def vanishes(expr, *inputs: RationalFunction) -> bool:
     ``x`` have N = 1 and x; a product multiplies the numerators and adds
     the exponents, and a sum or difference first multiplies each side's
     N by d_a**(e - e_a) to reach the larger exponent e of each d_a, so
-    that an equal denominator is shared as in an lcm.  ``expr`` runs
-    twice, over ``_Cleared`` numbers.  The first run replaces every
-    polynomial by its l1 norm, where a sum or difference adds and a
-    product multiplies; the triangle inequality and |pq|_1 <= |p|_1 |q|_1
-    make its result a bound on |N|_1, and B is the largest of it and the
-    l1 norms of the inputs' numerators and denominators.  The second run
-    evaluates every polynomial at X = 2**w, w = ``_slot(B.bit_length() +
-    1)``, which is each packed value at the slot w; as evaluation is a
-    ring map, it ends with N(X).  The identity holds iff N(X) = 0:
+    that an equal denominator is shared as in an lcm.  The denominator
+    is a nonzero polynomial, so the expression is 0 iff N = 0.
 
-    - every d_a(X) != 0, and the cleared denominator prod_a d_a**e_a is
-      a nonzero polynomial, so the expression is 0 iff N = 0;
-    - every coefficient of N, d_a and the numerators is at most
-      B < 2**(w-1) = X/2 in absolute value, and balanced base-X digits
-      are unique, so a nonzero polynomial among them is nonzero at X;
-      N(X) = 0 thus holds iff N = 0, and d_a(X) != 0.
-
-    w comes from B, not from the slots of the inputs: f = x and the
-    constant g = 2**62 both sit in 64-bit slots, and f - 4g is nonzero
-    but vanishes at x = 2**64, where B = 2**64 + 1 puts X at 2**128.
-    The expression itself needs no gcd, no canonical form and no
-    ``RationalFunction`` arithmetic.
+    ``expr`` runs over ``_Cleared`` numbers at X = 2**w0, w0 the
+    smallest slot with every input's l1 norm below 2**(w0-1), so packed
+    values serve as they are; evaluation is a ring map, so the run ends
+    with N(X).  Beside each value goes a bound that a sum or difference
+    adds and a product multiplies, so by the triangle inequality and
+    |pq|_1 <= |p|_1 |q|_1 the final bound B is at least |N|_1, whatever
+    X is.  If B < X/2, N's coefficients are the balanced base-X digits
+    of N(X), which are unique, so N(X) = 0 iff N = 0.  Otherwise
+    ``expr`` runs again, for values alone (every bound 0), at X = 2**w
+    with w the smallest multiple of 8 (whole bytes, for ``_pack``) above
+    B's bit length.  f = x and g = 2**62 give w0 = 64, where f - 4g is
+    nonzero but vanishes; B = 2**64 + 1 sends it to the second run.
     """
     index: dict[Polynomial, int] = {}
     for f in inputs:
@@ -840,16 +828,24 @@ def vanishes(expr, *inputs: RationalFunction) -> bool:
     nums = [(f.num, f.num.coeffs) for f in inputs]
     norms = [sum(map(abs, c)) for _, c in dens]
     bounds = [sum(map(abs, c)) for _, c in nums]
-    one = _Norm(1, unit, norms)  # |1|_1 = |x|_1 = 1
-    bound = expr(one, one, *(_Norm(b, e, norms) for b, e in zip(bounds, exps))).n
-    w = _slot(max((bound, *norms, *bounds)).bit_length() + 1)
 
-    def at(p: Polynomial, coeffs: tuple[int, ...]) -> int:
-        return p.v if _slot(p.bits) == w else _pack(coeffs, w)
+    def run(w: int, keep: int) -> _Cleared:
+        """``expr`` at X = 2**w, every bound times ``keep`` (1, or 0 for values alone)."""
 
-    vals = [at(*d) for d in dens]
-    values = [_Cleared(at(*p), e, vals) for p, e in zip(nums, exps)]
-    return not expr(_Cleared(1, unit, vals), _Cleared(1 << w, unit, vals), *values).n
+        def at(p: Polynomial, coeffs: tuple[int, ...]) -> int:
+            return p.v if _slot(p.bits) == w else _pack(coeffs, w)
+
+        vals = [(at(*d), keep * l1) for d, l1 in zip(dens, norms)]
+        values = [_Cleared(at(*p), keep * b, e, vals) for p, b, e in zip(nums, bounds, exps)]
+        # |1|_1 = |x|_1 = 1
+        return expr(_Cleared(1, keep, unit, vals), _Cleared(1 << w, keep, unit, vals), *values)
+
+    w0 = _slot(max((0, *norms, *bounds)).bit_length())
+    n = run(w0, 1)
+    bits = n.b.bit_length()
+    if bits >= w0:
+        n = run(bits // 8 * 8 + 8, 0)
+    return not n.n
 
 
 # The order cap bounds the output and the memo, not the cost: the term

@@ -27,9 +27,9 @@ series has exactly one canonical form.
 The prefixes and suffixes are slices of tau that ``patterns.blocks``
 reads off its block structure; its docstring proves the slicing exact.
 Every slice of a 132-avoider is again one, so the recursion stays on
-132-avoiders: ``avoid_gf`` and ``once_gf`` check their input
-(``require_132_avoiding``), and ``once_gf``'s chain step passes only
-checked 132-avoiders and their heads.
+132-avoiders: ``avoid_gf`` (on a memo miss) and ``once_gf`` check
+their input (``require_132_avoiding``), and ``once_gf``'s chain step
+passes only checked 132-avoiders and their heads.
 
 The level memo stores each solved level under its inputs: r and the
 series of prefixes 0..r-1 and suffixes 1..r (for r = 0, prefix 0
@@ -114,7 +114,15 @@ def avoid_gf(pat: Sequence[int]) -> RationalFunction:
     >>> f = avoid_gf((3, 2, 1))
     >>> polynomial_str(f.num), polynomial_str(f.den)
     ('1 - 2x + 2x^2', '1 - 3x + 3x^2 - x^3')
+
+    The memo is read first and a hit is not re-checked: every key is a
+    checked pattern, a slice of one or the inverse of one, and all of
+    these avoid (1,3,2).
     """
+    pat = tuple(pat)
+    hit = _AVOID_MEMO.get(pat)
+    if hit is not None:
+        return hit
     pat = as_pattern(pat)
     require_132_avoiding(pat)
     return _avoid(pat)

@@ -11,12 +11,13 @@ generating functions:
                 suffixes.
 - Both are exact identities in Q(x), decided by ``algebra.vanishes``:
   the difference of the two sides, written once over the ``avoid_gf``
-  and ``r_func_or_zero`` values, is evaluated at one power of two
-  X = 2**w with every denominator cleared, after a coefficient bound has
-  fixed w; its docstring proves that the difference is 0 iff that
-  integer is.  The check itself does no ``RationalFunction`` arithmetic
-  and takes no gcd, so it shares none of that code with the engine
-  whose values it reads.
+  and ``r_func_or_zero`` values, is evaluated with every denominator
+  cleared at X = 2**w, the inputs' slot, beside a coefficient bound; a
+  bound too large for that X sends it to one more evaluation at a
+  larger X.  Its docstring proves that the difference is 0 iff the
+  integer at the certified X is.  The check itself does no
+  ``RationalFunction`` arithmetic and takes no gcd, so it shares none
+  of that code with the engine whose values it reads.
 - ``thm31``, ``thm33``, ``remark31``: one exactly-once recursion,
   checked coefficient-wise to order n by ``_once_recursion_holds``.
   With G the oracle table "avoid every ν in ``nus``, contain μ exactly

@@ -239,6 +239,22 @@ class TestVanishes:
         assert not vanishes(lambda one, x, f, g: f - g - g - g - g, f, g)
         assert vanishes(lambda one, x, f, g: f - x - g + g, f, g)
 
+    def test_bound_beyond_the_inputs_slot(self):
+        # both inputs sit in 64-bit slots, but the bound on the square
+        # identity exceeds 2**63, so the second run decides; minus f - 4g,
+        # which reads 0 at x = 2**64, it is nonzero and must stay False
+        f, g = RationalFunction.x(), RationalFunction.constant(2**62)
+
+        def square(one, x, f, g):
+            return (f + g) * (f + g) - f * f - (g + g) * f - g * g
+
+        assert vanishes(square, f, g)
+        assert not vanishes(lambda one, x, f, g: square(one, x, f, g) - (f - g - g - g - g), f, g)
+        # wide inputs with denominators: w0 = 128 and a bound near 2**442
+        a, b = rf((2**100, 1), (1, -3)), rf((1, -(2**90)), (1, 2**70))
+        assert vanishes(lambda one, x, a, b: (a - b) * (a + b) * a - a * a * a + b * b * a, a, b)
+        assert not vanishes(lambda one, x, a, b: (a - b) * (a + b) * a - a * a * a + b * a * a, a, b)
+
     def test_shared_and_distinct_denominators(self):
         a, b = rf((1,), (1, -1)), rf((2, 1), (1, -1))
         c = rf((1,), (1, -2))

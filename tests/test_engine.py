@@ -15,7 +15,7 @@ from pattgf.engine import (
     phi_closed_series,
     psi_closed_series,
 )
-from pattgf.errors import NotIn132Class, UnsupportedPattern
+from pattgf.errors import NotIn132Class, PatternError, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import (
     as_pattern,
@@ -153,6 +153,30 @@ def test_avoid_memo_keys_avoid_132(cold_avoid_memo):
         avoid_gf(tau)
     for key in _AVOID_MEMO:
         assert as_pattern(key) == key and not contains_132(key), key
+
+
+class TestWarmMemo:
+    """``avoid_gf`` reads the memo before it validates its input; a warm
+    memo changes no refusal and no answer."""
+
+    def test_refusals_survive_a_warm_memo(self, cold_avoid_memo):
+        cold_avoid_memo()
+        for tau in enumerate_avoiders(5):
+            avoid_gf(tau)
+        with pytest.raises(NotIn132Class):
+            avoid_gf((1, 3, 2))
+        for bad in ((1, 1), (0, 1)):
+            with pytest.raises(PatternError):
+                avoid_gf(bad)
+
+    def test_lists_tuples_and_generators_agree(self, cold_avoid_memo):
+        cold_avoid_memo()
+        want = avoid_gf((3, 1, 2, 4))
+        assert avoid_gf([3, 1, 2, 4]) is want
+        assert avoid_gf(v for v in (3, 1, 2, 4)) is want
+        # a generator is read once, also for a pattern the memo lacks
+        assert (3, 2, 1) not in _AVOID_MEMO
+        assert avoid_gf(v for v in (3, 2, 1)) == rf((1, -2, 2), (1, -3, 3, -1))
 
 
 class TestInverseSymmetry:

@@ -359,6 +359,10 @@ IDENTITIES = [
 @ALGEBRA
 @given(identity_inputs())
 @example((RationalFunction.x(), RationalFunction.constant(2**62), RationalFunction.one(), RationalFunction.one()))
+@example((  # w0 = 128, and each identity's bound needs a second run
+    RationalFunction((2**100, 1), (1, -3)), RationalFunction((-(2**90),), (1, -3)),
+    RationalFunction((1, 2**80), (1, 1, 1)), RationalFunction.x(),
+))
 def test_vanishes_agrees_with_rational_arithmetic(inputs):
     f, g, h, d = inputs
     one, x = RationalFunction.one(), RationalFunction.x()
