@@ -1,7 +1,9 @@
 """Chebyshev polynomials of the second kind and their radical-free companions.
 
 ``chebyshev_u(p)`` builds U_p in the variable z from the three-term
-recurrence U_0 = 1, U_1 = 2z, U_{p+1} = 2z*U_p - U_{p-1}.
+recurrence U_0 = 1, U_1 = 2z, U_{p+1} = 2z*U_p - U_{p-1}, run in a
+loop; ``v_poly(p)`` builds V_p below the same way.  Both cache their
+results, and neither recurses, so a cold call at a large index returns.
 
 Many closed forms in this package live at the substitution z = 1/(2*sqrt(x)),
 which drags sqrt(x) into every formula.  The companion polynomial
@@ -35,15 +37,15 @@ from .algebra import Polynomial, RationalFunction
 
 @lru_cache(maxsize=None)
 def chebyshev_u(p: int) -> Polynomial:
-    """U_p as an integer polynomial in z (degree p)."""
+    """U_p as an integer polynomial in z (degree p), by the recurrence
+    in a loop from U_(-1) = 0 and U_0 = 1."""
     if p < 0:
         raise ValueError(f"index must be nonnegative: {p}")
-    if p == 0:
-        return Polynomial((1,))
-    if p == 1:
-        return Polynomial((0, 2))
     two_z = Polynomial((0, 2))
-    return two_z * chebyshev_u(p - 1) - chebyshev_u(p - 2)
+    prev, u = Polynomial.zero(), Polynomial.one()
+    for _ in range(p):
+        prev, u = u, two_z * u - prev
+    return u
 
 
 @lru_cache(maxsize=None)
@@ -51,15 +53,16 @@ def v_poly(p: int) -> Polynomial:
     """Companion polynomial V_p(x) = x^(p/2) * U_p(1/(2*sqrt(x))).
 
     Satisfies V_0 = V_1 = 1 and V_{p+1} = V_p - x*V_{p-1}; degree
-    floor(p/2), constant term 1.  See the module docstring for the
-    derivation.
+    floor(p/2), constant term 1.  Built by that recurrence in a loop, so
+    a cold call at any p takes no recursion.  See the module docstring
+    for the derivation.
     """
     if p < 0:
         raise ValueError(f"index must be nonnegative: {p}")
-    if p <= 1:
-        return Polynomial((1,))
-    x = Polynomial.x()
-    return v_poly(p - 1) - x * v_poly(p - 2)
+    prev = v = Polynomial.one()  # V_0, V_1
+    for _ in range(p - 1):
+        prev, v = v, v - prev.shift(1)
+    return v
 
 
 def r_func(p: int) -> RationalFunction:

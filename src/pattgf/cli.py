@@ -76,9 +76,11 @@ EXIT_VERIFY_FAILED = 4
 
 
 def _known_v_quotient(f: algebra.RationalFunction) -> str | None:
-    """Name ``f`` if it is some R_p; R_p's denominator has degree
-    floor(p/2), so only p = 2d and 2d + 1 can match a denominator of
-    degree d."""
+    """Name ``f`` if it is some R_p; R_p's numerator has constant term 1,
+    as every V_q(0) = 1, and its denominator has degree floor(p/2), so
+    only p = 2d and 2d + 1 can match a denominator of degree d."""
+    if f.num.constant_term() != 1:
+        return None
     d = f.den.degree
     for p in (2 * d, 2 * d + 1):
         if p >= 1 and f == chebyshev.r_func(p):

@@ -28,8 +28,7 @@ The prefixes and suffixes are slices of tau that ``patterns.blocks``
 reads off its block structure; its docstring proves the slicing exact.
 Every slice of a 132-avoider is again one, so the recursion stays on
 132-avoiders: ``avoid_gf`` (on a memo miss) and ``once_gf`` check
-their input (``require_132_avoiding``), and ``once_gf``'s chain step
-passes only checked 132-avoiders and their heads.
+their input (``require_132_avoiding``).
 
 The level memo stores each solved level under its inputs: r and the
 series of prefixes 0..r-1 and suffixes 1..r (for r = 0, prefix 0
@@ -41,10 +40,21 @@ share their series) is solved once, and the value stored is the one a
 fresh solve would return, canonical form included.
 
 ``once_gf`` produces the analogous series for "contains tau exactly
-once".  It tries, in this order, the base case [1] = x, the closed
-families below (V_p denotes the companion polynomials from
-``pattgf.chebyshev``), then the chain step:
+once" from the closed families below, tried in this order (V_p denotes
+the companion polynomials from ``pattgf.chebyshev``).  It reads no
+avoidance series and never recurses:
 
+- the increasing run [k] = 12...k:   x^k / V_k^2 (x for [1]).  Write
+  F_j and G_j for the avoidance and exactly-once series of 12...j.
+  Appending a new maximum gives the step
+  G_j = x*F_j*G_(j-1) / (1 - x*F_(j-1)), which is exact because
+  12...(j-1) occurs at least twice in 12...j.  The pattern 12...j ends
+  in its maximum, so its avoidance recursion has r = 0 with prefix 0 =
+  12...(j-1), and that level with identity (iii) gives
+  F_j = 1/(1 - x*F_(j-1)) = R_j = V_(j-1)/V_j.  So G_j = x*F_j^2*G_(j-1),
+  and from G_1 = x the product telescopes to x^k*(V_1/V_k)^2 =
+  x^k/V_k^2, since V_1 = 1.  That form is canonical as built: V_k(0) = 1,
+  so V_k^2 is prime to x^k, has content 1 and a positive constant term.
 - two layers [k,m]:                 x^k / (V_k * V_m' * V_{k-m'-1}),
   where m' = min(m, k-m).  Inverting a permutation preserves both
   132-avoidance and occurrence counts while swapping [k,m] with
@@ -59,18 +69,10 @@ families below (V_p denotes the companion polynomials from
   x^k * V_m / (V_k^2 * V_{m-p-1} * V_p) fails brute force (already at
   {3,2,1}, n = 4: 3 instead of 2) because stripping the last maximum
   from {m+1,m,p} leaves a pattern with a unique occurrence inside it,
-  which invalidates the unrestricted-chain shortcut at that step.
+  so the step that appends a maximum (see [k]) is not exact there.
 - the decreasing pattern k...1 (k >= 3):  the y^k level of Psi below,
   x^(k-1) N_{k-1}(x) / (1-x)^(k-1), where the m-th Narayana polynomial
   N_m(x) = sum_{j=1..m} (1/m) C(m,j) C(m,j-1) x^j starts at x^1.
-- the chain step, for tau of size k ending in k-1, k:
-  G = x*F*G'/(1 - x*F'), where F, F' are the avoidance series of tau
-  and its head tau' = tau[:-1] and G' is the once series of tau'.  It
-  is exact when tau' occurs at least twice in tau, which is exactly
-  this shape: an occurrence other than tau' itself uses k, tau's last
-  and largest entry, for the last entry of tau', which must then be
-  k-1.  The increasing run [k] is reached this way from [1] and gets
-  x^k / V_k^2.
 
 Everything else raises UnsupportedPattern (use the oracle for numeric
 tables: ``pattgf oracle <pattern> --mode once``).
@@ -169,43 +171,35 @@ def once_gf(pat: Sequence[int]) -> RationalFunction:
             "that series is the Catalan generating function, not rational"
         )
     require_132_avoiding(pat)
-    return _once(pat)
-
-
-def _once(pat: tuple[int, ...]) -> RationalFunction:
     hit = _ONCE_MEMO.get(pat)
     if hit is not None:
         return hit
     k = len(pat)
-    if k == 1:
-        value = _X
+    fam = classify(pat)
+    if fam.kind == "layered" and len(fam.params) == 1:
+        # the increasing run 12...k: x^k / V_k^2, canonical as is since V_k(0) = 1
+        value = RationalFunction._canonical(Polynomial.x(k), v_poly(k) * v_poly(k))
+    elif fam.kind == "layered" and len(fam.params) == 2:
+        m = min(fam.params[1], k - fam.params[1])
+        den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
+        value = RationalFunction(Polynomial.one().shift(k), den)
+    elif fam.kind == "layered" and len(fam.params) == k:
+        # the decreasing pattern k...1: x^(k-1) N_(k-1)(x) / (1-x)^(k-1)
+        m = k - 1
+        num = Polynomial([0] * k + [comb(m, j) * comb(m, j - 1) // m for j in range(1, k)])
+        den = Polynomial([(-1) ** j * comb(m, j) for j in range(k)])
+        value = RationalFunction(num, den)
+    elif fam.kind == "wedge-top":
+        _, m, p = fam.params
+        q = max(p, m - p)
+        num = (v_poly(m) * v_poly(m)).shift(k)
+        den = v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q)
+        value = RationalFunction(num, den)
     else:
-        fam = classify(pat)
-        if fam.kind == "layered" and len(fam.params) == 2:
-            m = min(fam.params[1], k - fam.params[1])
-            den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
-            value = RationalFunction(Polynomial.one().shift(k), den)
-        elif fam.kind == "layered" and len(fam.params) == k:
-            # the decreasing pattern k...1: x^(k-1) N_(k-1)(x) / (1-x)^(k-1)
-            m = k - 1
-            num = Polynomial([0] * k + [comb(m, j) * comb(m, j - 1) // m for j in range(1, k)])
-            den = Polynomial([(-1) ** j * comb(m, j) for j in range(k)])
-            value = RationalFunction(num, den)
-        elif fam.kind == "wedge-top":
-            _, m, p = fam.params
-            q = max(p, m - p)
-            num = (v_poly(m) * v_poly(m)).shift(k)
-            den = v_poly(k) * v_poly(k) * v_poly(q - 1) * v_poly(q) * v_poly(m - q) * v_poly(m - q)
-            value = RationalFunction(num, den)
-        elif pat[-2:] == (k - 1, k):
-            # chain step: the head pat[:-1] occurs at least twice in pat
-            head = pat[:-1]
-            value = _X * _avoid(pat) * _once(head) / (_ONE - _X * _avoid(head))
-        else:
-            raise UnsupportedPattern(
-                f"no exact once-series for pattern {pat}; the oracle can tabulate it "
-                "(CLI: pattgf oracle <pattern> --mode once)"
-            )
+        raise UnsupportedPattern(
+            f"no exact once-series for pattern {pat}; the oracle can tabulate it "
+            "(CLI: pattgf oracle <pattern> --mode once)"
+        )
     _ONCE_MEMO[pat] = value
     return value
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from pattgf.algebra import BivariateSeries, RationalFunction
-from pattgf.engine import phi_closed_series, psi_closed_series
+from pattgf.engine import avoid_gf, once_gf, phi_closed_series, psi_closed_series
 from pattgf.errors import PatternError
 from pattgf.patterns import as_pattern, flatten
 
@@ -171,6 +171,31 @@ def suffix_pattern_fixture():
 
 
 _ZERO, _ONE, _X = RationalFunction.zero(), RationalFunction.one(), RationalFunction.x()
+
+
+def once_by_chain(tau):
+    """The exactly-once series of tau, one appended maximum at a time.
+
+    While tau of size k ends in (k-1, k), its head tau' = tau[:-1] occurs
+    at least twice in tau, and the step G(tau) = x F(tau) G(tau') /
+    (1 - x F(tau')) holds with F = ``avoid_gf``.  The walk ends at [1],
+    whose series is x, or at the first head that does not end so, whose
+    series ``once_gf`` gives.  For 12...k it reads no closed once-form.
+    """
+    k = len(tau)
+    if k == 1:
+        return _X
+    if tau[-2:] != (k - 1, k):
+        return once_gf(tau)
+    head = tau[:-1]
+    return _X * avoid_gf(tau) * once_by_chain(head) / (_ONE - _X * avoid_gf(head))
+
+
+@pytest.fixture(scope="session", name="once_by_chain")
+def once_by_chain_fixture():
+    """The step-by-step chain over ``avoid_gf``: the reference for
+    ``once_gf``'s closed form x^k / V_k^2 of the increasing run."""
+    return once_by_chain
 
 
 def phi_functional_equation_residual(order_y):

@@ -134,7 +134,7 @@ def test_criterion_08_catalan_prefix(catalan):
 def test_criterion_09_once_closed_forms():
     t0 = time.time()
     one = Polynomial.one()
-    # single increasing run, k <= 10: the chain step from [1] must give x^k / V_k^2
+    # single increasing run, k <= 10: x^k / V_k^2
     for k in range(1, 11):
         target = RationalFunction(one.shift(k), v_poly(k) * v_poly(k))
         assert once_gf(increasing(k)) == target, k

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -42,6 +43,20 @@ def test_v_recurrence_degree_constant():
     for p in range(25):
         assert v_poly(p).degree == p // 2
         assert v_poly(p).constant_term() == 1
+
+
+def test_cold_deep_indices_return():
+    """Both builders loop, so a cold call far past Python's recursion
+    limit returns; the coefficients are the explicit sums
+    V_p = sum_j (-1)^j C(p-j, j) x^j and
+    U_p = sum_j (-1)^j C(p-j, j) (2z)^(p-2j)."""
+    v_poly.cache_clear()
+    chebyshev_u.cache_clear()
+    assert v_poly(1500).coeffs == tuple((-1) ** j * comb(1500 - j, j) for j in range(751))
+    u = [0] * 1001
+    for j in range(501):
+        u[1000 - 2 * j] = (-1) ** j * comb(1000 - j, j) * 2 ** (1000 - 2 * j)
+    assert chebyshev_u(1000).coeffs == tuple(u)
 
 
 def test_v_matches_substituted_u():

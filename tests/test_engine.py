@@ -1,10 +1,12 @@
 import hashlib
 import json
 import threading
+import time
 from math import comb
 
 import pytest
 
+from pattgf import engine
 from pattgf.algebra import Polynomial, RationalFunction, series_of
 from pattgf.chebyshev import v_poly
 from pattgf.engine import (
@@ -245,6 +247,22 @@ class TestInverseSymmetry:
             assert _AVOID_MEMO.get(inverse(key)) is value, key
 
 
+def test_once_gf_reads_no_avoid_series(cold_avoid_memo, monkeypatch):
+    """``once_gf`` answers from closed forms alone: a cold once sweep over
+    S_7(132) leaves the avoid and level memos as cold as it found them."""
+    cold_avoid_memo()
+    monkeypatch.setattr(engine, "_ONCE_MEMO", {})
+    answered = 0
+    for tau in enumerate_avoiders(7):
+        try:
+            once_gf(tau)
+        except UnsupportedPattern:
+            continue
+        answered += 1
+    assert answered == 23
+    assert list(_AVOID_MEMO) == [()] and not _LEVEL_MEMO
+
+
 def test_output_digest():
     """SHA-256 of the canonical avoid and once output over S_k(132),
     k = 1..7, in sorted order: one JSON line per pattern and mode, with
@@ -260,7 +278,7 @@ def test_output_digest():
                 lines.append(json.dumps({"pattern": format_pattern(tau), "mode": mode, **body}))
     assert len(lines) == 1250
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "5d26b6708c2a172cc27588c01fd09168e16fe4c59619c9911042739df32d989d"
+    assert digest == "7c1dbbb618025ad7bb9d330c2d7c6d59fdba3c57ebccd532ce3df35d4a49e95f"
 
 
 def test_avoid_census_k7():
@@ -374,8 +392,8 @@ class TestOnceGf:
         den = v_poly(5) * v_poly(5) * v_poly(1) * v_poly(2) * v_poly(2) * v_poly(2)
         assert once_gf((3, 4, 1, 2, 5)) == RationalFunction(num, den)
 
-    def test_oracle_match_chain_pattern(self):
-        # (2,1,3,4): strips to (2,1,3) = wedge-top then to [2,1]
+    def test_oracle_match_wedge_top_pattern(self):
+        # (2,1,3,4) is the wedge-top {4,2,1}
         pat = (2, 1, 3, 4)
         assert coeffs(once_gf(pat), 8) == list(series(ConstraintSpec(contain=pat), 8).counts)
 
@@ -385,10 +403,13 @@ class TestOnceGf:
         with pytest.raises(UnsupportedPattern):
             once_gf(())
         with pytest.raises(UnsupportedPattern):
-            once_gf((4, 3, 1, 2))  # no closed once-form and no chain step
-        # its head is [4,2,1]; the refusal names the pattern asked for, not the head
+            once_gf((4, 3, 1, 2))  # no closed once-form
+        # the refusal names the pattern asked for, not its head [4,2,1] or
+        # (3, 2, 1, 4), whether or not the pattern ends in (k-1, k)
         with pytest.raises(UnsupportedPattern, match=r"pattern \(3, 4, 2, 1, 5\);"):
             once_gf((3, 4, 2, 1, 5))
+        with pytest.raises(UnsupportedPattern, match=r"pattern \(3, 2, 1, 4, 5\);"):
+            once_gf((3, 2, 1, 4, 5))
 
     def test_trivial_prefix_zero(self):
         for pat in [increasing(4), expand_layered((4, 2)), expand_wedge_top(5, 3, 1)]:
@@ -443,8 +464,9 @@ class TestOnceGf:
         assert supported == 28
 
     def test_chain_shape_is_double_head_occurrence(self):
-        # the chain step's test: for tau of size k ending in k, the head
-        # tau[:-1] occurs at least twice in tau exactly when tau ends in k-1, k
+        # the condition of the ``once_by_chain`` reference's step: for tau of
+        # size k ending in k, the head tau[:-1] occurs at least twice in tau
+        # exactly when tau ends in k-1, k
         checked = 0
         for k in range(2, 10):
             for tau in enumerate_avoiders(k):
@@ -453,6 +475,35 @@ class TestOnceGf:
                     twice = occurrence_count(tau, tau[:-1]) >= 2
                     assert twice == (tau[-2] == k - 1), tau
         assert checked == 2055
+
+    def test_increasing_run_equals_the_chain(self, once_by_chain):
+        """x^k / V_k^2 equals the step-by-step chain over ``avoid_gf`` for
+        every k <= 40, and every other answered pattern with k <= 8 that
+        ends in (k-1, k) equals the chain down to its first head that does
+        not."""
+        for k in range(1, 41):
+            assert once_gf(increasing(k)) == once_by_chain(increasing(k)), k
+        chained = 0
+        for k in range(3, 9):
+            for tau in enumerate_avoiders(k):
+                if tau[-2:] == (k - 1, k) and tau != increasing(k):
+                    try:
+                        f = once_gf(tau)
+                    except UnsupportedPattern:
+                        continue
+                    chained += 1
+                    assert f == once_by_chain(tau), tau
+        assert chained == 35
+
+    def test_deep_increasing_run(self):
+        """12...600, deeper than Python's recursion limit allows a
+        recursion over its heads to go, answers in well under a second,
+        in the canonical form as built."""
+        k = 600
+        start = time.process_time()
+        f = once_gf(increasing(k))
+        assert time.process_time() - start < 1
+        assert (f.num, f.den) == (Polynomial.x(k), v_poly(k) * v_poly(k))
 
     def test_coverage_census(self):
         supported = []
