@@ -84,8 +84,10 @@ Representations:
 over ``RationalFunction`` inputs is zero by evaluating it with the
 denominators cleared at a power of two, as in the heuristic gcd, and
 certifies the power by a coefficient bound carried in the same pass;
-no gcd is taken and no canonical form is built.  Its docstring proves
-the test exact.
+no gcd is taken and no canonical form is built.  Each value carries
+only its own denominators, as an index -> exponent map, and the input
+l1 norms come from a memo for the life of the process keyed by packed
+value and slot width.  Its docstring proves the test exact.
 """
 
 from __future__ import annotations
@@ -749,31 +751,36 @@ def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
 
 
 class _Cleared:
-    """n / prod_a d_a**e_a over the distinct input denominators d_a of
-    ``vanishes``, with n = N(2**w) and each d_a an ``int``, e the
-    exponent tuple and b >= |N|_1; ``dens`` holds the pairs
-    (d_a(2**w), |d_a|_1).  A product adds exponents and multiplies
-    bounds; a sum or difference lifts both sides to the larger exponent
-    of each d_a and adds the bounds."""
+    """n / prod_a d_a**e_a over the input denominators d_a of ``vanishes``
+    that this value carries, with n = N(2**w), b >= |N|_1 and e the map
+    a -> e_a > 0; ``dens[a]`` is the pair (d_a(2**w), |d_a|_1).  A
+    product merges the two maps, adding exponents, and multiplies bounds;
+    a sum or difference lifts each side to the larger exponent of each
+    d_a that either side carries and adds the bounds."""
 
     __slots__ = ("n", "b", "e", "dens")
 
-    def __init__(self, n: int, b: int, e: tuple[int, ...], dens: list[tuple[int, int]]):
+    def __init__(self, n: int, b: int, e: dict[int, int], dens: list[tuple[int, int]]):
         self.n, self.b, self.e, self.dens = n, b, e, dens
 
-    def _lift(self, other: "_Cleared") -> tuple[int, int, int, int, tuple[int, ...]]:
+    def _lift(self, other: "_Cleared") -> tuple[int, int, int, int, dict[int, int]]:
         """Both numerators and bounds over the common denominator, and its exponents."""
         n1, b1, n2, b2, e1, e2 = self.n, self.b, other.n, other.b, self.e, other.e
         if e1 == e2:
             return n1, b1, n2, b2, e1
-        for (d, l1), a, c in zip(self.dens, e1, e2):
-            if a < c:
-                n1 *= d ** (c - a)
-                b1 *= l1 ** (c - a)
-            elif c < a:
-                n2 *= d ** (a - c)
-                b2 *= l1 ** (a - c)
-        return n1, b1, n2, b2, tuple(map(max, e1, e2))
+        e = e1 | e2
+        for a in e:
+            k, c = e1.get(a, 0), e2.get(a, 0)
+            if k < c:
+                d, l1 = self.dens[a]
+                n1 *= d ** (c - k)
+                b1 *= l1 ** (c - k)
+            elif c < k:
+                d, l1 = self.dens[a]
+                n2 *= d ** (k - c)
+                b2 *= l1 ** (k - c)
+                e[a] = k
+        return n1, b1, n2, b2, e
 
     def __add__(self, other: "_Cleared") -> "_Cleared":
         n1, b1, n2, b2, e = self._lift(other)
@@ -784,7 +791,24 @@ class _Cleared:
         return _Cleared(n1 - n2, b1 + b2, e, self.dens)
 
     def __mul__(self, other: "_Cleared") -> "_Cleared":
-        return _Cleared(self.n * other.n, self.b * other.b, tuple(map(add, self.e, other.e)), self.dens)
+        e, e2 = self.e, other.e
+        if e2:
+            e = dict(e)
+            for a, c in e2.items():
+                e[a] = e.get(a, 0) + c
+        return _Cleared(self.n * other.n, self.b * other.b, e, self.dens)
+
+
+# (v, slot width) -> l1 norm of the polynomial packed so; see ``vanishes``
+_NORMS: dict[tuple[int, int], int] = {}
+
+
+def _l1(p: Polynomial) -> int:
+    key = (p.v, p.bits | 63)
+    l1 = _NORMS.get(key)
+    if l1 is None:
+        l1 = _NORMS[key] = sum(map(abs, p.coeffs))
+    return l1
 
 
 def vanishes(expr, *inputs: RationalFunction) -> bool:
@@ -793,12 +817,14 @@ def vanishes(expr, *inputs: RationalFunction) -> bool:
 
     Let d_1, ..., d_m be the distinct denominators of the inputs other
     than 1.  Every value of the expression is N / prod_a d_a**e_a with
-    N in Z[x]: an input num/d_a has N = num and e_a = 1, ``one`` and
-    ``x`` have N = 1 and x; a product multiplies the numerators and adds
+    N in Z[x] and e_a = 0 for every d_a the value does not carry: an
+    input num/d_a has N = num and e_a = 1, ``one`` and ``x`` have N = 1
+    and x and carry none; a product multiplies the numerators and adds
     the exponents, and a sum or difference first multiplies each side's
-    N by d_a**(e - e_a) to reach the larger exponent e of each d_a, so
-    that an equal denominator is shared as in an lcm.  The denominator
-    is a nonzero polynomial, so the expression is 0 iff N = 0.
+    N by d_a**(e - e_a) to reach the larger exponent e of each d_a that
+    either side carries, so that an equal denominator is shared as in an
+    lcm.  The denominator is a nonzero polynomial, so the expression is
+    0 iff N = 0.
 
     ``expr`` runs over ``_Cleared`` numbers at X = 2**w0, w0 the
     smallest slot with every input's l1 norm below 2**(w0-1), so packed
@@ -812,33 +838,27 @@ def vanishes(expr, *inputs: RationalFunction) -> bool:
     with w the smallest multiple of 8 (whole bytes, for ``_pack``) above
     B's bit length.  f = x and g = 2**62 give w0 = 64, where f - 4g is
     nonzero but vanishes; B = 2**64 + 1 sends it to the second run.
+
+    The l1 norms come from ``_NORMS``, which lives as long as the
+    process and is keyed by packed value and slot width, as both
+    together fix the polynomial (v alone does not: x and the constant
+    2**64 share v = 2**64 at slots 64 and 128).  So an input that
+    recurs, as memoized ``avoid_gf`` values do, is decoded once.
     """
     index: dict[Polynomial, int] = {}
     for f in inputs:
         if f.den.v != 1:
             index.setdefault(f.den, len(index))
-    unit = (0,) * len(index)
-    exps = []
-    for f in inputs:
-        e = list(unit)
-        if f.den.v != 1:
-            e[index[f.den]] = 1
-        exps.append(tuple(e))
-    dens = [(d, d.coeffs) for d in index]
-    nums = [(f.num, f.num.coeffs) for f in inputs]
-    norms = [sum(map(abs, c)) for _, c in dens]
-    bounds = [sum(map(abs, c)) for _, c in nums]
+    exps = [{index[f.den]: 1} if f.den.v != 1 else {} for f in inputs]
+    norms = list(map(_l1, index))
+    bounds = [_l1(f.num) for f in inputs]
 
     def run(w: int, keep: int) -> _Cleared:
         """``expr`` at X = 2**w, every bound times ``keep`` (1, or 0 for values alone)."""
-
-        def at(p: Polynomial, coeffs: tuple[int, ...]) -> int:
-            return p.v if _slot(p.bits) == w else _pack(coeffs, w)
-
-        vals = [(at(*d), keep * l1) for d, l1 in zip(dens, norms)]
-        values = [_Cleared(at(*p), keep * b, e, vals) for p, b, e in zip(nums, bounds, exps)]
+        vals = [(d._packed(w), keep * l1) for d, l1 in zip(index, norms)]
+        values = [_Cleared(f.num._packed(w), keep * b, e, vals) for f, b, e in zip(inputs, bounds, exps)]
         # |1|_1 = |x|_1 = 1
-        return expr(_Cleared(1, keep, unit, vals), _Cleared(1 << w, keep, unit, vals), *values)
+        return expr(_Cleared(1, keep, {}, vals), _Cleared(1 << w, keep, {}, vals), *values)
 
     w0 = _slot(max((0, *norms, *bounds)).bit_length())
     n = run(w0, 1)

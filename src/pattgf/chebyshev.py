@@ -1,9 +1,14 @@
 """Chebyshev polynomials of the second kind and their radical-free companions.
 
-``chebyshev_u(p)`` builds U_p in the variable z from the three-term
-recurrence U_0 = 1, U_1 = 2z, U_{p+1} = 2z*U_p - U_{p-1}, run in a
-loop; ``v_poly(p)`` builds V_p below the same way.  Both cache their
-results, and neither recurses, so a cold call at a large index returns.
+``chebyshev_u(p)`` builds U_p in the variable z, and ``v_poly(p)``
+builds V_p below, from their explicit sums
+
+    U_p(z) = sum_j (-1)^j C(p-j, j) (2z)^(p-2j),
+    V_p(x) = sum_j (-1)^j C(p-j, j) x^j,        0 <= j <= p/2.
+
+Both cache their results.  Neither recurses nor runs the three-term
+recurrence, whose wide sums decode every coefficient at each step, so a
+cold call at a large index returns in milliseconds.
 
 Many closed forms in this package live at the substitution z = 1/(2*sqrt(x)),
 which drags sqrt(x) into every formula.  The companion polynomial
@@ -15,7 +20,11 @@ i = p mod 2), each term contributes u_i * x^(p/2) / (2^i x^(i/2)) =
 (u_i / 2^i) * x^((p-i)/2) with an integer exponent, so V_p is an honest
 integer polynomial.  Multiplying the defining recurrence by x^((p+1)/2)
 turns it into V_{p+1} = V_p - x*V_{p-1} with V_0 = V_1 = 1, which gives
-deg V_p = floor(p/2) and V_p(0) = 1.
+deg V_p = floor(p/2) and V_p(0) = 1.  The sum for V_p meets both
+starting values, and it meets the recurrence by Pascal's rule
+C(p+1-j, j) = C(p-j, j) + C(p-j, j-1), the second term being x*V_{p-1}'s
+x^j coefficient up to sign.  The sum for U_p follows, as U_p's
+z^(p-2j) coefficient is 2^(p-2j) times V_p's x^j coefficient.
 
 The quotient R_p(x) = U_{p-1}(z) / (sqrt(x) * U_p(z)) then collapses to
 x^((p-1)/2) U_{p-1} / (x^(1/2) x^(p/2) U_p) * x^... = V_{p-1} / V_p: the
@@ -31,21 +40,20 @@ function.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .algebra import Polynomial, RationalFunction
 
 
 @lru_cache(maxsize=None)
 def chebyshev_u(p: int) -> Polynomial:
-    """U_p as an integer polynomial in z (degree p), by the recurrence
-    in a loop from U_(-1) = 0 and U_0 = 1."""
+    """U_p as an integer polynomial in z (degree p), from its explicit sum."""
     if p < 0:
         raise ValueError(f"index must be nonnegative: {p}")
-    two_z = Polynomial((0, 2))
-    prev, u = Polynomial.zero(), Polynomial.one()
-    for _ in range(p):
-        prev, u = u, two_z * u - prev
-    return u
+    coeffs = [0] * (p + 1)
+    for j in range(p // 2 + 1):
+        coeffs[p - 2 * j] = (-1) ** j * comb(p - j, j) << (p - 2 * j)
+    return Polynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -53,16 +61,12 @@ def v_poly(p: int) -> Polynomial:
     """Companion polynomial V_p(x) = x^(p/2) * U_p(1/(2*sqrt(x))).
 
     Satisfies V_0 = V_1 = 1 and V_{p+1} = V_p - x*V_{p-1}; degree
-    floor(p/2), constant term 1.  Built by that recurrence in a loop, so
-    a cold call at any p takes no recursion.  See the module docstring
-    for the derivation.
+    floor(p/2), constant term 1.  Built from its explicit sum; see the
+    module docstring for the derivation.
     """
     if p < 0:
         raise ValueError(f"index must be nonnegative: {p}")
-    prev = v = Polynomial.one()  # V_0, V_1
-    for _ in range(p - 1):
-        prev, v = v, v - prev.shift(1)
-    return v
+    return Polynomial([(-1) ** j * comb(p - j, j) for j in range(p // 2 + 1)])
 
 
 def r_func(p: int) -> RationalFunction:

@@ -61,7 +61,8 @@ avoidance series and never recurses:
   [k,k-m], so both orientations share one series; brute-force
   verification fixes the smaller-m representative as the one matching
   the displayed product (the larger-m reading fails already at [3,2],
-  n = 4: it predicts 3 where the true count is 2).
+  n = 4: it predicts 3 where the true count is 2).  Canonical as built,
+  as for [k].
 - wedge-top {k,m,p}:                x^k * V_m^2 /
   (V_k^2 * V_{q-1} * V_q * V_{m-q}^2) with q = max(p, m-p).  Derived by
   stripping trailing maxima down to [m,p] and solving the two-pattern
@@ -73,6 +74,8 @@ avoidance series and never recurses:
 - the decreasing pattern k...1 (k >= 3):  the y^k level of Psi below,
   x^(k-1) N_{k-1}(x) / (1-x)^(k-1), where the m-th Narayana polynomial
   N_m(x) = sum_{j=1..m} (1/m) C(m,j) C(m,j-1) x^j starts at x^1.
+  Canonical as built: the denominator's constant term is 1, and
+  N_m(1) = Catalan(m) != 0, so 1 - x does not divide the numerator.
 
 Everything else raises UnsupportedPattern (use the oracle for numeric
 tables: ``pattgf oracle <pattern> --mode once``).
@@ -180,15 +183,17 @@ def once_gf(pat: Sequence[int]) -> RationalFunction:
         # the increasing run 12...k: x^k / V_k^2, canonical as is since V_k(0) = 1
         value = RationalFunction._canonical(Polynomial.x(k), v_poly(k) * v_poly(k))
     elif fam.kind == "layered" and len(fam.params) == 2:
+        # x^k / (V_k V_m V_(k-m-1)), canonical as is since the V_q(0) = 1
         m = min(fam.params[1], k - fam.params[1])
         den = v_poly(k) * v_poly(m) * v_poly(k - m - 1)
-        value = RationalFunction(Polynomial.one().shift(k), den)
+        value = RationalFunction._canonical(Polynomial.x(k), den)
     elif fam.kind == "layered" and len(fam.params) == k:
-        # the decreasing pattern k...1: x^(k-1) N_(k-1)(x) / (1-x)^(k-1)
+        # the decreasing pattern k...1: x^(k-1) N_(k-1)(x) / (1-x)^(k-1), canonical
+        # as is: den(0) = 1, and N_(k-1)(1) = Catalan(k-1) != 0, so 1-x divides no numerator
         m = k - 1
         num = Polynomial([0] * k + [comb(m, j) * comb(m, j - 1) // m for j in range(1, k)])
         den = Polynomial([(-1) ** j * comb(m, j) for j in range(k)])
-        value = RationalFunction(num, den)
+        value = RationalFunction._canonical(num, den)
     elif fam.kind == "wedge-top":
         _, m, p = fam.params
         q = max(p, m - p)

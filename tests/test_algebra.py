@@ -255,6 +255,15 @@ class TestVanishes:
         assert vanishes(lambda one, x, a, b: (a - b) * (a + b) * a - a * a * a + b * b * a, a, b)
         assert not vanishes(lambda one, x, a, b: (a - b) * (a + b) * a - a * a * a + b * a * a, a, b)
 
+    def test_norm_memo_keys_on_value_and_slot(self):
+        # x and the constant 2**64 share v = 2**64, at slots 64 and 128; a
+        # norm memo keyed on v alone would hand one the other's l1 norm
+        f, g = RationalFunction.x(), RationalFunction.constant(2**64)
+        assert f.num.v == g.num.v and f.num.bits | 63 != g.num.bits | 63
+        for a, b in ((f, g), (g, f), (f, g)):
+            assert not vanishes(lambda one, x, a, b: a - b, a, b)
+            assert vanishes(lambda one, x, a, b: a - b + b - a, a, b)
+
     def test_shared_and_distinct_denominators(self):
         a, b = rf((1,), (1, -1)), rf((2, 1), (1, -1))
         c = rf((1,), (1, -2))

@@ -447,6 +447,17 @@ class TestOnceGf:
         assert got[3:] == [1, 2, 5, 12]
         assert coeffs(once_gf((2, 1, 3)), 6) == got
 
+    def test_closed_forms_are_canonical_as_built(self):
+        """The two-layer and decreasing branches wrap their pair with no gcd;
+        the constructor, which takes one, returns the same pair for k <= 12."""
+        checked = 0
+        for k in range(2, 13):
+            for pat in [expand_layered((k, m)) for m in range(1, k)] + [decreasing(k)]:
+                f = once_gf(pat)
+                assert RationalFunction(f.num, f.den) == f, pat
+                checked += 1
+        assert checked == 77
+
     def test_separate_memo_tables(self):
         assert once_gf((1, 2)) != avoid_gf((1, 2))
 

@@ -14,7 +14,7 @@ canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; the operations and
 literals that skip the gcd, and those that cancel on their operands,
 must return what the constructor returns; equal functions must hash
-equal.  ``vanishes`` must accept two identities, reject them once one
+equal.  ``vanishes`` must accept three identities, reject them once one
 occurrence of an input is perturbed, and agree with ``RationalFunction``
 arithmetic on both.
 """
@@ -348,11 +348,12 @@ def identity_inputs(draw):
     return f, g, h, RationalFunction(draw(nonzero), draw(nonzero))
 
 
-# p is f in one place: (f + g)h - fh - gh and (f - g)(f + g) - ff + gg
-# read -dh and -df when p = f + d
+# p is f in one place: (f + g)h - fh - gh, (f - g)(f + g) - ff + gg and
+# (f - g)(f + g)h - ffh + ggh read -dh, -df and -dfh when p = f + d
 IDENTITIES = [
     lambda one, x, f, g, h, p: (f + g) * h - p * h - g * h,
     lambda one, x, f, g, h, p: (f - g) * (f + g) - p * f + g * g,
+    lambda one, x, f, g, h, p: (f - g) * (f + g) * h - p * f * h + g * g * h,
 ]
 
 
@@ -362,6 +363,10 @@ IDENTITIES = [
 @example((  # w0 = 128, and each identity's bound needs a second run
     RationalFunction((2**100, 1), (1, -3)), RationalFunction((-(2**90),), (1, -3)),
     RationalFunction((1, 2**80), (1, 1, 1)), RationalFunction.x(),
+))
+@example((  # f, g and h share 1 - x - x^2, whose exponent reaches 3
+    RationalFunction((3, 1), (1, -1, -1)), RationalFunction((-2,), (1, -1, -1)),
+    RationalFunction((0, 5), (1, -1, -1)), RationalFunction((1,), (1, -1, -1)),
 ))
 def test_vanishes_agrees_with_rational_arithmetic(inputs):
     f, g, h, d = inputs
