@@ -39,6 +39,16 @@ through a different pattern (Wilf-equivalent prefixes or suffixes
 share their series) is solved once, and the value stored is the one a
 fresh solve would return, canonical form included.
 
+A level with r >= 1 is solved on exact (numerator, denominator) pairs
+that nothing cancels; the input denominators have constant term 1, so
+no product of them is zero.  Products multiply pairs; n1/d1 + n2/d2,
+with d_i = g c_i and g = gcd(d1, d2), is (n1 c2 + n2 c1)/(d1 c2), over
+the lcm (equal denominators just add numerators; the product d1 d2
+would repeat V_p factors).  With rhs = a/b and divisor 1 - x pn/pd, the
+solution is (a pd)/(b (pd - x pn)), where pd - x pn != 0 as
+pd(0) = +-1.  The constructor's one gcd gives the canonical form, which
+is unique.
+
 ``once_gf`` produces the analogous series for "contains tau exactly
 once" from the closed families below, tried in this order (V_p denotes
 the companion polynomials from ``pattgf.chebyshev``).  It reads no
@@ -92,7 +102,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import comb
 
-from .algebra import BivariateSeries, Polynomial, RationalFunction
+from .algebra import BivariateSeries, Polynomial, RationalFunction, polynomial_gcd
 from .chebyshev import v_poly
 from .errors import UnsupportedPattern
 from .patterns import as_pattern, blocks, classify, inverse, require_132_avoiding
@@ -149,18 +159,32 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
         key = (r, *pre, *suf)
         value = _LEVEL_MEMO.get(key)
         if value is None:
-            if r == 0:
-                value = _ONE / (_ONE - _X * pre[0])
-            else:
-                rhs = _ONE
-                for j in range(1, r):
-                    rhs = rhs + _X * (pre[j] - pre[j - 1]) * suf[j - 1]
-                rhs = rhs - _X * pre[r - 1] * suf[r - 1]
-                divisor = _ONE - _X * pre[0] - _X * suf[r - 1]
-                value = rhs / divisor
-            _LEVEL_MEMO[key] = value
+            value = _LEVEL_MEMO[key] = _level(r, pre, suf)
     _AVOID_MEMO[pat] = _AVOID_MEMO[inverse(pat)] = value
     return value
+
+
+def _level(r: int, pre: list, suf: list) -> RationalFunction:
+    """One level's solution rhs / divisor; one gcd for r >= 1."""
+    if r == 0:
+        return _ONE / (_ONE - _X * pre[0])
+    # (n, d) = rhs - 1 and (pn, pd) = P_0 + S_r as exact pairs
+    p, s = pre[r - 1], suf[r - 1]
+    n, d = -(p.num * s.num).shift(1), p.den * s.den
+    for j, t in enumerate(suf[: r - 1], 1):
+        dn, dd = _plus(pre[j].num, pre[j].den, -pre[j - 1].num, pre[j - 1].den)
+        n, d = _plus(n, d, (dn * t.num).shift(1), dd * t.den)
+    pn, pd = _plus(pre[0].num, pre[0].den, s.num, s.den)
+    # rhs / divisor = ((n + d)/d) / ((pd - x pn)/pd)
+    return RationalFunction((n + d) * pd, d * (pd - pn.shift(1)))
+
+
+def _plus(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial):
+    """n1/d1 + n2/d2 as a pair over lcm(d1, d2); nothing cancels."""
+    if d1 == d2:
+        return n1 + n2, d1
+    _, c1, c2 = polynomial_gcd(d1, d2)
+    return n1 * c2 + n2 * c1, d1 * c2
 
 
 def once_gf(pat: Sequence[int]) -> RationalFunction:

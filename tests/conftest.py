@@ -198,6 +198,30 @@ def once_by_chain_fixture():
     return once_by_chain
 
 
+def level_by_operations(r, pre, suf):
+    """One level of the avoid recursion, F = rhs / divisor, solved one
+    ``RationalFunction`` operation at a time, each in canonical form:
+
+        F (1 - x P_0 - x S_r) = 1 + sum_{0<j<r} x (P_j - P_(j-1)) S_j - x P_(r-1) S_r
+
+    for r >= 1 (F = 1 / (1 - x P_0) for r = 0), with pre[i] = P_i and
+    suf[i-1] = S_i, as in ``engine._avoid``."""
+    if r == 0:
+        return _ONE / (_ONE - _X * pre[0])
+    rhs = _ONE
+    for j in range(1, r):
+        rhs = rhs + _X * (pre[j] - pre[j - 1]) * suf[j - 1]
+    rhs = rhs - _X * pre[r - 1] * suf[r - 1]
+    return rhs / (_ONE - _X * pre[0] - _X * suf[r - 1])
+
+
+@pytest.fixture(scope="session", name="level_by_operations")
+def level_by_operations_fixture():
+    """The per-operation level solve: the reference that the engine's
+    single-gcd solve must equal exactly, canonical form included."""
+    return level_by_operations
+
+
 def phi_functional_equation_residual(order_y):
     """Residual of Phi = y/(1-y) + x Phi (Phi/y - 1 - Phi) + x y Phi,
     multiplied through by y, at y^0..y^(order_y+1), from the expansion

@@ -2,6 +2,7 @@ import hashlib
 import json
 import threading
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -155,6 +156,24 @@ def test_avoid_memo_keys_avoid_132(cold_avoid_memo):
         avoid_gf(tau)
     for key in _AVOID_MEMO:
         assert as_pattern(key) == key and not contains_132(key), key
+
+
+def test_levels_equal_the_per_operation_solve(cold_avoid_memo, level_by_operations):
+    """Every level of a cold S_7(132) sweep, r = 0..6, equals the
+    per-operation solve exactly and is stored in canonical form: the
+    constructor, which takes a gcd, returns the same pair.  A key splits
+    as (r, prefixes 0..r-1, suffixes 1..r), and as (0, prefix 0) for r = 0."""
+    cold_avoid_memo()
+    for tau in enumerate_avoiders(7):
+        avoid_gf(tau)
+    ranks = Counter()
+    for key, value in _LEVEL_MEMO.items():
+        r = key[0]
+        pre, suf = (key[1 : 1 + r], key[1 + r :]) if r else (key[1:], ())
+        assert value == level_by_operations(r, pre, suf), key
+        assert RationalFunction(value.num, value.den) == value, key
+        ranks[r] += 1
+    assert sorted(ranks.items()) == [(0, 32), (1, 28), (2, 33), (3, 21), (4, 13), (5, 4), (6, 1)]
 
 
 class TestWarmMemo:

@@ -14,9 +14,10 @@ canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; the operations and
 literals that skip the gcd, and those that cancel on their operands,
 must return what the constructor returns; equal functions must hash
-equal.  ``vanishes`` must accept three identities, reject them once one
-occurrence of an input is perturbed, and agree with ``RationalFunction``
-arithmetic on both.
+equal.  The engine's single-gcd level solve must equal the
+per-operation solve on drawn levels.  ``vanishes`` must accept three
+identities, reject them once one occurrence of an input is perturbed,
+and agree with ``RationalFunction`` arithmetic on both.
 """
 
 import json
@@ -26,7 +27,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pattgf import relations
+from pattgf import engine, relations
 from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of, vanishes
 from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
@@ -335,6 +336,36 @@ def test_field_laws(a, b):
     assert (a + b) - b == a
     if not b.is_zero:
         assert a * b / b == a
+
+
+@st.composite
+def level_inputs(draw):
+    """r = 1..4 and the 2r canonical inputs of one avoid level, P_0..P_(r-1)
+    then S_1..S_r.  Each denominator has constant term 1, as every avoid
+    series' has, and is drawn from a pool of two, so that equal
+    denominators meet; numerators and denominators reach past one slot."""
+    r = draw(st.integers(1, 4))
+    tails = st.lists(st.integers(-40, 40) | st.sampled_from(SLOT_EDGES), max_size=4)
+    dens = [Polynomial((1, *draw(tails))) for _ in range(2)]
+    inputs = [RationalFunction(draw(polys | wide_polys), draw(st.sampled_from(dens))) for _ in range(2 * r)]
+    return r, inputs[:r], inputs[r:]
+
+
+_GEOMETRIC = RationalFunction((1,), (1, -1))
+
+
+@ALGEBRA
+@given(level_inputs())
+@example((2, [_GEOMETRIC, _GEOMETRIC], [_GEOMETRIC, _GEOMETRIC]))  # P_1 - P_0 = 0, one denominator
+@example((1, [RationalFunction.zero()], [RationalFunction.one()]))  # a zero input: F = 1 / (1 - x)
+def test_level_solve_equals_the_per_operation_solve(level_by_operations, level):
+    """``engine._level`` sums over lcms and takes one gcd at the end; its
+    result equals the per-operation solve exactly and is canonical."""
+    r, pre, suf = level
+    got = engine._level(r, pre, suf)
+    assert got == level_by_operations(r, pre, suf)
+    assert_canonical(got)
+    assert RationalFunction(got.num, got.den) == got
 
 
 @st.composite
