@@ -36,26 +36,12 @@ Representations:
 - ``RationalFunction``: numerator/denominator pair in canonical form:
   coprime, joint content 1, and the lowest nonzero denominator
   coefficient positive.  Structural equality of canonical forms is
-  therefore true equality.  Four operations build their canonical
-  result directly, with no gcd: ``-f`` is (-num, den);
-  ``f ± p`` for p in Z[x] is
-  (num ± p*den, den), since gcd(num + p*den, den) = gcd(num, den);
-  ``x**k * f`` is (x**k * num, den) when den(0) != 0, since then x does
-  not divide den; and ``1 / f`` is (den, num), both negated when num's
-  lowest nonzero coefficient is negative.  The literals ``zero``,
-  ``one``, ``x`` and constants are canonical as written.
-  The other sums, products and quotients cancel on their operands
-  before they multiply (Henrici, JACM 3, 1956; Knuth, TAOCP 2, 4.5.1).
-  For n1/d1 + n2/d2 write d1 = g c1, d2 = g c2 with g = gcd(d1, d2);
-  the sum is t/(g c1 c2) with t = n1 c2 + n2 c1.  An irreducible factor
-  of c1 divides t only if it divides n1 c2, hence n1, as c1 is prime to
-  c2; but n1 is prime to d1.  Likewise for c2, so only h = gcd(t, g)
-  cancels.  A product cancels gcd(n1, d2) and gcd(n2, d1) and
-  multiplies the cofactors, which are coprime across since n1 is prime
-  to d1 and n2 to d2; a quotient multiplies by (d2, n2).  The
-  constructor takes ``polynomial_gcd(num, den)`` first.  Every one of
-  these coprime pairs ends in ``_normalize``, which only divides out the
-  joint content and makes the lowest denominator coefficient positive.
+  therefore true equality.  Every sum, product and quotient builds the
+  plain fraction and goes through the constructor: ``polynomial_gcd``
+  of the pair, then ``_normalize``, which divides out the joint content
+  and makes the lowest denominator coefficient positive.  Only ``-f``,
+  (-num, den), and the literals ``zero``, ``one``, ``x`` and constants
+  skip the gcd.
   ``polynomial_gcd(a, b)`` returns the gcd g together with a/g and
   b/g.  It is the heuristic gcd at xi = 2**w, the slot width, where
   a(xi) and b(xi) are the packed values themselves: when
@@ -450,43 +436,11 @@ class RationalFunction:
 
         return RationalFunction.constant(v) if isinstance(v, Fraction) else None
 
-    def _is_polynomial(self) -> bool:
-        return self.den.v == 1
-
-    def _x_power(self) -> int | None:
-        """k when this is x**k, else None."""
-        p = self.num
-        if self._is_polynomial() and p.n and p.v == 1 << 64 * (p.n - 1):
-            return p.n - 1
-        return None
-
-    def _plus_polynomial(self, p: Polynomial) -> "RationalFunction":
-        """self + p, canonical as is: gcd(num + p*den, den) = gcd(num, den) = 1."""
-        num = self.num + p * self.den
-        if num.is_zero:
-            return RationalFunction._canonical(num, Polynomial.one())
-        return RationalFunction._canonical(num, self.den)
-
     def __add__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._is_polynomial():
-            return self._plus_polynomial(o.num)
-        if self._is_polynomial():
-            return o._plus_polynomial(self.num)
-        if self.den == o.den:
-            g, t, den = self.den, self.num + o.num, Polynomial.one()
-        else:
-            g, c1, c2 = polynomial_gcd(self.den, o.den)
-            t, den = self.num * c2 + o.num * c1, c1 * c2
-        if t.is_zero:
-            return RationalFunction.zero()
-        if g.degree > 0:
-            _, t, g = polynomial_gcd(t, g)
-        if g.v != 1:
-            den = den * g
-        return RationalFunction._canonical(*RationalFunction._normalize(t, den))
+        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -505,12 +459,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        for f, g in ((self, o), (o, self)):
-            # x**k * g stays canonical when x does not divide g.den
-            k = f._x_power()
-            if k is not None and g.den.constant_term():
-                return RationalFunction._canonical(g.num.shift(k), g.den)
-        return self._times(o.num, o.den)
+        return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -520,22 +469,7 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        if self.num.v == 1 and self._is_polynomial():
-            # 1 / o is (o.den, o.num), negated if that den's lowest coefficient is negative
-            num, den = o.den, o.num
-            if den._lowest() < 0:
-                num, den = -num, -den
-            return RationalFunction._canonical(num, den)
-        return self._times(o.den, o.num)
-
-    def _times(self, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """self * (num/den) for coprime num, den: cancel each numerator
-        against the other denominator, then multiply the cofactors."""
-        if self.is_zero or num.is_zero:
-            return RationalFunction.zero()
-        _, n1, d2 = polynomial_gcd(self.num, den)
-        _, n2, d1 = polynomial_gcd(num, self.den)
-        return RationalFunction._canonical(*RationalFunction._normalize(n1 * n2, d1 * d2))
+        return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         o = self._coerce(other)

@@ -39,6 +39,12 @@ through a different pattern (Wilf-equivalent prefixes or suffixes
 share their series) is solved once, and the value stored is the one a
 fresh solve would return, canonical form included.
 
+A level with r = 0 is F = 1/(1 - x P_0).  P_0 = n/d lies in Z[[x]], so
+d(0) = 1 (see ``series_of``), and F is built as d/(d - x n), canonical
+as built: gcd(d, d - x n) = gcd(d, x n) = 1, as gcd(n, d) = 1 and x
+does not divide d, and d - x n has constant term 1, so the content is
+1 and the sign is right.
+
 A level with r >= 1 is solved on exact (numerator, denominator) pairs
 that nothing cancels; the input denominators have constant term 1, so
 no product of them is zero.  Products multiply pairs; n1/d1 + n2/d2,
@@ -165,9 +171,10 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
 
 
 def _level(r: int, pre: list, suf: list) -> RationalFunction:
-    """One level's solution rhs / divisor; one gcd for r >= 1."""
+    """One level's solution rhs / divisor; no gcd for r = 0, one for r >= 1."""
     if r == 0:
-        return _ONE / (_ONE - _X * pre[0])
+        p = pre[0]
+        return RationalFunction._canonical(p.den, p.den - p.num.shift(1))
     # (n, d) = rhs - 1 and (pn, pd) = P_0 + S_r as exact pairs
     p, s = pre[r - 1], suf[r - 1]
     n, d = -(p.num * s.num).shift(1), p.den * s.den

@@ -176,6 +176,24 @@ def test_levels_equal_the_per_operation_solve(cold_avoid_memo, level_by_operatio
     assert sorted(ranks.items()) == [(0, 32), (1, 28), (2, 33), (3, 21), (4, 13), (5, 4), (6, 1)]
 
 
+def test_avoid_gf_calls_no_rational_function_operator(cold_avoid_memo, monkeypatch):
+    """Every level is built from exact (numerator, denominator) pairs: a
+    cold ``avoid_gf`` sweep over S_7(132), r = 0 levels included, calls
+    no ``RationalFunction`` operator."""
+
+    def refuse(*args):
+        raise AssertionError("avoid_gf called a RationalFunction operator")
+
+    for name in ("add", "sub", "mul", "truediv"):
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            monkeypatch.setattr(RationalFunction, dunder, refuse)
+    monkeypatch.setattr(RationalFunction, "__neg__", refuse)
+    cold_avoid_memo()
+    for tau in enumerate_avoiders(7):
+        avoid_gf(tau)
+    assert len(_LEVEL_MEMO) == 132
+
+
 class TestWarmMemo:
     """``avoid_gf`` reads the memo before it validates its input; a warm
     memo changes no refusal and no answer."""

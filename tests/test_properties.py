@@ -11,10 +11,10 @@ n = 7; the relation checks' cache must serve both from one table.
 
 Exact algebra: integer polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
-field laws, survive JSON, and never produce a float; the operations and
-literals that skip the gcd, and those that cancel on their operands,
-must return what the constructor returns; equal functions must hash
-equal.  The engine's single-gcd level solve must equal the
+field laws, survive JSON, and never produce a float; sums, differences,
+products and quotients must give sympy's cancelled fraction, and the
+literals that skip the gcd must return what the constructor returns;
+equal functions must hash equal.  The engine's single-gcd level solve must equal the
 per-operation solve on drawn levels.  ``vanishes`` must accept three
 identities, reject them once one occurrence of an input is perturbed,
 and agree with ``RationalFunction`` arithmetic on both.
@@ -216,49 +216,6 @@ def test_canonical_form(a, b, c):
     assert_canonical(f)
 
 
-# functions whose denominator is 1 (f - f hits the zero result) or divisible by x
-# (x**k * f must fall back to _normalize), besides the general ones
-fast_path_functions = (
-    functions
-    | polys.map(RationalFunction)
-    | st.builds(lambda a, b, j: RationalFunction(a, b.shift(j)), polys, nonzero_polys, st.integers(1, 2))
-)
-
-
-@ALGEBRA
-@given(fast_path_functions, st.integers(-6, 6) | polys, st.integers(0, 3))
-@example(RationalFunction((1,), (0, 1)), 2, 1)  # x * (1/x): x divides den
-@example(RationalFunction((-2, 1), (1, 1)), Polynomial((0, 3)), 0)  # 1/f flips both signs
-@example(RationalFunction((2, 1)), Polynomial((2, 1)), 2)  # f - p = 0 = f - f
-def test_fast_paths_match_normalize(f, c, k):
-    """Results that skip _normalize equal the raw pair sent through it."""
-    p = c if isinstance(c, Polynomial) else Polynomial((c,))
-    q, xk = RationalFunction(p), RationalFunction.x(k)
-    num, den = f.num, f.den
-    cases = [
-        (-f, -num, den),
-        (f + q, num + p * den, den),
-        (q + f, p * den + num, den),
-        (f - q, num - p * den, den),
-        (q - f, p * den - num, den),
-        (f - f, Polynomial(), den),
-        (xk * f, num.shift(k), den),
-        (f * xk, num.shift(k), den),
-    ]
-    if not isinstance(c, Polynomial):
-        cases += [
-            (f + c, num + p * den, den),
-            (c + f, p * den + num, den),
-            (f - c, num - p * den, den),
-            (c - f, p * den - num, den),
-        ]
-    if not f.is_zero:
-        cases += [(RationalFunction.one() / f, den, num), (1 / f, den, num)]
-    for got, raw_num, raw_den in cases:
-        assert got == RationalFunction(raw_num, raw_den)
-        assert_canonical(got)
-
-
 small_polys = st.lists(st.integers(-9, 9), max_size=4).map(Polynomial)
 factors = small_polys.filter(lambda p: p.degree > 0)
 numerators = small_polys.filter(lambda p: not p.is_zero)
@@ -286,25 +243,59 @@ def planted_pairs(draw):
     return f, RationalFunction(Polynomial((draw(st.integers(-3, 3)),)) * f.den - f.num, f.den)
 
 
+# besides the general functions: polynomials (f - f is zero) and
+# denominators divisible by x (x * f cancels x)
+operands = (
+    functions
+    | polys.map(RationalFunction)
+    | st.builds(lambda a, b, j: RationalFunction(a, b.shift(j)), polys, nonzero_polys, st.integers(1, 2))
+)
+
+
+def rf(num, den=(1,)):
+    return RationalFunction(num, den)
+
+
 @ALGEBRA
-@given(planted_pairs())
-@example((RationalFunction((1,), (1, -1)), RationalFunction((1,), (1, 1))))  # coprime denominators
-@example((RationalFunction((1,), (1, -1)), RationalFunction((2, 1), (1, -1))))  # equal denominators
-@example((RationalFunction((1,), (1, -1)), RationalFunction((1,), (1, -2, 1))))  # one divides the other
-@example((RationalFunction((2,), (1, 0, -1)), RationalFunction((-3,), (2, -1, -1))))  # gcd(t, g) = 1 - x
-@example((RationalFunction((1, 2), (1, -3, 1)), RationalFunction((-1, -2), (1, -3, 1))))  # f + h = 0
-@example((RationalFunction((0, 1), (1, -1)), RationalFunction((-1,), (1, -1))))  # f + h = -1
-@example((RationalFunction((1, 1), (1, -1)), RationalFunction((1, -1), (1, 2))))  # 1 - x cancels across
-def test_operand_cancelling_matches_normalize(pair):
-    """Sums, products and quotients that cancel on their operands equal
-    the uncancelled pair sent through the constructor."""
+@given(planted_pairs() | st.tuples(operands, operands), st.integers(-6, 6))
+@example((rf((0, 1)), rf((1,), (0, 1))), 2)  # x * (1/x): x divides den
+@example((rf((1,)), rf((-2, 1), (1, 1))), 3)  # 1/f flips both signs
+@example((rf((2, 1)), rf((2, 1))), 0)  # f - f = 0
+@example((rf((1,), (1, -1)), rf((1,), (1, 1))), 1)  # coprime denominators
+@example((rf((1,), (1, -1)), rf((2, 1), (1, -1))), 1)  # equal denominators
+@example((rf((1,), (1, -1)), rf((1,), (1, -2, 1))), 1)  # one divides the other
+@example((rf((2,), (1, 0, -1)), rf((-3,), (2, -1, -1))), 1)  # gcd(t, g) = 1 - x
+@example((rf((1, 2), (1, -3, 1)), rf((-1, -2), (1, -3, 1))), 1)  # f + h = 0
+@example((rf((0, 1), (1, -1)), rf((-1,), (1, -1))), 1)  # f + h = -1
+@example((rf((1, 1), (1, -1)), rf((1, -1), (1, 2))), 1)  # 1 - x cancels across
+def test_arithmetic_agrees_with_sympy(pair, c):
+    """+, -, * and /, between two functions and with an ``int`` on the
+    left, give sympy's cancellation of the plain fraction, in canonical
+    form."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(p):
+        return sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain="ZZ")
+
     f, h = pair
-    a, b, c, d = f.num, f.den, h.num, h.den
-    cases = [(f + h, a * d + c * b, b * d), (f - h, a * d - c * b, b * d), (f * h, a * c, b * d)]
+    fn, fd, hn, hd, k = poly(f.num), poly(f.den), poly(h.num), poly(h.den), sympy.Poly(c, x, domain="ZZ")
+    cases = [
+        (f + h, fn * hd + hn * fd, fd * hd),
+        (f - h, fn * hd - hn * fd, fd * hd),
+        (f * h, fn * hn, fd * hd),
+        (c + f, k * fd + fn, fd),
+        (c - f, k * fd - fn, fd),
+        (c * f, k * fn, fd),
+    ]
     if not h.is_zero:
-        cases.append((f / h, a * d, b * c))
+        cases.append((f / h, fn * hd, fd * hn))
+    if not f.is_zero:
+        cases.append((c / f, k * fd, fn))
     for got, raw_num, raw_den in cases:
-        assert got == RationalFunction(raw_num, raw_den)
+        num, den = raw_num.cancel(raw_den, include=True)
+        assert num * poly(got.den) == den * poly(got.num)
+        assert den.degree() == got.den.degree
         assert_canonical(got)
 
 
