@@ -12,9 +12,10 @@ n = 7; the relation checks' cache must serve both from one table.
 Exact algebra: integer polynomials are drawn at random;
 canonical forms must be integral, reduced and sign-normalized, obey the
 field laws, survive JSON, and never produce a float; sums, differences,
-products and quotients must give sympy's cancelled fraction, and the
-literals that skip the gcd must return what the constructor returns;
-equal functions must hash equal.  The engine's single-gcd level solve must equal the
+products and quotients must give sympy's cancelled fraction and equal
+the raw pair sent through the constructor, and the literals that skip
+the gcd must return what the constructor returns; equal functions must
+hash equal.  The engine's single-gcd level solve must equal the
 per-operation solve on drawn levels.  ``vanishes`` must accept three
 identities, reject them once one occurrence of an input is perturbed,
 and agree with ``RationalFunction`` arithmetic on both.
@@ -296,6 +297,64 @@ def test_arithmetic_agrees_with_sympy(pair, c):
         num, den = raw_num.cancel(raw_den, include=True)
         assert num * poly(got.den) == den * poly(got.num)
         assert den.degree() == got.den.degree
+        assert_canonical(got)
+
+
+@ALGEBRA
+@given(operands, st.integers(-6, 6) | polys, st.integers(0, 3))
+@example(RationalFunction((1,), (0, 1)), 2, 1)  # x * (1/x): x divides den
+@example(RationalFunction((-2, 1), (1, 1)), Polynomial((0, 3)), 0)  # 1/f flips both signs
+@example(RationalFunction((2, 1)), Polynomial((2, 1)), 2)  # f - p = 0 = f - f
+def test_fast_paths_match_normalize(f, c, k):
+    """Negation, sums and differences with a polynomial or an ``int``,
+    products with x**k and reciprocals equal the raw pair sent through
+    the constructor."""
+    p = c if isinstance(c, Polynomial) else Polynomial((c,))
+    q, xk = RationalFunction(p), RationalFunction.x(k)
+    num, den = f.num, f.den
+    cases = [
+        (-f, -num, den),
+        (f + q, num + p * den, den),
+        (q + f, p * den + num, den),
+        (f - q, num - p * den, den),
+        (q - f, p * den - num, den),
+        (f - f, Polynomial(), den),
+        (xk * f, num.shift(k), den),
+        (f * xk, num.shift(k), den),
+    ]
+    if not isinstance(c, Polynomial):
+        cases += [
+            (f + c, num + p * den, den),
+            (c + f, p * den + num, den),
+            (f - c, num - p * den, den),
+            (c - f, p * den - num, den),
+        ]
+    if not f.is_zero:
+        cases += [(RationalFunction.one() / f, den, num), (1 / f, den, num)]
+    for got, raw_num, raw_den in cases:
+        assert got == RationalFunction(raw_num, raw_den)
+        assert_canonical(got)
+
+
+@ALGEBRA
+@given(planted_pairs())
+@example((rf((1,), (1, -1)), rf((1,), (1, 1))))  # coprime denominators
+@example((rf((1,), (1, -1)), rf((2, 1), (1, -1))))  # equal denominators
+@example((rf((1,), (1, -1)), rf((1,), (1, -2, 1))))  # one divides the other
+@example((rf((2,), (1, 0, -1)), rf((-3,), (2, -1, -1))))  # gcd(t, g) = 1 - x
+@example((rf((1, 2), (1, -3, 1)), rf((-1, -2), (1, -3, 1))))  # f + h = 0
+@example((rf((0, 1), (1, -1)), rf((-1,), (1, -1))))  # f + h = -1
+@example((rf((1, 1), (1, -1)), rf((1, -1), (1, 2))))  # 1 - x cancels across
+def test_operand_cancelling_matches_normalize(pair):
+    """Sums, products and quotients whose operands share factors equal
+    the uncancelled pair sent through the constructor."""
+    f, h = pair
+    a, b, c, d = f.num, f.den, h.num, h.den
+    cases = [(f + h, a * d + c * b, b * d), (f - h, a * d - c * b, b * d), (f * h, a * c, b * d)]
+    if not h.is_zero:
+        cases.append((f / h, a * d, b * c))
+    for got, raw_num, raw_den in cases:
+        assert got == RationalFunction(raw_num, raw_den)
         assert_canonical(got)
 
 
