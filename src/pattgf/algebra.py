@@ -52,7 +52,13 @@ Representations:
   that the product of candidate and quotient is the input itself.  The
   two quotients are the cofactors; a rejected candidate means a larger
   xi.  ``polynomial_gcd``'s docstring proves that the shortcut and an
-  accepted candidate are exact and that the loop ends.
+  accepted candidate are exact and that the loop ends.  At the 64-bit
+  slot each quotient's length and a bound come off its packed value,
+  one masked add per width of a short ladder (``_read``), and so does
+  the candidate when its constant digit is +-1.  Digits are decoded
+  when no width holds them, when the certificate fails at the bound
+  read, for a candidate's content, and at wider slots.
+  ``exact_quotient`` divides under the same certificate.
 - ``PowerSeries``: integer coefficients c_0..c_N, with ``+`` and ``*``
   only.  A sum or product is truncated at the smaller order of its
   operands, so it never claims a coefficient that either lacks.
@@ -65,15 +71,6 @@ Representations:
   takes the exact root of the y^0 coefficient from the caller and
   checks it, so every coefficient stays in Q(x), with no ``Fraction``
   and no truncation in x.
-
-``vanishes`` decides whether an expression in ``+``, ``-`` and ``*``
-over ``RationalFunction`` inputs is zero by evaluating it with the
-denominators cleared at a power of two, as in the heuristic gcd, and
-certifies the power by a coefficient bound carried in the same pass;
-no gcd is taken and no canonical form is built.  Each value carries
-only its own denominators, as an index -> exponent map, and the input
-l1 norms come from a memo for the life of the process keyed by packed
-value and slot width.  Its docstring proves the test exact.
 """
 
 from __future__ import annotations
@@ -92,6 +89,9 @@ def _check_power(power: int) -> None:
 def _slot(bits: int) -> int:
     """The smallest multiple of 64 above ``bits``."""
     return (bits | 63) + 1
+
+
+_LOW64 = (1 << 64) - 1
 
 
 # (w, n) -> _bias(w, n), filled on first use
@@ -284,16 +284,64 @@ def _wide(op, a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial._at_slot(v, w)
 
 
+def _read(v: int) -> Polynomial | None:
+    """The polynomial packed in v at the 64-bit slot, its length and a
+    bound read off v alone, or None if no width of the ladder holds it.
+
+    With n slots and 2**(b-1) added to each, every digit lies in
+    [-2**(b-1), 2**(b-1)) exactly when no bit of the sum falls outside
+    the low b bits of a slot (the complement of that mask also covers a
+    negative sum and every bit above slot n): then no slot carries and
+    each holds its digit plus 2**(b-1).  The top digit is then nonzero,
+    so n is the length: n is chosen so that v has at least 64n - 65
+    bits, and a zero top digit would leave it at most 64n - 80."""
+    if not v:
+        return Polynomial.zero()
+    n = (v.bit_length() + 1 >> 6) + 1
+    full = _bias(64, n)
+    ones = full >> 63
+    for b in (8, 16, 24, 32, 48):
+        half = full >> 64 - b
+        if not (v + half) & ~((half << 1) - ones):
+            return Polynomial._new(v, n, b)
+    return None
+
+
 def _cofactor(v: int, vh: int, h: Polynomial, w: int) -> Polynomial | None:
     """The polynomial Q with Q(xi) = v / vh, xi = 2**w, if vh divides v
-    and h Q provably has every coefficient inside half a slot; else None."""
+    and h Q provably has every coefficient inside half a slot; else None.
+    At the 64-bit slot Q is first read off the packed value; the digits
+    are decoded, and h's bound tightened, only if no width holds Q or
+    the certificate fails at the bounds read."""
     q, r = divmod(v, vh)
     if r:
         return None
+    if w == 64:
+        quotient = _read(q)
+        if quotient is not None and h.bits + quotient.bits + (min(h.n, quotient.n) - 1).bit_length() < 64:
+            return quotient
+        h._tighten()
     quotient = Polynomial._at_slot(q, w)
     if h.bits + quotient.bits + (min(h.n, quotient.n) - 1).bit_length() >= w:
         return None
     return quotient
+
+
+def _wider(w: int) -> int:
+    """The next slot width to try: a quarter or more wider, in whole 64-bit slots."""
+    return w + 64 * (w // 256 + 1)
+
+
+def exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b for a nonzero b that divides a in Z[x]: one ``divmod`` at the
+    slot that holds both, certified as in ``polynomial_gcd``, at a wider
+    slot until the certificate holds (once xi/2 exceeds the bound of b Q)."""
+    w = _slot(max(a.bits, b.bits))
+    while True:
+        q = _cofactor(a._packed(w), b._packed(w), b, w)
+        if q is not None:
+            return q
+        w = _wider(w)
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -312,7 +360,9 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     inside (-xi/2, xi/2) and the value a(xi), so it is a, as balanced
     digits are unique.  The two Q are the
     returned cofactors.  Otherwise w grows by a quarter or more, in
-    whole 64-bit slots, and the step repeats.
+    whole 64-bit slots, and the step repeats.  A constant digit +-1 of
+    gamma makes cont(H) = 1, and gamma > 0 makes H's leading digit
+    positive, so then h = H, with no content to find.
 
     An accepted h is exact, and so is the shortcut.  Let G = gcd(a, b),
     primitive, so G divides a and b in Z[x] and G(xi) divides gamma.  Let
@@ -340,18 +390,21 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         gamma = gcd(va, vb)
         if not gamma >> (w - 1):
             return Polynomial.one(), a, b
-        digits = _all_digits(gamma, w)
-        c = gcd(*digits)
-        if digits[-1] < 0:
-            c = -c
-        vh = gamma // c
-        h = Polynomial._at_slot(vh, w, [d // c for d in digits])
+        vh = gamma
+        h = _read(gamma) if w == 64 and gamma & _LOW64 in (1, _LOW64) else None
+        if h is None:
+            digits = _all_digits(gamma, w)
+            c = gcd(*digits)
+            if digits[-1] < 0:
+                c = -c
+            vh = gamma // c
+            h = Polynomial._at_slot(vh, w, [d // c for d in digits])
         qa = _cofactor(va, vh, h, w)
         if qa is not None:
             qb = _cofactor(vb, vh, h, w)
             if qb is not None:
                 return h, qa, qb
-        w += 64 * (w // 256 + 1)
+        w = _wider(w)
 
 
 class RationalFunction:
@@ -679,127 +732,6 @@ def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
     if m % 2 == 0:
         acc = acc + t[m // 2] * t[m // 2]
     return acc
-
-
-# -- module-level operations -------------------------------------------------
-
-
-class _Cleared:
-    """n / prod_a d_a**e_a over the input denominators d_a of ``vanishes``
-    that this value carries, with n = N(2**w), b >= |N|_1 and e the map
-    a -> e_a > 0; ``dens[a]`` is the pair (d_a(2**w), |d_a|_1).  A
-    product merges the two maps, adding exponents, and multiplies bounds;
-    a sum or difference lifts each side to the larger exponent of each
-    d_a that either side carries and adds the bounds."""
-
-    __slots__ = ("n", "b", "e", "dens")
-
-    def __init__(self, n: int, b: int, e: dict[int, int], dens: list[tuple[int, int]]):
-        self.n, self.b, self.e, self.dens = n, b, e, dens
-
-    def _lift(self, other: "_Cleared") -> tuple[int, int, int, int, dict[int, int]]:
-        """Both numerators and bounds over the common denominator, and its exponents."""
-        n1, b1, n2, b2, e1, e2 = self.n, self.b, other.n, other.b, self.e, other.e
-        if e1 == e2:
-            return n1, b1, n2, b2, e1
-        e = e1 | e2
-        for a in e:
-            k, c = e1.get(a, 0), e2.get(a, 0)
-            if k < c:
-                d, l1 = self.dens[a]
-                n1 *= d ** (c - k)
-                b1 *= l1 ** (c - k)
-            elif c < k:
-                d, l1 = self.dens[a]
-                n2 *= d ** (k - c)
-                b2 *= l1 ** (k - c)
-                e[a] = k
-        return n1, b1, n2, b2, e
-
-    def __add__(self, other: "_Cleared") -> "_Cleared":
-        n1, b1, n2, b2, e = self._lift(other)
-        return _Cleared(n1 + n2, b1 + b2, e, self.dens)
-
-    def __sub__(self, other: "_Cleared") -> "_Cleared":
-        n1, b1, n2, b2, e = self._lift(other)
-        return _Cleared(n1 - n2, b1 + b2, e, self.dens)
-
-    def __mul__(self, other: "_Cleared") -> "_Cleared":
-        e, e2 = self.e, other.e
-        if e2:
-            e = dict(e)
-            for a, c in e2.items():
-                e[a] = e.get(a, 0) + c
-        return _Cleared(self.n * other.n, self.b * other.b, e, self.dens)
-
-
-# (v, slot width) -> l1 norm of the polynomial packed so; see ``vanishes``
-_NORMS: dict[tuple[int, int], int] = {}
-
-
-def _l1(p: Polynomial) -> int:
-    key = (p.v, p.bits | 63)
-    l1 = _NORMS.get(key)
-    if l1 is None:
-        l1 = _NORMS[key] = sum(map(abs, p.coeffs))
-    return l1
-
-
-def vanishes(expr, *inputs: RationalFunction) -> bool:
-    """Whether ``expr(one, x, *inputs)`` is the zero function, for an
-    ``expr`` built with binary ``+``, ``-`` and ``*`` alone.
-
-    Let d_1, ..., d_m be the distinct denominators of the inputs other
-    than 1.  Every value of the expression is N / prod_a d_a**e_a with
-    N in Z[x] and e_a = 0 for every d_a the value does not carry: an
-    input num/d_a has N = num and e_a = 1, ``one`` and ``x`` have N = 1
-    and x and carry none; a product multiplies the numerators and adds
-    the exponents, and a sum or difference first multiplies each side's
-    N by d_a**(e - e_a) to reach the larger exponent e of each d_a that
-    either side carries, so that an equal denominator is shared as in an
-    lcm.  The denominator is a nonzero polynomial, so the expression is
-    0 iff N = 0.
-
-    ``expr`` runs over ``_Cleared`` numbers at X = 2**w0, w0 the
-    smallest slot with every input's l1 norm below 2**(w0-1), so packed
-    values serve as they are; evaluation is a ring map, so the run ends
-    with N(X).  Beside each value goes a bound that a sum or difference
-    adds and a product multiplies, so by the triangle inequality and
-    |pq|_1 <= |p|_1 |q|_1 the final bound B is at least |N|_1, whatever
-    X is.  If B < X/2, N's coefficients are the balanced base-X digits
-    of N(X), which are unique, so N(X) = 0 iff N = 0.  Otherwise
-    ``expr`` runs again, for values alone (every bound 0), at X = 2**w
-    with w the smallest multiple of 8 (whole bytes, for ``_pack``) above
-    B's bit length.  f = x and g = 2**62 give w0 = 64, where f - 4g is
-    nonzero but vanishes; B = 2**64 + 1 sends it to the second run.
-
-    The l1 norms come from ``_NORMS``, which lives as long as the
-    process and is keyed by packed value and slot width, as both
-    together fix the polynomial (v alone does not: x and the constant
-    2**64 share v = 2**64 at slots 64 and 128).  So an input that
-    recurs, as memoized ``avoid_gf`` values do, is decoded once.
-    """
-    index: dict[Polynomial, int] = {}
-    for f in inputs:
-        if f.den.v != 1:
-            index.setdefault(f.den, len(index))
-    exps = [{index[f.den]: 1} if f.den.v != 1 else {} for f in inputs]
-    norms = list(map(_l1, index))
-    bounds = [_l1(f.num) for f in inputs]
-
-    def run(w: int, keep: int) -> _Cleared:
-        """``expr`` at X = 2**w, every bound times ``keep`` (1, or 0 for values alone)."""
-        vals = [(d._packed(w), keep * l1) for d, l1 in zip(index, norms)]
-        values = [_Cleared(f.num._packed(w), keep * b, e, vals) for f, b, e in zip(inputs, bounds, exps)]
-        # |1|_1 = |x|_1 = 1
-        return expr(_Cleared(1, keep, {}, vals), _Cleared(1 << w, keep, {}, vals), *values)
-
-    w0 = _slot(max((0, *norms, *bounds)).bit_length())
-    n = run(w0, 1)
-    bits = n.b.bit_length()
-    if bits >= w0:
-        n = run(bits // 8 * 8 + 8, 0)
-    return not n.n
 
 
 # The order cap bounds the output and the memo, not the cost: the term

@@ -46,14 +46,21 @@ does not divide d, and d - x n has constant term 1, so the content is
 1 and the sign is right.
 
 A level with r >= 1 is solved on exact (numerator, denominator) pairs
-that nothing cancels; the input denominators have constant term 1, so
-no product of them is zero.  Products multiply pairs; n1/d1 + n2/d2,
-with d_i = g c_i and g = gcd(d1, d2), is (n1 c2 + n2 c1)/(d1 c2), over
-the lcm (equal denominators just add numerators; the product d1 d2
-would repeat V_p factors).  With rhs = a/b and divisor 1 - x pn/pd, the
-solution is (a pd)/(b (pd - x pn)), where pd - x pn != 0 as
-pd(0) = +-1.  The constructor's one gcd gives the canonical form, which
-is unique.
+that nothing cancels; the input denominators have constant term 1.
+Products multiply pairs; n1/d1 + n2/d2, with d_i = g c_i and
+g = gcd(d1, d2), is (n1 c2 + n2 c1)/(d1 c2), over the lcm, a multiple
+of d1 and of d2 in Z[x] (equal denominators just add numerators; the
+product d1 d2 would repeat V_p factors).  As g(0) c2(0) = d2(0) = +-1,
+every denominator built so has constant term +-1.  With rhs - 1 = n/d
+summed so and P_0 + S_r = m/d, the solution is (n + d)/(d - x m), and
+d - x m != 0 as d(0) = +-1.  No gcd finds m: d is a multiple of both
+denominators of that sum.  It starts as the product of those of
+P_(r-1) and S_r, each sum keeps a multiple of its two denominators,
+and for r >= 2 the j = 1 term brings in the lcm of those of P_1 and
+P_0.  So for P_0 = a/b and S_r = c/e, m = a (d/b) + c (d/e), two exact
+divisions (``algebra.exact_quotient``).  For r = 1, d = be, so
+F = (be - x ac)/(be - x (ae + cb)) in closed form.  The constructor's
+gcd gives the canonical form, which is unique.
 
 ``once_gf`` produces the analogous series for "contains tau exactly
 once" from the closed families below, tried in this order (V_p denotes
@@ -108,7 +115,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import comb
 
-from .algebra import BivariateSeries, Polynomial, RationalFunction, polynomial_gcd
+from .algebra import BivariateSeries, Polynomial, RationalFunction, exact_quotient, polynomial_gcd
 from .chebyshev import v_poly
 from .errors import UnsupportedPattern
 from .patterns import as_pattern, blocks, classify, inverse, require_132_avoiding
@@ -171,19 +178,24 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
 
 
 def _level(r: int, pre: list, suf: list) -> RationalFunction:
-    """One level's solution rhs / divisor; no gcd for r = 0, one for r >= 1."""
+    """One level's solution rhs / divisor: no gcd for r = 0, the
+    constructor's alone for r = 1, and for r >= 2 up to 2(r - 1) lcm gcds
+    (none for equal denominators) before it."""
     if r == 0:
         p = pre[0]
         return RationalFunction._canonical(p.den, p.den - p.num.shift(1))
-    # (n, d) = rhs - 1 and (pn, pd) = P_0 + S_r as exact pairs
+    # (n, d) = rhs - 1 as an exact pair
     p, s = pre[r - 1], suf[r - 1]
     n, d = -(p.num * s.num).shift(1), p.den * s.den
     for j, t in enumerate(suf[: r - 1], 1):
         dn, dd = _plus(pre[j].num, pre[j].den, -pre[j - 1].num, pre[j - 1].den)
         n, d = _plus(n, d, (dn * t.num).shift(1), dd * t.den)
-    pn, pd = _plus(pre[0].num, pre[0].den, s.num, s.den)
-    # rhs / divisor = ((n + d)/d) / ((pd - x pn)/pd)
-    return RationalFunction((n + d) * pd, d * (pd - pn.shift(1)))
+    # m/d = P_0 + S_r, as pre[0].den and s.den divide d
+    if r == 1:
+        m = p.num * s.den + s.num * p.den
+    else:
+        m = pre[0].num * exact_quotient(d, pre[0].den) + s.num * exact_quotient(d, s.den)
+    return RationalFunction(n + d, d - m.shift(1))
 
 
 def _plus(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial):

@@ -9,15 +9,18 @@ generating functions:
                 pattern: the layer tops are its maxima, and the layered
                 patterns the recursion names are its prefixes and
                 suffixes.
-- Both are exact identities in Q(x), decided by ``algebra.vanishes``:
-  the difference of the two sides, written once over the ``avoid_gf``
-  and ``r_func_or_zero`` values, is evaluated with every denominator
+- Both are exact identities in Q(x), decided by ``vanishes``: the
+  difference of the two sides, written once over the ``avoid_gf`` and
+  ``r_func_or_zero`` values, is evaluated with every denominator
   cleared at X = 2**w, the inputs' slot, beside a coefficient bound; a
   bound too large for that X sends it to one more evaluation at a
-  larger X.  Its docstring proves that the difference is 0 iff the
-  integer at the certified X is.  The check itself does no
-  ``RationalFunction`` arithmetic and takes no gcd, so it shares none
-  of that code with the engine whose values it reads.
+  larger X.  Each value carries only its own denominators, as an
+  index -> exponent map, and the input l1 norms come from a memo for
+  the life of the process keyed by packed value and slot width.  Its
+  docstring proves that the difference is 0 iff the integer at the
+  certified X is.  The check itself does no ``RationalFunction``
+  arithmetic and takes no gcd, so it shares none of that code with the
+  engine whose values it reads.
 - ``thm31``, ``thm33``, ``remark31``: one exactly-once recursion,
   checked coefficient-wise to order n by ``_once_recursion_holds``.
   With G the oracle table "avoid every ν in ``nus``, contain μ exactly
@@ -87,12 +90,131 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import Polynomial, PowerSeries, RationalFunction, series_of, vanishes
+from .algebra import Polynomial, PowerSeries, RationalFunction, _slot, series_of
 from .chebyshev import r_func_or_zero
 from .engine import avoid_gf
 from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
 from .patterns import blocks, expand_layered, inverse, require_132_avoiding
+
+
+class _Cleared:
+    """n / prod_a d_a**e_a over the input denominators d_a of ``vanishes``
+    that this value carries, with n = N(2**w), b >= |N|_1 and e the map
+    a -> e_a > 0; ``dens[a]`` is the pair (d_a(2**w), |d_a|_1).  A
+    product merges the two maps, adding exponents, and multiplies bounds;
+    a sum or difference lifts each side to the larger exponent of each
+    d_a that either side carries and adds the bounds."""
+
+    __slots__ = ("n", "b", "e", "dens")
+
+    def __init__(self, n: int, b: int, e: dict[int, int], dens: list[tuple[int, int]]):
+        self.n, self.b, self.e, self.dens = n, b, e, dens
+
+    def _lift(self, other: "_Cleared") -> tuple[int, int, int, int, dict[int, int]]:
+        """Both numerators and bounds over the common denominator, and its exponents."""
+        n1, b1, n2, b2, e1, e2 = self.n, self.b, other.n, other.b, self.e, other.e
+        if e1 == e2:
+            return n1, b1, n2, b2, e1
+        e = e1 | e2
+        for a in e:
+            k, c = e1.get(a, 0), e2.get(a, 0)
+            if k < c:
+                d, l1 = self.dens[a]
+                n1 *= d ** (c - k)
+                b1 *= l1 ** (c - k)
+            elif c < k:
+                d, l1 = self.dens[a]
+                n2 *= d ** (k - c)
+                b2 *= l1 ** (k - c)
+                e[a] = k
+        return n1, b1, n2, b2, e
+
+    def __add__(self, other: "_Cleared") -> "_Cleared":
+        n1, b1, n2, b2, e = self._lift(other)
+        return _Cleared(n1 + n2, b1 + b2, e, self.dens)
+
+    def __sub__(self, other: "_Cleared") -> "_Cleared":
+        n1, b1, n2, b2, e = self._lift(other)
+        return _Cleared(n1 - n2, b1 + b2, e, self.dens)
+
+    def __mul__(self, other: "_Cleared") -> "_Cleared":
+        e, e2 = self.e, other.e
+        if e2:
+            e = dict(e)
+            for a, c in e2.items():
+                e[a] = e.get(a, 0) + c
+        return _Cleared(self.n * other.n, self.b * other.b, e, self.dens)
+
+
+# (v, slot width) -> l1 norm of the polynomial packed so; see ``vanishes``
+_NORMS: dict[tuple[int, int], int] = {}
+
+
+def _l1(p: Polynomial) -> int:
+    key = (p.v, p.bits | 63)
+    l1 = _NORMS.get(key)
+    if l1 is None:
+        l1 = _NORMS[key] = sum(map(abs, p.coeffs))
+    return l1
+
+
+def vanishes(expr, *inputs: RationalFunction) -> bool:
+    """Whether ``expr(one, x, *inputs)`` is the zero function, for an
+    ``expr`` built with binary ``+``, ``-`` and ``*`` alone.
+
+    Let d_1, ..., d_m be the distinct denominators of the inputs other
+    than 1.  Every value of the expression is N / prod_a d_a**e_a with
+    N in Z[x] and e_a = 0 for every d_a the value does not carry: an
+    input num/d_a has N = num and e_a = 1, ``one`` and ``x`` have N = 1
+    and x and carry none; a product multiplies the numerators and adds
+    the exponents, and a sum or difference first multiplies each side's
+    N by d_a**(e - e_a) to reach the larger exponent e of each d_a that
+    either side carries, so that an equal denominator is shared as in an
+    lcm.  The denominator is a nonzero polynomial, so the expression is
+    0 iff N = 0.
+
+    ``expr`` runs over ``_Cleared`` numbers at X = 2**w0, w0 the
+    smallest slot with every input's l1 norm below 2**(w0-1), so packed
+    values serve as they are; evaluation is a ring map, so the run ends
+    with N(X).  Beside each value goes a bound that a sum or difference
+    adds and a product multiplies, so by the triangle inequality and
+    |pq|_1 <= |p|_1 |q|_1 the final bound B is at least |N|_1, whatever
+    X is.  If B < X/2, N's coefficients are the balanced base-X digits
+    of N(X), which are unique, so N(X) = 0 iff N = 0.  Otherwise
+    ``expr`` runs again, for values alone (every bound 0), at X = 2**w
+    with w the smallest multiple of 8 (whole bytes, for ``_pack``) above
+    B's bit length.  f = x and g = 2**62 give w0 = 64, where f - 4g is
+    nonzero but vanishes; B = 2**64 + 1 sends it to the second run.
+
+    The l1 norms come from ``_NORMS``, which lives as long as the
+    process and is keyed by packed value and slot width, as both
+    together fix the polynomial (v alone does not: x and the constant
+    2**64 share v = 2**64 at slots 64 and 128).  So an input that
+    recurs, as memoized ``avoid_gf`` values do, is decoded once.
+    """
+    index: dict[Polynomial, int] = {}
+    for f in inputs:
+        if f.den.v != 1:
+            index.setdefault(f.den, len(index))
+    exps = [{index[f.den]: 1} if f.den.v != 1 else {} for f in inputs]
+    norms = list(map(_l1, index))
+    bounds = [_l1(f.num) for f in inputs]
+
+    def run(w: int, keep: int) -> _Cleared:
+        """``expr`` at X = 2**w, every bound times ``keep`` (1, or 0 for values alone)."""
+        vals = [(d._packed(w), keep * l1) for d, l1 in zip(index, norms)]
+        values = [_Cleared(f.num._packed(w), keep * b, e, vals) for f, b, e in zip(inputs, bounds, exps)]
+        # |1|_1 = |x|_1 = 1
+        return expr(_Cleared(1, keep, {}, vals), _Cleared(1 << w, keep, {}, vals), *values)
+
+    w0 = _slot(max((0, *norms, *bounds)).bit_length())
+    n = run(w0, 1)
+    bits = n.b.bit_length()
+    if bits >= w0:
+        n = run(bits // 8 * 8 + 8, 0)
+    return not n.n
+
 
 # ``verify_relation``'s series order for the coefficient-wise checks,
 # shared with ``pattgf verify``

@@ -13,8 +13,8 @@ from pattgf.algebra import (
     polynomial_gcd,
     polynomial_str,
     series_of,
-    vanishes,
 )
+from pattgf.relations import vanishes
 
 
 def rf(num, den=(1,)):
@@ -153,6 +153,46 @@ class TestPolynomial:
         assert polynomial_gcd(a * g, b * g) == (g, a, b)
         assert [(w, h) for w, h, _ in candidates] == [(64, (a * g).coeffs), (128, g.coeffs), (128, g.coeffs)]
         assert candidates[0][2] is None
+
+    def test_packed_reader_boundaries(self):
+        read = algebra._read
+        assert read(0) == Polynomial.zero()
+        p = read(algebra._pack([3, -5], 64))  # a negative leading coefficient
+        assert (p.coeffs, p.n, p.bits) == ((3, -5), 2, 8)
+        # -2**47 is the widest digit the ladder holds, with the bound 48;
+        # 2**47 is just past it
+        p = read(algebra._pack([1, -(2**47)], 64))
+        assert (p.coeffs, p.n, p.bits) == ((1, -(2**47)), 2, 48)
+        assert read(algebra._pack([1, 2**47], 64)) is None
+        # 2**63 - 1 fills its slot, and its bit length counts a zero top slot
+        assert read(2**63 - 1) is None
+        assert read(algebra._pack([5, 2**62], 64)) is None
+
+    @pytest.mark.parametrize(
+        "common, p, q, decodes",
+        [
+            # gamma's constant digit is -1: h is read off gamma, and nothing is decoded
+            ((1, -1), (2, 1), (3, -1), 0),
+            # the content 2 sends gamma to the digit path
+            ((2, 2), (3, 1), (-5, 1), 1),
+            # h = 1 + 2**33 x is read with the bound 48, too loose beside the
+            # cofactor 2**24 + x read with 32: that cofactor is decoded, and
+            # the exact bounds 34 + 25 + 1 certify it at xi = 2**64
+            ((1, 2**33), (2**24, 1), (3, 1), 1),
+        ],
+        ids=["unit-constant-digit", "content-2", "loose-bound"],
+    )
+    def test_gcd_reads_bounds_off_packed_values(self, monkeypatch, common, p, q, decodes):
+        g = Polynomial(common)
+        a, b = g * Polynomial(p), g * Polynomial(q)
+        all_digits, widths = algebra._all_digits, []
+        monkeypatch.setattr(algebra, "_all_digits", lambda v, w: widths.append(w) or all_digits(v, w))
+        got = polynomial_gcd(a, b)
+        assert widths == [64] * decodes
+        assert got[0] * got[1] == a and got[0] * got[2] == b
+        # the decoded path gives the same triple
+        monkeypatch.setattr(algebra, "_read", lambda v: None)
+        assert polynomial_gcd(a, b) == got
 
     def test_repr_round_trips(self):
         assert repr(Polynomial((1, -2, 2))) == "Polynomial([1, -2, 2])"

@@ -159,12 +159,12 @@ def test_avoid_memo_keys_avoid_132(cold_avoid_memo):
 
 
 def test_levels_equal_the_per_operation_solve(cold_avoid_memo, level_by_operations):
-    """Every level of a cold S_7(132) sweep, r = 0..6, equals the
+    """Every level of a cold S_8(132) sweep, r = 0..7, equals the
     per-operation solve exactly and is stored in canonical form: the
     constructor, which takes a gcd, returns the same pair.  A key splits
     as (r, prefixes 0..r-1, suffixes 1..r), and as (0, prefix 0) for r = 0."""
     cold_avoid_memo()
-    for tau in enumerate_avoiders(7):
+    for tau in enumerate_avoiders(8):
         avoid_gf(tau)
     ranks = Counter()
     for key, value in _LEVEL_MEMO.items():
@@ -173,7 +173,7 @@ def test_levels_equal_the_per_operation_solve(cold_avoid_memo, level_by_operatio
         assert value == level_by_operations(r, pre, suf), key
         assert RationalFunction(value.num, value.den) == value, key
         ranks[r] += 1
-    assert sorted(ranks.items()) == [(0, 32), (1, 28), (2, 33), (3, 21), (4, 13), (5, 4), (6, 1)]
+    assert sorted(ranks.items()) == [(0, 64), (1, 59), (2, 73), (3, 52), (4, 35), (5, 16), (6, 5), (7, 1)]
 
 
 def test_avoid_gf_calls_no_rational_function_operator(cold_avoid_memo, monkeypatch):

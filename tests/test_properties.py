@@ -15,8 +15,9 @@ field laws, survive JSON, and never produce a float; sums, differences,
 products and quotients must give sympy's cancelled fraction and equal
 the raw pair sent through the constructor, and the literals that skip
 the gcd must return what the constructor returns; equal functions must
-hash equal.  The engine's single-gcd level solve must equal the
-per-operation solve on drawn levels.  ``vanishes`` must accept three
+hash equal.  The packed reader must agree with the full decode.  The
+engine's level solve must equal the per-operation solve on drawn
+levels.  ``vanishes`` must accept three
 identities, reject them once one occurrence of an input is perturbed,
 and agree with ``RationalFunction`` arithmetic on both.
 """
@@ -28,13 +29,14 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pattgf import engine, relations
-from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of, vanishes
+from pattgf import algebra, engine, relations
+from pattgf.algebra import Polynomial, RationalFunction, polynomial_gcd, series_of
 from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import inverse, occurrence_count
+from pattgf.relations import vanishes
 
 N = 25
 S132 = [list(enumerate_avoiders(k)) for k in range(10)]
@@ -171,6 +173,38 @@ def test_wide_arithmetic_matches_schoolbook(schoolbook, a, b, k):
         assert eval(repr(got)) == got
         assert got.degree == len(want) - 1
     assert (p == q) == (schoolbook.trim(a) == schoolbook.trim(b))
+
+
+# digits of one 64-bit slot, at and beside each width of the packed reader's ladder
+LADDER_EDGES = [s * 2 ** (b - 1) + e for b in (8, 16, 24, 32, 48, 64) for s in (1, -1) for e in (-1, 0, 1)]
+slot_digits = st.lists(
+    st.sampled_from([d for d in LADDER_EDGES if -(2**63) <= d < 2**63])
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.integers(-(2**20), 2**20)
+    | st.just(0),
+    max_size=7,
+)
+
+
+@ALGEBRA
+@given(slot_digits)
+@example([2**63 - 1])  # the bit length counts a zero top slot
+@example([5, 2**62])  # the same above a lower slot
+@example([-(2**63)])
+@example([3, -5])  # a negative leading coefficient
+def test_packed_reader_agrees_with_the_decode(digits):
+    """``algebra._read`` gives the length and value of ``_at_slot`` on any
+    value packed at the 64-bit slot, and a bound at or above the exact bit
+    length in the same 64-bit block; it declines exactly when a digit lies
+    outside [-2**47, 2**47), past its widest width."""
+    v = algebra._pack(digits, 64)
+    exact, got = Polynomial._at_slot(v, 64), algebra._read(v)
+    assert (got is None) == any(not -(2**47) <= d < 2**47 for d in digits)
+    if got is None:
+        return
+    assert got.v == exact.v == v and got.n == exact.n
+    assert exact.bits <= got.bits < 64
+    assert got == exact and hash(got) == hash(exact) and got.coeffs == exact.coeffs
 
 
 @ALGEBRA
@@ -402,20 +436,47 @@ def level_inputs(draw):
 
 
 _GEOMETRIC = RationalFunction((1,), (1, -1))
+# P_0's denominator 1 + 2**32 x divides the running denominator
+# (1 + 2**29 x)(1 + 2**32 x), whose coefficients fit the 64-bit slot,
+# but the certificate's 33 + 30 + 1 bits do not
+_WIDE_QUOTIENT = (
+    2,
+    [RationalFunction((1,), (1, 2**32)), RationalFunction((1,), (1, 2**29))],
+    [RationalFunction.one(), RationalFunction.one()],
+)
 
 
 @ALGEBRA
 @given(level_inputs())
 @example((2, [_GEOMETRIC, _GEOMETRIC], [_GEOMETRIC, _GEOMETRIC]))  # P_1 - P_0 = 0, one denominator
+@example(_WIDE_QUOTIENT)
 @example((1, [RationalFunction.zero()], [RationalFunction.one()]))  # a zero input: F = 1 / (1 - x)
 def test_level_solve_equals_the_per_operation_solve(level_by_operations, level):
-    """``engine._level`` sums over lcms and takes one gcd at the end; its
+    """``engine._level`` sums over lcms, finds P_0 + S_r over the running
+    denominator by exact division and takes one gcd at the end; its
     result equals the per-operation solve exactly and is canonical."""
     r, pre, suf = level
     got = engine._level(r, pre, suf)
     assert got == level_by_operations(r, pre, suf)
     assert_canonical(got)
     assert RationalFunction(got.num, got.den) == got
+
+
+def test_level_division_moves_to_a_wider_slot(monkeypatch, level_by_operations):
+    """The exact division of the running denominator by P_0's is certified
+    as the gcd's cofactors are, and retried at a wider slot when the
+    certificate fails."""
+    cofactor, widths = algebra._cofactor, []
+
+    def watched(v, vh, h, w):
+        q = cofactor(v, vh, h, w)
+        if h is _WIDE_QUOTIENT[1][0].den:
+            widths.append((w, q is not None))
+        return q
+
+    monkeypatch.setattr(algebra, "_cofactor", watched)
+    assert engine._level(*_WIDE_QUOTIENT) == level_by_operations(*_WIDE_QUOTIENT)
+    assert widths == [(64, False), (128, True)]
 
 
 @st.composite
