@@ -2,14 +2,7 @@
 
 ``Polynomial`` and ``RationalFunction`` live in Z[x] and ``PowerSeries``
 in Z[[x]]: their coefficients are ``int``s, and any other coefficient is
-a ``TypeError``.  A ``fractions.Fraction`` appears only as a constant
-operand of ``RationalFunction`` arithmetic and as the argument of
-``RationalFunction.constant``, which turns p/q into the canonical
-(p)/(q).  Every equality used anywhere in the package is exact.
-``RationalFunction._coerce`` imports ``fractions`` only for an operand
-that is not an ``int``, so integral work never loads it.  Annotations
-are strings, and ``Rational`` in them means ``numbers.Rational``, which
-is never imported.
+a ``TypeError``.  Every equality used anywhere in the package is exact.
 
 Representations:
 
@@ -36,12 +29,13 @@ Representations:
 - ``RationalFunction``: numerator/denominator pair in canonical form:
   coprime, joint content 1, and the lowest nonzero denominator
   coefficient positive.  Structural equality of canonical forms is
-  therefore true equality.  Every sum, product and quotient builds the
-  plain fraction and goes through the constructor: ``polynomial_gcd``
-  of the pair, then ``_normalize``, which divides out the joint content
-  and makes the lowest denominator coefficient positive.  Only ``-f``,
-  (-num, den), and the literals ``zero``, ``one``, ``x`` and constants
-  skip the gcd.
+  therefore true equality.  It is a value and has no operators: a
+  caller works on (numerator, denominator) pairs of ``Polynomial``s,
+  adds two of them with ``_plus``, over the lcm of the denominators,
+  and ends in one constructor call: ``polynomial_gcd`` of the pair,
+  then ``_normalize``, which divides out the joint content and makes
+  the lowest denominator coefficient positive.  The literals ``zero``,
+  ``one`` and ``x`` and ``_canonical`` skip the gcd.
   ``polynomial_gcd(a, b)`` returns the gcd g together with a/g and
   b/g.  It is the heuristic gcd at xi = 2**w, the slot width, where
   a(xi) and b(xi) are the packed values themselves: when
@@ -67,10 +61,11 @@ Representations:
   the series lies in Z[[x]] exactly when the denominator's constant
   term is 1.
 - ``BivariateSeries``: a power series in y, truncated only in y, whose
-  y^j coefficient is an exact ``RationalFunction`` in x.  Its square root
-  takes the exact root of the y^0 coefficient from the caller and
-  checks it, so every coefficient stays in Q(x), with no ``Fraction``
-  and no truncation in x.
+  y^j coefficient is an exact ``RationalFunction`` in x.  Each level of
+  a sum, product, quotient or square root is summed on pairs with
+  ``_plus`` and takes one constructor gcd.  The square root takes the
+  exact root of the y^0 coefficient from the caller and checks it, so
+  every coefficient stays in Q(x), with no truncation in x.
 """
 
 from __future__ import annotations
@@ -407,6 +402,16 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         w = _wider(w)
 
 
+def _plus(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """n1/d1 + n2/d2 as a pair over lcm(d1, d2): with g = gcd(d1, d2) and
+    d_i = g c_i, (n1 c2 + n2 c1)/(d1 c2); equal denominators just add
+    numerators.  Nothing cancels, so the sum is exact but not canonical."""
+    if d1 == d2:
+        return n1 + n2, d1
+    _, c1, c2 = polynomial_gcd(d1, d2)
+    return n1 * c2 + n2 * c1, d1 * c2
+
+
 class RationalFunction:
     __slots__ = ("num", "den")
 
@@ -455,11 +460,6 @@ class RationalFunction:
     def x(cls, power: int = 1) -> "RationalFunction":
         return cls._canonical(Polynomial.x(power), Polynomial.one())
 
-    @classmethod
-    def constant(cls, c: Rational) -> "RationalFunction":
-        """The constant c; an int n gives (n)/(1), a Fraction p/q gives (p)/(q)."""
-        return cls._canonical(Polynomial((c.numerator,)), Polynomial((c.denominator,)))
-
     # -- basics --------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -474,59 +474,6 @@ class RationalFunction:
 
     def __hash__(self) -> int:
         return hash((self.num.v, self.den.v))
-
-    # -- arithmetic ----------------------------------------------------
-    @staticmethod
-    def _coerce(v) -> "RationalFunction | None":
-        """v as a ``RationalFunction``: itself, or an ``int`` or ``Fraction``
-        constant; None for any other operand, whose operator then returns
-        ``NotImplemented``, so Python raises ``TypeError``."""
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, int):
-            return RationalFunction.constant(v)
-        from fractions import Fraction
-
-        return RationalFunction.constant(v) if isinstance(v, Fraction) else None
-
-    def __add__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._canonical(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        return NotImplemented if o is None else o / self
 
     # -- presentation & serialization -----------------------------------
     def __repr__(self) -> str:
@@ -550,7 +497,7 @@ class RationalFunction:
         return f"\\frac{{{polynomial_latex(self.num)}}}{{{polynomial_latex(self.den)}}}"
 
 
-def _term_str(c: Rational, i: int, latex: bool) -> str:
+def _term_str(c: int, i: int, latex: bool) -> str:
     if i == 0:
         return str(c)
     if i == 1:
@@ -672,10 +619,11 @@ class BivariateSeries:
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        return BivariateSeries([a + b for a, b in zip(self.levels, other.levels)])
+        pairs = zip(self.levels, other.levels)
+        return BivariateSeries([RationalFunction(*_plus(a.num, a.den, b.num, b.den)) for a, b in pairs])
 
     def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries([-level for level in self.levels])
+        return BivariateSeries([RationalFunction._canonical(-f.num, f.den) for f in self.levels])
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
@@ -687,13 +635,8 @@ class BivariateSeries:
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         a, b = self.levels, other.levels
-        out = []
-        for m in range(min(len(a), len(b))):
-            acc = a[0] * b[m]
-            for i in range(1, m + 1):
-                acc = acc + a[i] * b[m - i]
-            out.append(acc)
-        return BivariateSeries(out)
+        n = min(len(a), len(b))
+        return BivariateSeries([RationalFunction(*_products(zip(a[: m + 1], b[m::-1]))) for m in range(n)])
 
     def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Division by a unit (nonzero y^0 level), term by term from
@@ -703,35 +646,37 @@ class BivariateSeries:
         a, b = self.levels, other.levels
         out: list[RationalFunction] = []
         for m in range(min(len(a), len(b))):
-            acc = a[m]
-            for i in range(1, m + 1):
-                if not b[i].is_zero:
-                    acc = acc - b[i] * out[m - i]
-            out.append(acc / b[0])
+            n, d = _products((b[i], out[m - i]) for i in range(1, m + 1) if not b[i].is_zero)
+            n, d = _plus(a[m].num, a[m].den, -n, d)
+            out.append(RationalFunction(n * b[0].den, d * b[0].num))
         return BivariateSeries(out)
 
     def sqrt(self, root0: RationalFunction) -> "BivariateSeries":
         """The square root t with y^0 level ``root0``, which must square to
         this series' y^0 level (``ValueError`` otherwise).  Matching y^m in
-        t*t = s gives t_m = (s_m - sum_{0<i<m} t_i t_(m-i)) / (2 t_0)."""
-        if root0 * root0 != self.levels[0]:
+        t*t = s gives t_m = (s_m - sum_{0<i<m} t_i t_(m-i)) / (2 t_0),
+        each mirrored pair formed once and doubled."""
+        if RationalFunction(root0.num * root0.num, root0.den * root0.den) != self.levels[0]:
             raise ValueError("root0 is not a square root of the y^0 level")
-        two_t0 = root0 + root0
-        out = [root0]
+        t, two_t0 = [root0], root0.num + root0.num
         for m in range(1, len(self.levels)):
-            out.append((self.levels[m] - _pair_sum(out, m)) / two_t0)
-        return BivariateSeries(out)
+            n, d = _products((t[i], t[m - i]) for i in range(1, (m + 1) // 2))
+            n = n + n
+            if m % 2 == 0:
+                h = t[m // 2]
+                n, d = _plus(n, d, h.num * h.num, h.den * h.den)
+            s = self.levels[m]
+            n, d = _plus(s.num, s.den, -n, d)
+            t.append(RationalFunction(n * root0.den, d * two_t0))
+        return BivariateSeries(t)
 
 
-def _pair_sum(t: Sequence[RationalFunction], m: int) -> RationalFunction:
-    """sum t_i t_(m-i) over 0 < i < m, each mirrored pair formed once."""
-    acc = RationalFunction.zero()
-    for i in range(1, (m + 1) // 2):
-        acc = acc + t[i] * t[m - i]
-    acc = acc + acc
-    if m % 2 == 0:
-        acc = acc + t[m // 2] * t[m // 2]
-    return acc
+def _products(pairs) -> tuple[Polynomial, Polynomial]:
+    """sum f g over the (f, g) in ``pairs``, as an exact pair summed with ``_plus``."""
+    n, d = Polynomial.zero(), Polynomial.one()
+    for f, g in pairs:
+        n, d = _plus(n, d, f.num * g.num, f.den * g.den)
+    return n, d
 
 
 # The order cap bounds the output and the memo, not the cost: the term

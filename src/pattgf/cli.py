@@ -42,7 +42,7 @@ from .errors import (
     PatternError,
     UnsupportedPattern,
 )
-from .patterns import format_pattern, iter_layered_specs, parse_pattern
+from .patterns import blocks, format_pattern, iter_layered_specs, parse_pattern
 
 
 def _lazy(name: str) -> ModuleType:
@@ -172,10 +172,14 @@ def _cmd_verify(args) -> int:
     elif rel in ("thm23", "thm33", "thm31", "remark31"):
         lo, hi = _parse_range(args.range, (2, 5))
         terms = relations.DEFAULT_TERMS if args.terms is None else args.terms
-        min_layers = 3 if rel == "remark31" else 2
-        for k in range(lo, hi + 1):
-            for tops in iter_layered_specs(k, min_layers=min_layers):
-                reports.append(relations.verify_relation(rel, tops, terms=terms))
+        min_r = 2 if rel == "remark31" else 1  # maxima beyond the first
+        for k in range(max(lo, 1), hi + 1):
+            if rel in ("thm23", "thm33"):
+                instances = iter_layered_specs(k, min_layers=2)
+            else:
+                instances = (p for p in oracle.enumerate_avoiders(k) if blocks(p)[0] >= min_r)
+            for params in instances:
+                reports.append(relations.verify_relation(rel, params, terms=terms))
     if not reports:
         raise ValueError(f"{rel}: --range {args.range} has no instances")
     failures = [r for r in reports if not r.passed]

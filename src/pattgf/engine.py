@@ -47,11 +47,12 @@ does not divide d, and d - x n has constant term 1, so the content is
 
 A level with r >= 1 is solved on exact (numerator, denominator) pairs
 that nothing cancels; the input denominators have constant term 1.
-Products multiply pairs; n1/d1 + n2/d2, with d_i = g c_i and
-g = gcd(d1, d2), is (n1 c2 + n2 c1)/(d1 c2), over the lcm, a multiple
-of d1 and of d2 in Z[x] (equal denominators just add numerators; the
-product d1 d2 would repeat V_p factors).  As g(0) c2(0) = d2(0) = +-1,
-every denominator built so has constant term +-1.  With rhs - 1 = n/d
+Products multiply pairs, and sums go through ``algebra._plus``:
+n1/d1 + n2/d2, with d_i = g c_i and g = gcd(d1, d2), is
+(n1 c2 + n2 c1)/(d1 c2), over the lcm, a multiple of d1 and of d2 in
+Z[x] (the product d1 d2 would repeat V_p factors).  As
+g(0) c2(0) = d2(0) = +-1, every denominator built so has constant term
++-1.  With rhs - 1 = n/d
 summed so and P_0 + S_r = m/d, the solution is (n + d)/(d - x m), and
 d - x m != 0 as d(0) = +-1.  No gcd finds m: d is a multiple of both
 denominators of that sum.  It starts as the product of those of
@@ -115,12 +116,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import comb
 
-from .algebra import BivariateSeries, Polynomial, RationalFunction, exact_quotient, polynomial_gcd
+from .algebra import BivariateSeries, Polynomial, RationalFunction, _plus, exact_quotient
 from .chebyshev import v_poly
 from .errors import UnsupportedPattern
 from .patterns import as_pattern, blocks, classify, inverse, require_132_avoiding
 
-_X = RationalFunction.x()
 _ONE = RationalFunction.one()
 _ZERO = RationalFunction.zero()
 
@@ -157,24 +157,43 @@ def avoid_gf(pat: Sequence[int]) -> RationalFunction:
 
 
 def _avoid(pat: tuple[int, ...]) -> RationalFunction:
-    """The avoidance series of ``pat``, which must avoid (1,3,2)."""
-    hit = _AVOID_MEMO.get(pat)
-    if hit is not None:
-        return hit
-    if len(pat) == 1:
-        value = _ONE
-    else:
-        r, prefixes, suffixes = blocks(pat)
+    """The avoidance series of ``pat``, which must avoid (1,3,2).
+
+    The recursion runs on an explicit stack of (pattern, ``blocks``
+    result) frames, so a deep pattern needs no Python recursion.  A frame
+    is solved once its prefixes and suffixes are in the memo; until then
+    the missing ones go on the stack, the first one on top.  So each
+    pattern is solved, and ``blocks`` run on it, once, in the order the
+    recursion would solve it."""
+    stack: list = [(pat, None)]
+    while stack:
+        q, parts = stack[-1]
+        if parts is None:
+            if q in _AVOID_MEMO:  # solved below an earlier sibling
+                stack.pop()
+                continue
+            if len(q) == 1:
+                stack.pop()
+                _AVOID_MEMO[q] = _ONE
+                continue
+            parts = blocks(q)
+            stack[-1] = (q, parts)
+        r, prefixes, suffixes = parts
         # pre[i] = F(prefix i) for i = 0 .. max(r-1, 0), suf[i-1] = F(suffix i)
         # for i = 1 .. r; F(prefix -1) = 0 enters no term
-        pre = [_avoid(q) for q in prefixes]
-        suf = [_avoid(q) for q in suffixes]
+        try:
+            pre = [_AVOID_MEMO[p] for p in prefixes]
+            suf = [_AVOID_MEMO[p] for p in suffixes]
+        except KeyError:
+            stack.extend((p, None) for p in reversed(prefixes + suffixes) if p not in _AVOID_MEMO)
+            continue
+        stack.pop()
         key = (r, *pre, *suf)
         value = _LEVEL_MEMO.get(key)
         if value is None:
             value = _LEVEL_MEMO[key] = _level(r, pre, suf)
-    _AVOID_MEMO[pat] = _AVOID_MEMO[inverse(pat)] = value
-    return value
+        _AVOID_MEMO[q] = _AVOID_MEMO[inverse(q)] = value
+    return _AVOID_MEMO[pat]
 
 
 def _level(r: int, pre: list, suf: list) -> RationalFunction:
@@ -196,14 +215,6 @@ def _level(r: int, pre: list, suf: list) -> RationalFunction:
     else:
         m = pre[0].num * exact_quotient(d, pre[0].den) + s.num * exact_quotient(d, s.den)
     return RationalFunction(n + d, d - m.shift(1))
-
-
-def _plus(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial):
-    """n1/d1 + n2/d2 as a pair over lcm(d1, d2); nothing cancels."""
-    if d1 == d2:
-        return n1 + n2, d1
-    _, c1, c2 = polynomial_gcd(d1, d2)
-    return n1 * c2 + n2 * c1, d1 * c2
 
 
 def once_gf(pat: Sequence[int]) -> RationalFunction:
@@ -271,9 +282,9 @@ def phi_closed_series(order_y: int = 10) -> BivariateSeries:
     if order_y < 1:
         raise ValueError("order_y must be at least 1")
     n = order_y - 1  # the factor y raises the order by one
-    a = _y_poly(n, _ONE + _X, -_X)
-    root = (a * a - _y_poly(n, 4 * _X)).sqrt(_ONE - _X)
-    quotient = (a - root) / _y_poly(n, 2 * _X, -2 * _X)
+    a = _y_poly(n, RationalFunction((1, 1)), RationalFunction((0, -1)))
+    root = (a * a - _y_poly(n, RationalFunction((0, 4)))).sqrt(RationalFunction((1, -1)))
+    quotient = (a - root) / _y_poly(n, RationalFunction((0, 2)), RationalFunction((0, -2)))
     return BivariateSeries((_ZERO,) + quotient.levels)
 
 
@@ -286,10 +297,10 @@ def psi_closed_series(order_y: int = 10) -> BivariateSeries:
     """
     if order_y < 1:
         raise ValueError("order_y must be at least 1")
-    c = _ONE - _X
-    u = _y_poly(order_y, c, -_X * c)
-    root = (u * u - _y_poly(order_y, _ZERO, 4 * _X * _X * c)).sqrt(c)
-    return (u - root) / _y_poly(order_y, 2 * _X)
+    c = RationalFunction((1, -1))
+    u = _y_poly(order_y, c, RationalFunction((0, -1, 1)))
+    root = (u * u - _y_poly(order_y, _ZERO, RationalFunction((0, 0, 4, -4)))).sqrt(c)
+    return (u - root) / _y_poly(order_y, RationalFunction((0, 2)))
 
 
 __all__ = [

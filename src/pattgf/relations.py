@@ -402,20 +402,21 @@ def _check_feq(relation: str) -> RelationReport:
     """``thm22feq`` (Φ) or ``thm32feq`` (Ψ), as the module docstring says."""
     report = RelationReport(relation, "closed form")
     one, x, y, f = Polynomial.one(), Polynomial.x(), Polynomial.x(8), Polynomial.x(64)
-    two_x, four_x, rx = Polynomial((0, 2)), Polynomial((0, 4)), RationalFunction.x()
+    two_x, four_x = Polynomial((0, 2)), Polynomial((0, 4))
     if relation == "thm22feq":
         a = one + x - x * y
         e = y * (one - y) * f - y * y - x * (one - y) * f * (f - y - y * f) - x * y * y * (one - y) * f
         c, b, d = one - y, y * a, y * y * (a * a - four_x)
-        b0, lowest = 1 + rx, avoid_gf((1,))  # b/y at y = 0, and Φ_1
+        b0, lowest = one + x, avoid_gf((1,))  # b/y at y = 0, and Φ_1
     else:
         e = (one - x) * (f - x * y) - x * f * f - x * (one - x) * y * f
         c, b = one, (one - x) * (one - x * y)
         d = b * b - four_x * x * (one - x) * y
-        b0, lowest = 1 - rx, RationalFunction.zero()  # b at y = 0, and Ψ_0
+        b0, lowest = one - x, RationalFunction.zero()  # b at y = 0, and Ψ_0
     root = two_x * c * f - b
     report.add("exact identity", root * root - d == -(four_x * e))
-    report.add("series root", (b0 - (1 - rx)) / (2 * rx) == lowest)
+    # (b0 - (1 - x)) / (2x) = lowest, cross-multiplied
+    report.add("series root", (b0 - (one - x)) * lowest.den == two_x * lowest.num)
     return report
 
 

@@ -170,6 +170,40 @@ def suffix_pattern_fixture():
     return suffix_pattern
 
 
+class Plain:
+    """``RationalFunction`` arithmetic one operation at a time: each
+    result is the plain fraction, over the product of the denominators,
+    sent through the constructor.  It is the reference for sums on exact
+    pairs and shares no sum code with ``algebra._plus``.  Operands are two
+    ``RationalFunction``s; a zero divisor is a ``ZeroDivisionError``."""
+
+    @staticmethod
+    def add(f, g):
+        return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+
+    @staticmethod
+    def sub(f, g):
+        return RationalFunction(f.num * g.den - g.num * f.den, f.den * g.den)
+
+    @staticmethod
+    def mul(f, g):
+        return RationalFunction(f.num * g.num, f.den * g.den)
+
+    @staticmethod
+    def div(f, g):
+        return RationalFunction(f.num * g.den, f.den * g.num)
+
+
+add, sub, mul, div = Plain.add, Plain.sub, Plain.mul, Plain.div
+
+
+@pytest.fixture(scope="session")
+def plain():
+    """The per-operation ``RationalFunction`` arithmetic: the reference
+    that every sum on exact pairs must equal."""
+    return Plain
+
+
 _ZERO, _ONE, _X = RationalFunction.zero(), RationalFunction.one(), RationalFunction.x()
 
 
@@ -188,7 +222,7 @@ def once_by_chain(tau):
     if tau[-2:] != (k - 1, k):
         return once_gf(tau)
     head = tau[:-1]
-    return _X * avoid_gf(tau) * once_by_chain(head) / (_ONE - _X * avoid_gf(head))
+    return div(mul(mul(_X, avoid_gf(tau)), once_by_chain(head)), sub(_ONE, mul(_X, avoid_gf(head))))
 
 
 @pytest.fixture(scope="session", name="once_by_chain")
@@ -207,12 +241,12 @@ def level_by_operations(r, pre, suf):
     for r >= 1 (F = 1 / (1 - x P_0) for r = 0), with pre[i] = P_i and
     suf[i-1] = S_i, as in ``engine._avoid``."""
     if r == 0:
-        return _ONE / (_ONE - _X * pre[0])
+        return div(_ONE, sub(_ONE, mul(_X, pre[0])))
     rhs = _ONE
     for j in range(1, r):
-        rhs = rhs + _X * (pre[j] - pre[j - 1]) * suf[j - 1]
-    rhs = rhs - _X * pre[r - 1] * suf[r - 1]
-    return rhs / (_ONE - _X * pre[0] - _X * suf[r - 1])
+        rhs = add(rhs, mul(mul(_X, sub(pre[j], pre[j - 1])), suf[j - 1]))
+    rhs = sub(rhs, mul(mul(_X, pre[r - 1]), suf[r - 1]))
+    return div(rhs, sub(sub(_ONE, mul(_X, pre[0])), mul(_X, suf[r - 1])))
 
 
 @pytest.fixture(scope="session", name="level_by_operations")
@@ -240,7 +274,7 @@ def phi_functional_equation_residual(order_y):
     p = (_ZERO, _ZERO) + phi.levels  # p[m] = P_(m-2)
     s = (_ZERO,) + (phi * phi).levels  # s[m] = S_(m-1)
     return BivariateSeries(
-        p[m + 1] - (_ONE if m >= 2 else _ZERO) - _X * (s[m + 1] - p[m + 1] - s[m] + p[m])
+        sub(sub(p[m + 1], _ONE if m >= 2 else _ZERO), mul(_X, add(sub(sub(s[m + 1], p[m + 1]), s[m]), p[m])))
         for m in range(order_y + 2)
     )
 
@@ -253,9 +287,9 @@ def psi_functional_equation_residual(order_y):
     psi = psi_closed_series(order_y)
     q = (_ZERO,) + psi.levels  # q[m] = Q_(m-1)
     s = (psi * psi).levels
-    c = _ONE - _X
+    c, xc = sub(_ONE, _X), mul(_X, sub(_ONE, _X))
     return BivariateSeries(
-        c * (q[m + 1] - (_X if m == 1 else _ZERO)) - _X * s[m] - _X * c * q[m]
+        sub(sub(mul(c, sub(q[m + 1], _X if m == 1 else _ZERO)), mul(_X, s[m])), mul(xc, q[m]))
         for m in range(order_y + 1)
     )
 

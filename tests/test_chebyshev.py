@@ -83,10 +83,10 @@ def test_r_small_values():
         r_func(0)
 
 
-def test_r_iteration():
+def test_r_iteration(plain):
     one, x = RationalFunction.one(), RationalFunction.x()
     for p in range(1, 25):
-        assert r_func(p + 1) * (one - x * r_func(p)) == one
+        assert plain.mul(r_func(p + 1), plain.sub(one, plain.mul(x, r_func(p)))) == one
 
 
 def test_identity_examples():
@@ -121,19 +121,24 @@ def test_identity_parameter_names_are_checked(which):
     assert check_identity(which, **valid)
 
 
-def test_v_forms_agree_with_the_r_forms():
-    """Parts (iii)-(vi) as stated in R_p, by ``RationalFunction``
-    arithmetic: the reference for their cleared forms in V."""
+def test_v_forms_agree_with_the_r_forms(plain):
+    """Parts (iii)-(vi) as stated in R_p, by per-operation
+    ``RationalFunction`` arithmetic: the reference for their cleared
+    forms in V."""
     one, x = RationalFunction.one(), RationalFunction.x()
+    add, sub, mul, div = plain.add, plain.sub, plain.mul, plain.div
 
     def over(num, a, b):
         return RationalFunction(num, v_poly(a) * v_poly(b))
 
+    def one_minus_x(f):
+        return sub(one, mul(x, f))
+
     r_forms = {
-        "iii": lambda p: r_func(p + 1) == one / (one - x * r_func(p)),
-        "iv": lambda a, b: one - x * r_func(a) * r_func(b) == over(v_poly(a + b), a, b),
-        "v": lambda a, b: one - x * r_func(a) - x * r_func(b) == over(v_poly(a + b + 1), a, b),
-        "vi": lambda a, b: r_func(a) - r_func(b) == over(v_poly(a - b - 1).shift(b), a, b),
+        "iii": lambda p: r_func(p + 1) == div(one, one_minus_x(r_func(p))),
+        "iv": lambda a, b: one_minus_x(mul(r_func(a), r_func(b))) == over(v_poly(a + b), a, b),
+        "v": lambda a, b: sub(one_minus_x(r_func(a)), mul(x, r_func(b))) == over(v_poly(a + b + 1), a, b),
+        "vi": lambda a, b: sub(r_func(a), r_func(b)) == over(v_poly(a - b - 1).shift(b), a, b),
     }
     for which, holds in r_forms.items():
         for kw in identity_instances(which, 12):
@@ -141,9 +146,9 @@ def test_v_forms_agree_with_the_r_forms():
             assert check_identity(which, **kw), (which, kw)
 
 
-def test_identity_iv_explicit_form():
+def test_identity_iv_explicit_form(plain):
     # 1 - x R_1 R_1 == V_2 / (V_1 V_1) == 1 - x
-    lhs = RationalFunction.one() - RationalFunction.x() * r_func(1) * r_func(1)
+    lhs = plain.sub(RationalFunction.one(), plain.mul(plain.mul(RationalFunction.x(), r_func(1)), r_func(1)))
     assert lhs == RationalFunction((1, -1), (1,))
 
 

@@ -53,6 +53,16 @@ def test_gf_latex_annotates_known_quotients(capsys):
     assert out == "\\frac{1 - 2x + 2x^2}{1 - 3x + 3x^2 - x^3}"
 
 
+def test_gf_deep_increasing_run(capsys):
+    """12...1000 solves 1000 chained r = 0 levels, far deeper than
+    Python's recursion limit, and still prints R_1000 = V_999 / V_1000."""
+    limit = sys.getrecursionlimit()
+    code, out, _ = run(capsys, "gf", "[1000]", "--format", "latex")
+    assert code == 0
+    assert out.endswith("  % = V_{999}(x) / V_{1000}(x)")
+    assert sys.getrecursionlimit() == limit
+
+
 def test_known_v_quotient_names_every_r():
     for p in range(1, 41):
         assert _known_v_quotient(r_func(p)) == f"V_{{{p - 1}}}(x) / V_{{{p}}}(x)"

@@ -22,6 +22,7 @@ from pattgf.errors import NotIn132Class, PatternError, UnsupportedPattern
 from pattgf.oracle import ConstraintSpec, enumerate_avoiders, series
 from pattgf.patterns import (
     as_pattern,
+    blocks,
     canonical_decompose,
     contains_132,
     decreasing,
@@ -66,14 +67,14 @@ class TestAvoidGf:
             f = avoid_gf(pat)
             assert f.num.constant_term() == f.den.constant_term() == 1
 
-    def test_linear_solve_divisor_never_zero(self, prefix_pattern, suffix_pattern):
+    def test_linear_solve_divisor_never_zero(self, prefix_pattern, suffix_pattern, plain):
         # the divisor 1 - x F_pre0 - x F_sufr has constant term 1
+        x = RationalFunction.x()
         for pat in [(3, 2, 1), (4, 3, 2, 1), expand_layered((5, 3, 1))]:
             d = canonical_decompose(pat)
-            div = (
-                RationalFunction.one()
-                - RationalFunction.x() * avoid_gf(prefix_pattern(d, 0))
-                - RationalFunction.x() * avoid_gf(suffix_pattern(d, d.r))
+            div = plain.sub(
+                plain.sub(RationalFunction.one(), plain.mul(x, avoid_gf(prefix_pattern(d, 0)))),
+                plain.mul(x, avoid_gf(suffix_pattern(d, d.r))),
             )
             assert div.num.constant_term() == div.den.constant_term() == 1
 
@@ -176,22 +177,42 @@ def test_levels_equal_the_per_operation_solve(cold_avoid_memo, level_by_operatio
     assert sorted(ranks.items()) == [(0, 64), (1, 59), (2, 73), (3, 52), (4, 35), (5, 16), (6, 5), (7, 1)]
 
 
-def test_avoid_gf_calls_no_rational_function_operator(cold_avoid_memo, monkeypatch):
-    """Every level is built from exact (numerator, denominator) pairs: a
-    cold ``avoid_gf`` sweep over S_7(132), r = 0 levels included, calls
-    no ``RationalFunction`` operator."""
-
-    def refuse(*args):
-        raise AssertionError("avoid_gf called a RationalFunction operator")
-
-    for name in ("add", "sub", "mul", "truediv"):
-        for dunder in (f"__{name}__", f"__r{name}__"):
-            monkeypatch.setattr(RationalFunction, dunder, refuse)
-    monkeypatch.setattr(RationalFunction, "__neg__", refuse)
+def test_rational_function_has_no_arithmetic(cold_avoid_memo):
+    """``RationalFunction`` is a value type: it defines no arithmetic
+    operator, no int or ``Fraction`` coercion and no ``constant``, so
+    ``f + g`` is a ``TypeError``.  Every level is built from exact
+    (numerator, denominator) pairs, and a cold ``avoid_gf`` sweep over
+    S_7(132), r = 0 levels included, solves each distinct level once."""
+    removed = [f"__{name}__" for name in ("add", "sub", "mul", "truediv")]
+    removed += [f"__r{name}__" for name in ("add", "sub", "mul", "truediv")]
+    removed += ["__neg__", "_coerce", "constant"]
+    assert [name for name in removed if name in RationalFunction.__dict__] == []
+    f, g = RationalFunction.x(), RationalFunction.one()
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: f / g, lambda: -f, lambda: 1 + f):
+        with pytest.raises(TypeError):
+            op()
     cold_avoid_memo()
     for tau in enumerate_avoiders(7):
         avoid_gf(tau)
     assert len(_LEVEL_MEMO) == 132
+
+
+def test_avoid_solves_each_pattern_once(cold_avoid_memo, monkeypatch):
+    """``_avoid`` runs on an explicit stack: over a cold S_7(132) sweep it
+    calls ``blocks`` once for each pattern it solves, and every such
+    pattern ends in the memo."""
+    calls = []
+
+    def counted(pat):
+        calls.append(pat)
+        return blocks(pat)
+
+    monkeypatch.setattr(engine, "blocks", counted)
+    cold_avoid_memo()
+    for tau in enumerate_avoiders(7):
+        avoid_gf(tau)
+    assert len(calls) == len(set(calls))
+    assert all(pat in _AVOID_MEMO for pat in calls)
 
 
 class TestWarmMemo:
@@ -384,7 +405,7 @@ def test_series_of_residual_at_the_cap(schoolbook):
     assert schoolbook.trim(low) == schoolbook.trim(f.num.coeffs)
 
 
-def test_series_of_memo_keeps_refusals(recurrence):
+def test_series_of_memo_keeps_refusals(recurrence, plain):
     """Once ``series_of(f, 30)`` is memoized, the same call returns the
     stored series, which equals the term recurrence; every refusal still
     raises, and another order is its own expansion."""
@@ -399,9 +420,9 @@ def test_series_of_memo_keeps_refusals(recurrence):
     with pytest.raises(TypeError):
         series_of(f, 30.0)
     with pytest.raises(ValueError, match="constant term is 3, not 1"):
-        series_of(f / 3, 30)
+        series_of(plain.div(f, rf((3,))), 30)
     with pytest.raises(ZeroDivisionError):
-        series_of(f * rf((1,), (0, 1)), 30)
+        series_of(plain.mul(f, rf((1,), (0, 1))), 30)
 
 
 def test_avoid_digest_k8(cold_avoid_memo):
