@@ -568,24 +568,18 @@ class PowerSeries:
         return f"PowerSeries({[str(c) for c in self.coeffs]})"
 
     # -- arithmetic (orders combine to the smaller one) -------------------
-    def _align(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = self._align(other)
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return PowerSeries._exact(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """Cauchy product, each coefficient by ``series_of``'s kernel."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = self._align(other)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(out)
+        a, b = self.coeffs, other.coeffs
+        terms = (sum(map(mul, a[: n + 1], reversed(b[: n + 1]))) for n in range(min(len(a), len(b))))
+        return PowerSeries._exact(tuple(terms))
 
 
 class BivariateSeries:

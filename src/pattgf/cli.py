@@ -36,12 +36,7 @@ import importlib.util
 import sys
 from types import ModuleType
 
-from .errors import (
-    EnumerationCapExceeded,
-    NotIn132Class,
-    PatternError,
-    UnsupportedPattern,
-)
+from .errors import NotIn132Class, UnsupportedPattern
 from .patterns import blocks, format_pattern, iter_layered_specs, parse_pattern
 
 
@@ -151,35 +146,42 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
         raise ValueError(f"--range must be A:B or A with integers A, B, got {text!r}") from None
 
 
+# How ``verify`` sweeps each pattern relation: its default --range, the
+# right-to-left maxima beyond the first that an instance needs, whether
+# it sweeps layer tops (else S_k(132)), and whether it reads --terms
+# (else it is checked symbolically).  The functional equations have no
+# sweep and read neither flag.
+_SWEEPS = {
+    "thm21": ((1, 4), 0, False, False),
+    "thm23": ((2, 5), 1, True, False),
+    "thm31": ((2, 5), 1, False, True),
+    "thm33": ((2, 5), 1, True, True),
+    "remark31": ((2, 5), 2, False, True),
+}
+
+
 def _cmd_verify(args) -> int:
     rel = args.relation
-    if args.terms is not None and args.terms < 1:
-        raise ValueError(f"--terms must be at least 1, got {args.terms}")
-    if rel in ("thm31", "thm33", "remark31") and args.terms is not None and args.terms > oracle.COUNT_CAP:
-        raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
-    if rel in ("thm21", "thm23", "thm22feq", "thm32feq") and args.terms is not None:
-        raise ValueError(f"{rel} is checked symbolically and does not read --terms")
-    if rel in ("thm22feq", "thm32feq") and args.range:
-        raise ValueError(f"{rel} has no pattern sizes and does not read --range")
-    reports: list[relations.RelationReport] = []
-    if rel in ("thm22feq", "thm32feq"):
-        reports.append(relations.verify_relation(rel))
-    elif rel == "thm21":
-        lo, hi = _parse_range(args.range, (1, 4))
-        for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
-            for perm in oracle.enumerate_avoiders(k):
-                reports.append(relations.verify_relation("thm21", perm))
-    elif rel in ("thm23", "thm33", "thm31", "remark31"):
-        lo, hi = _parse_range(args.range, (2, 5))
+    default, min_r, layered, numeric = _SWEEPS.get(rel, (None, 0, False, False))
+    if args.terms is not None:
+        if args.terms < 1:
+            raise ValueError(f"--terms must be at least 1, got {args.terms}")
+        if not numeric:
+            raise ValueError(f"{rel} is checked symbolically and does not read --terms")
+        if args.terms > oracle.COUNT_CAP:
+            raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
+    if default is None:
+        if args.range:
+            raise ValueError(f"{rel} has no pattern sizes and does not read --range")
+        reports = [relations.verify_relation(rel)]
+    else:
+        lo, hi = _parse_range(args.range, default)
         terms = relations.DEFAULT_TERMS if args.terms is None else args.terms
-        min_r = 2 if rel == "remark31" else 1  # maxima beyond the first
-        for k in range(max(lo, 1), hi + 1):
-            if rel in ("thm23", "thm33"):
-                instances = iter_layered_specs(k, min_layers=2)
-            else:
-                instances = (p for p in oracle.enumerate_avoiders(k) if blocks(p)[0] >= min_r)
-            for params in instances:
-                reports.append(relations.verify_relation(rel, params, terms=terms))
+        reports = []
+        for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
+            instances = (iter_layered_specs(k, min_layers=min_r + 1) if layered
+                         else (p for p in oracle.enumerate_avoiders(k) if not min_r or blocks(p)[0] >= min_r))
+            reports.extend(relations.verify_relation(rel, params, terms=terms) for params in instances)
     if not reports:
         raise ValueError(f"{rel}: --range {args.range} has no instances")
     failures = [r for r in reports if not r.passed]
@@ -260,15 +262,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except NotIn132Class as exc:
+    except ValueError as exc:  # every pattgf error subclasses it
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
-    except UnsupportedPattern as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (PatternError, EnumerationCapExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, NotIn132Class):
+            return EXIT_NOT_IN_CLASS
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedPattern) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -390,11 +390,11 @@ def _check_thm33(tops: tuple[int, ...], n: int) -> RelationReport:
 def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
     report = RelationReport("remark31", f"pattern {pat}, n <= {n}")
     r, pre, _ = _slices(pat)
+    if r < 2:
+        raise PatternError("the Remark 3.1 recursion needs at least three maxima")
     for j in range(2, r + 1):
         holds = _once_recursion_holds(*_slices(pre[j - 1]), (pre[j],), n)
         report.add(f"j={j} coefficients 0..{n}", holds)
-    if r < 2:
-        report.add("no instances (needs at least three maxima)", True)
     return report
 
 

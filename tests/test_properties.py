@@ -17,7 +17,9 @@ denominators; the per-operation reference arithmetic (conftest's
 ``plain``) must give sympy's cancelled fraction and equal the raw pair
 sent through the constructor, and the literals that skip the gcd must
 return what the constructor returns; equal functions must hash equal.
-The packed reader must agree with the full decode.  The engine's level
+The packed reader must agree with the full decode.  ``PowerSeries``
+sums and products must be the elementwise sum and the schoolbook
+Cauchy product, cut to the shorter operand.  The engine's level
 solve must equal the per-operation solve on drawn levels.
 ``vanishes`` must accept three identities, reject them once one
 occurrence of an input is perturbed, and agree with the per-operation
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pattgf import algebra, engine, relations
-from pattgf.algebra import Polynomial, RationalFunction, _plus, polynomial_gcd, series_of
+from pattgf.algebra import Polynomial, PowerSeries, RationalFunction, _plus, polynomial_gcd, series_of
 from pattgf.chebyshev import check_identity, identity_instances, r_func, v_poly
 from pattgf.engine import avoid_gf, once_gf
 from pattgf.errors import UnsupportedPattern
@@ -174,6 +176,20 @@ def test_wide_arithmetic_matches_schoolbook(schoolbook, a, b, k):
         assert eval(repr(got)) == got
         assert got.degree == len(want) - 1
     assert (p == q) == (schoolbook.trim(a) == schoolbook.trim(b))
+
+
+@ALGEBRA
+@given(st.lists(wide_ints, min_size=1, max_size=8), st.lists(wide_ints, min_size=1, max_size=8))
+@example([1, 2, 3], [1, 2, 3, 4, 5])
+@example([0, 1], [5, 7, 11])  # only the reversed pairing reads 5 at x^1
+def test_power_series_arithmetic_matches_schoolbook(a, b):
+    """Truncated series add and multiply to the order of the shorter
+    operand, as the index loops give them."""
+    n = min(len(a), len(b))
+    total, product = PowerSeries(a) + PowerSeries(b), PowerSeries(a) * PowerSeries(b)
+    assert total.coeffs == tuple(a[m] + b[m] for m in range(n))
+    assert product.coeffs == tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n))
+    assert all(type(c) is int for c in total.coeffs + product.coeffs)
 
 
 # digits of one 64-bit slot, at and beside each width of the packed reader's ladder

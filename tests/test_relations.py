@@ -170,9 +170,6 @@ def test_remark31_instances():
     assert rep.passed
     assert any("j=2" in c.label for c in rep.checks)
     assert verify_relation("remark31", (5, 4, 3, 1), terms=8).passed
-    # two layers only: no j >= 2 instances, vacuously true
-    rep = verify_relation("remark31", (3, 2), terms=6)
-    assert rep.passed
 
 
 def test_remark31_on_nonlayered_pattern():
@@ -270,3 +267,10 @@ def test_empty_pattern_is_refused(relation):
 def test_thm31_refuses_a_single_maximum():
     with pytest.raises(PatternError, match="^the exactly-once recursion needs at least two maxima$"):
         verify_relation("thm31", (1, 2, 3))
+
+
+@pytest.mark.parametrize("pat", [(3, 2), (2, 1), (1, 2, 3)])
+def test_remark31_refuses_fewer_than_three_maxima(pat):
+    # two layers or one: no j >= 2 instance, so nothing would be checked
+    with pytest.raises(PatternError, match="^the Remark 3.1 recursion needs at least three maxima$"):
+        verify_relation("remark31", pat, terms=6)
