@@ -242,6 +242,23 @@ class TestRationalFunction:
             assert again == a
             assert plain.div(plain.mul(a, b), b) == a
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f: RationalFunction.one() + 0.5,
+            lambda f: 0.5 + f,
+            lambda f: f * "1/2",
+            lambda f: f / 0.5,
+            lambda f: 0.5 / f,
+            lambda f: f - 0.5,
+            lambda f: 0.5 - f,
+        ],
+        ids=["one+float", "float+f", "f*str", "f/float", "float/f", "f-float", "float-f"],
+    )
+    def test_other_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(rf((1,), (1, -1)))
+
     def test_division_by_zero(self, plain):
         with pytest.raises(ZeroDivisionError):
             plain.div(RationalFunction.one(), RationalFunction.zero())
