@@ -146,40 +146,28 @@ def _parse_range(text: str, default: tuple[int, int]) -> tuple[int, int]:
         raise ValueError(f"--range must be A:B or A with integers A, B, got {text!r}") from None
 
 
-# How ``verify`` sweeps each pattern relation: its default --range, the
-# right-to-left maxima beyond the first that an instance needs, whether
-# it sweeps layer tops (else S_k(132)), and whether it reads --terms
-# (else it is checked symbolically).  The functional equations have no
-# sweep and read neither flag.
-_SWEEPS = {
-    "thm21": ((1, 4), 0, False, False),
-    "thm23": ((2, 5), 1, True, False),
-    "thm31": ((2, 5), 1, False, True),
-    "thm33": ((2, 5), 1, True, True),
-    "remark31": ((2, 5), 2, False, True),
-}
-
-
 def _cmd_verify(args) -> int:
     rel = args.relation
-    default, min_r, layered, numeric = _SWEEPS.get(rel, (None, 0, False, False))
+    # a functional equation has no row: it reads neither --range nor --terms
+    row = relations.PATTERN_RELATIONS.get(rel)
     if args.terms is not None:
         if args.terms < 1:
             raise ValueError(f"--terms must be at least 1, got {args.terms}")
-        if not numeric:
+        if not (row and row.reads_terms):
             raise ValueError(f"{rel} is checked symbolically and does not read --terms")
         if args.terms > oracle.COUNT_CAP:
             raise ValueError(f"--terms must be at most oracle.COUNT_CAP = {oracle.COUNT_CAP}, got {args.terms}")
-    if default is None:
+    if row is None:
         if args.range:
             raise ValueError(f"{rel} has no pattern sizes and does not read --range")
         reports = [relations.verify_relation(rel)]
     else:
-        lo, hi = _parse_range(args.range, default)
+        lo, hi = _parse_range(args.range, row.sweep)
         terms = relations.DEFAULT_TERMS if args.terms is None else args.terms
+        min_r = row.min_r
         reports = []
         for k in range(max(lo, 1), hi + 1):  # the empty pattern has no maxima
-            instances = (iter_layered_specs(k, min_layers=min_r + 1) if layered
+            instances = (iter_layered_specs(k, min_layers=min_r + 1) if row.layered
                          else (p for p in oracle.enumerate_avoiders(k) if not min_r or blocks(p)[0] >= min_r))
             reports.extend(relations.verify_relation(rel, params, terms=terms) for params in instances)
     if not reports:

@@ -33,13 +33,26 @@ from itertools import combinations
 from .errors import NotIn132Class, PatternError
 
 
+def _integers(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as ``int``s, each equal to its ``int`` (see ``as_pattern``)."""
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if ints != given:
+        raise PatternError(f"pattern values must be integers: {given}")
+    return ints
+
+
 def as_pattern(values: Iterable[int]) -> tuple[int, ...]:
     """Validate ``values`` as a permutation of 1..k and return it as a tuple.
+
+    A value is accepted only if it equals its ``int``, the equality the
+    avoid memo's key lookup uses: (2.0, 1.0) is the pattern (2, 1), and
+    (2.5, 1) or the string "21" is refused, not truncated or parsed.
 
     >>> as_pattern([3, 1, 2])
     (3, 1, 2)
     """
-    pat = tuple(map(int, values))
+    pat = _integers(values)
     if sorted(pat) != list(range(1, len(pat) + 1)):
         raise PatternError(f"not a permutation of 1..{len(pat)}: {pat}")
     return pat
@@ -242,7 +255,7 @@ def expand_layered(tops: Sequence[int]) -> tuple[int, ...]:
     >>> expand_layered((5, 3, 1))
     (4, 5, 2, 3, 1)
     """
-    tops = tuple(map(int, tops))
+    tops = _integers(tops)
     if not tops or tops[-1] <= 0 or any(a <= b for a, b in zip(tops, tops[1:])):
         raise PatternError(f"layered tops must be strictly decreasing positive: {tops}")
     word: list[int] = []

@@ -95,7 +95,7 @@ from .chebyshev import r_func_or_zero
 from .engine import avoid_gf
 from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
-from .patterns import blocks, expand_layered, inverse, require_132_avoiding
+from .patterns import as_pattern, blocks, expand_layered, inverse, require_132_avoiding
 
 
 class _Cleared:
@@ -299,10 +299,7 @@ class RelationReport:
         return out
 
 
-def _check_thm21(pat: tuple[int, ...]) -> RelationReport:
-    report = RelationReport("thm21", f"pattern {pat}")
-    r, pre, suf = _slices(pat)
-
+def _check_thm21(r: int, pre: list, suf: list, n: int):
     def identity(one, x, *v):
         # f[j] = F(prefix j) for j = -1..r, as in ``pre``; g[j] = F(suffix j) for j = 0..r
         f, g = v[: r + 2], v[r + 2 :]
@@ -311,17 +308,10 @@ def _check_thm21(pat: tuple[int, ...]) -> RelationReport:
             rhs = rhs + x * (f[j] - f[j - 1]) * g[j]
         return g[0] - rhs
 
-    report.add("symbolic identity", vanishes(identity, *map(avoid_gf, pre + suf[: r + 1])))
-    return report
+    yield "symbolic identity", vanishes(identity, *map(avoid_gf, pre + suf[: r + 1]))
 
 
-def _check_thm23(tops: tuple[int, ...]) -> RelationReport:
-    report = RelationReport("thm23", f"layered {list(tops)}")
-    if len(tops) < 2:
-        raise PatternError("the layered recursion needs at least two layers")
-    r, pre, suf = _slices(expand_layered(tops))
-    boundary = r_func_or_zero(tops[0] - tops[1] - 1), r_func_or_zero(tops[-1])
-
+def _check_thm23(r: int, pre: list, suf: list, n: int):
     def identity(one, x, head, last, *v):
         # g[j] = F(suffix j) for j = 0..r, f[j] = F(prefix j) for j = 0..r-1
         g, f = v[: r + 1], v[r + 1 :]
@@ -330,20 +320,21 @@ def _check_thm23(tops: tuple[int, ...]) -> RelationReport:
             rhs = rhs + x * f[j - 1] * (g[j - 1] - g[j])
         return (one - x * head - x * last) * g[0] - rhs
 
+    # R_{m_0-m_1-1} and R_{m_r}: prefix 0 and suffix r are increasing runs of those lengths
+    boundary = r_func_or_zero(len(pre[0])), r_func_or_zero(len(suf[r]))
     gfs = map(avoid_gf, suf[: r + 1] + pre[:r])
-    report.add("symbolic identity", vanishes(identity, *boundary, *gfs))
-    return report
+    yield "symbolic identity", vanishes(identity, *boundary, *gfs)
 
 
-def _resolve_pattern(params) -> tuple[int, ...]:
+def _resolve_pattern(seq: tuple) -> tuple[int, ...]:
     """Accept a pattern in one-line notation or layered layer tops."""
-    seq = tuple(int(v) for v in params)
     if not seq:
         raise PatternError("empty pattern has no canonical decomposition")
     if sorted(seq) != list(range(1, len(seq) + 1)):
         return expand_layered(seq)
-    require_132_avoiding(seq)
-    return seq
+    pat = as_pattern(seq)
+    require_132_avoiding(pat)
+    return pat
 
 
 def _once_recursion_holds(r: int, pre: list, suf: list, nus: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -364,38 +355,20 @@ def _once_recursion_holds(r: int, pre: list, suf: list, nus: tuple[tuple[int, ..
     return g.coeffs == (0,) + total.coeffs[:n]
 
 
-def _check_thm31(pat: tuple[int, ...], n: int) -> RelationReport:
-    report = RelationReport("thm31", f"pattern {pat}, n <= {n}")
-    r, pre, suf = _slices(pat)
-    if r < 1:
-        raise PatternError("the exactly-once recursion needs at least two maxima")
-    report.add("coefficients 0..%d" % n, _once_recursion_holds(r, pre, suf, (), n))
-    return report
+def _check_thm31(r: int, pre: list, suf: list, n: int):
+    yield "coefficients 0..%d" % n, _once_recursion_holds(r, pre, suf, (), n)
 
 
-def _check_thm33(tops: tuple[int, ...], n: int) -> RelationReport:
-    report = RelationReport("thm33", f"layered {list(tops)}, n <= {n}")
-    if len(tops) < 2:
-        raise PatternError("the layered exactly-once recursion needs at least two layers")
-    r, pre, suf = _slices(expand_layered(tops))
-    report.add(
-        "boundary terms",
-        r_func_or_zero(tops[0] - tops[1] - 1) == avoid_gf(pre[0])
-        and r_func_or_zero(tops[-1]) == avoid_gf(suf[r]),
+def _check_thm33(r: int, pre: list, suf: list, n: int):
+    yield "boundary terms", (
+        r_func_or_zero(len(pre[0])) == avoid_gf(pre[0]) and r_func_or_zero(len(suf[r])) == avoid_gf(suf[r])
     )
-    report.add("coefficients 0..%d" % n, _once_recursion_holds(r, pre, suf, (), n))
-    return report
+    yield from _check_thm31(r, pre, suf, n)
 
 
-def _check_remark31(pat: tuple[int, ...], n: int) -> RelationReport:
-    report = RelationReport("remark31", f"pattern {pat}, n <= {n}")
-    r, pre, _ = _slices(pat)
-    if r < 2:
-        raise PatternError("the Remark 3.1 recursion needs at least three maxima")
+def _check_remark31(r: int, pre: list, suf: list, n: int):
     for j in range(2, r + 1):
-        holds = _once_recursion_holds(*_slices(pre[j - 1]), (pre[j],), n)
-        report.add(f"j={j} coefficients 0..{n}", holds)
-    return report
+        yield f"j={j} coefficients 0..{n}", _once_recursion_holds(*_slices(pre[j - 1]), (pre[j],), n)
 
 
 def _check_feq(relation: str) -> RelationReport:
@@ -420,6 +393,23 @@ def _check_feq(relation: str) -> RelationReport:
     return report
 
 
+# One row per pattern relation, read by ``verify_relation`` and ``pattgf verify``:
+# - check(r, pre, suf, terms) on the instance as ``_slices`` cuts it, yielding (label, passed);
+# - min_r, the right-to-left maxima beyond the first that an instance needs, and the refusal of fewer;
+# - layered: ``params`` are layer tops (else a pattern, or tops, as ``_resolve_pattern`` reads them);
+# - reads_terms: the check reads ``terms`` (else it is symbolic);
+# - sweep: the pattern sizes ``pattgf verify`` sweeps by default.
+_Row = namedtuple("_Row", "check min_r refusal layered reads_terms sweep")
+
+PATTERN_RELATIONS = {
+    "thm21": _Row(_check_thm21, 0, None, False, False, (1, 4)),
+    "thm23": _Row(_check_thm23, 1, "the layered recursion needs at least two layers", True, False, (2, 5)),
+    "thm31": _Row(_check_thm31, 1, "the exactly-once recursion needs at least two maxima", False, True, (2, 5)),
+    "thm33": _Row(_check_thm33, 1, "the layered exactly-once recursion needs at least two layers", True, True, (2, 5)),
+    "remark31": _Row(_check_remark31, 2, "the Remark 3.1 recursion needs at least three maxima", False, True, (2, 5)),
+}
+
+
 def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS, orders=None) -> RelationReport:
     """Verify one relation instance; see the module docstring for ids.
 
@@ -435,21 +425,28 @@ def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS, orde
     not read: the functional-equation checks are exact at every y
     order.  It is kept only for ``perfbench/workloads.py``, which passes
     it.
+
+    An instance with fewer right-to-left maxima than its relation's
+    ``PATTERN_RELATIONS`` row needs is refused: there is nothing to check.
     """
-    if params is None and relation in ("thm21", "thm23", "thm31", "thm33", "remark31"):
+    row = PATTERN_RELATIONS.get(relation)
+    if row is not None and params is None:
         raise PatternError(f"relation {relation!r} needs a pattern or layer tops")
     if terms < 1:
         raise ValueError(f"{relation}: terms must be at least 1, got {terms}")
-    if relation == "thm21":
-        return _check_thm21(_resolve_pattern(params))
-    if relation == "thm23":
-        return _check_thm23(tuple(int(v) for v in params))
-    if relation == "thm31":
-        return _check_thm31(_resolve_pattern(params), terms)
-    if relation == "thm33":
-        return _check_thm33(tuple(int(v) for v in params), terms)
-    if relation == "remark31":
-        return _check_remark31(_resolve_pattern(params), terms)
-    if relation in ("thm22feq", "thm32feq"):
-        return _check_feq(relation)
-    raise PatternError(f"unknown relation {relation!r}")
+    if row is None:
+        if relation in ("thm22feq", "thm32feq"):
+            return _check_feq(relation)
+        raise PatternError(f"unknown relation {relation!r}")
+    seq = tuple(params)
+    # the tops are a layered instance's maxima: too few are refused before ``expand_layered`` reads them
+    r = len(seq) - 1 if row.layered else row.min_r
+    if r >= row.min_r:
+        r, pre, suf = _slices(expand_layered(seq) if row.layered else _resolve_pattern(seq))
+    if r < row.min_r:
+        raise PatternError(row.refusal)
+    # suffix i has m_i entries, so a layered instance is labelled by its tops
+    instance = f"layered {[len(s) for s in suf[: r + 1]]}" if row.layered else f"pattern {suf[0]}"
+    report = RelationReport(relation, instance + (f", n <= {terms}" if row.reads_terms else ""))
+    report.checks.extend(map(RelationCheck._make, row.check(r, pre, suf, terms)))
+    return report

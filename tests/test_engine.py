@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 import time
 from collections import Counter
@@ -33,6 +34,7 @@ from pattgf.patterns import (
     inverse,
     occurrence_count,
 )
+from pattgf.relations import verify_relation
 
 
 def rf(num, den=(1,)):
@@ -157,6 +159,32 @@ def test_avoid_memo_keys_avoid_132(cold_avoid_memo):
         avoid_gf(tau)
     for key in _AVOID_MEMO:
         assert as_pattern(key) == key and not contains_132(key), key
+
+
+@pytest.mark.parametrize(
+    "call, values",
+    [
+        (avoid_gf, (2.5, 1)),
+        (once_gf, (1.9, 2.2)),
+        (lambda v: ConstraintSpec(avoid=(v,)), (2.5, 1)),
+        (lambda v: ConstraintSpec(contain=v), (1.9, 2.2)),
+        (expand_layered, (3.7, 1.2)),
+        (as_pattern, "321"),
+        (lambda v: verify_relation("thm21", v), (2.5, 1)),
+        (lambda v: verify_relation("thm23", v), (3.7, 1.2)),
+    ],
+)
+def test_non_integer_pattern_values_are_refused(cold_avoid_memo, call, values):
+    """A value is a pattern entry only if it equals its ``int``; one
+    that does not is refused as given, not truncated (which made
+    (2.5, 1) the pattern 21) nor parsed from a string."""
+    with pytest.raises(PatternError, match=re.escape(f"pattern values must be integers: {tuple(values)}")):
+        call(values)
+    # an integral float is the integer, cold and from the memo alike
+    cold_avoid_memo()
+    cold = avoid_gf((2.0, 1.0))
+    assert (2, 1) in _AVOID_MEMO
+    assert avoid_gf((2.0, 1.0)) == cold == avoid_gf((2, 1)) == rf((1,), (1, -1))
 
 
 def test_levels_equal_the_per_operation_solve(cold_avoid_memo, level_by_operations):

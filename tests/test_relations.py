@@ -269,8 +269,44 @@ def test_thm31_refuses_a_single_maximum():
         verify_relation("thm31", (1, 2, 3))
 
 
+@pytest.mark.parametrize("tops", [(), (4,)])
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        ("thm23", "^the layered recursion needs at least two layers$"),
+        ("thm33", "^the layered exactly-once recursion needs at least two layers$"),
+    ],
+)
+def test_layered_relations_refuse_a_single_layer(relation, message, tops):
+    # the empty tops too: the layer count is read before expand_layered checks them
+    with pytest.raises(PatternError, match=message):
+        verify_relation(relation, tops)
+
+
 @pytest.mark.parametrize("pat", [(3, 2), (2, 1), (1, 2, 3)])
 def test_remark31_refuses_fewer_than_three_maxima(pat):
     # two layers or one: no j >= 2 instance, so nothing would be checked
     with pytest.raises(PatternError, match="^the Remark 3.1 recursion needs at least three maxima$"):
         verify_relation("remark31", pat, terms=6)
+
+
+@pytest.mark.parametrize("relation", ["thm21", "thm23", "thm31", "thm33", "remark31"])
+def test_verify_sweep_counts_what_verify_relation_accepts(capsys, relation):
+    """``pattgf verify REL --range k:k`` checks exactly the candidates of
+    size k that ``verify_relation`` does not refuse: the layer tops of
+    size k for the layered relations, S_k(132) for the others."""
+    for k in range(1, 7):
+        candidates = iter_layered_specs(k) if relation in ("thm23", "thm33") else enumerate_avoiders(k)
+        accepted = 0
+        for params in candidates:
+            try:
+                verify_relation(relation, params)
+            except PatternError:
+                continue
+            accepted += 1
+        code = cli.main(["verify", relation, "--range", f"{k}:{k}"])
+        out, err = capsys.readouterr()
+        if accepted:
+            assert (code, out, err) == (0, f"{relation}: {accepted}/{accepted} instances hold\n", ""), k
+        else:
+            assert code == 1 and out == "" and f"--range {k}:{k} has no instances" in err, k
