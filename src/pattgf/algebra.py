@@ -355,9 +355,9 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     inside (-xi/2, xi/2) and the value a(xi), so it is a, as balanced
     digits are unique.  The two Q are the
     returned cofactors.  Otherwise w grows by a quarter or more, in
-    whole 64-bit slots, and the step repeats.  A constant digit +-1 of
-    gamma makes cont(H) = 1, and gamma > 0 makes H's leading digit
-    positive, so then h = H, with no content to find.
+    whole 64-bit slots, and the step repeats.  gamma > 0 makes H's (and
+    h's) leading digit positive; a constant digit +-1 of gamma makes
+    cont(H) = 1, so then h = H, with no content to find.
 
     An accepted h is exact, and so is the shortcut.  Let G = gcd(a, b),
     primitive, so G divides a and b in Z[x] and G(xi) divides gamma.  Let
@@ -390,8 +390,6 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         if h is None:
             digits = _all_digits(gamma, w)
             c = gcd(*digits)
-            if digits[-1] < 0:
-                c = -c
             vh = gamma // c
             h = Polynomial._at_slot(vh, w, [d // c for d in digits])
         qa = _cofactor(va, vh, h, w)
@@ -404,10 +402,8 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
 
 def _plus(n1: Polynomial, d1: Polynomial, n2: Polynomial, d2: Polynomial) -> tuple[Polynomial, Polynomial]:
     """n1/d1 + n2/d2 as a pair over lcm(d1, d2): with g = gcd(d1, d2) and
-    d_i = g c_i, (n1 c2 + n2 c1)/(d1 c2); equal denominators just add
-    numerators.  Nothing cancels, so the sum is exact but not canonical."""
-    if d1 == d2:
-        return n1 + n2, d1
+    d_i = g c_i, (n1 c2 + n2 c1)/(d1 c2).  Nothing cancels, so the sum is
+    exact but not canonical."""
     _, c1, c2 = polynomial_gcd(d1, d2)
     return n1 * c2 + n2 * c1, d1 * c2
 
@@ -443,8 +439,6 @@ class RationalFunction:
         content = gcd(*num.coeffs, *den.coeffs)
         if low < 0:
             content = -content
-        elif content == 1:
-            return num, den
         return num._over(content), den._over(content)
 
     # -- constructors --------------------------------------------------

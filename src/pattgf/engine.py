@@ -121,7 +121,6 @@ from .chebyshev import v_poly
 from .errors import UnsupportedPattern
 from .patterns import as_pattern, blocks, classify, inverse, require_132_avoiding
 
-_ONE = RationalFunction.one()
 _ZERO = RationalFunction.zero()
 
 # memo tables keyed by one-line notation; avoid and once modes
@@ -172,10 +171,6 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
             if q in _AVOID_MEMO:  # solved below an earlier sibling
                 stack.pop()
                 continue
-            if len(q) == 1:
-                stack.pop()
-                _AVOID_MEMO[q] = _ONE
-                continue
             parts = blocks(q)
             stack[-1] = (q, parts)
         r, prefixes, suffixes = parts
@@ -198,8 +193,8 @@ def _avoid(pat: tuple[int, ...]) -> RationalFunction:
 
 def _level(r: int, pre: list, suf: list) -> RationalFunction:
     """One level's solution rhs / divisor: no gcd for r = 0, the
-    constructor's alone for r = 1, and for r >= 2 up to 2(r - 1) lcm gcds
-    (none for equal denominators) before it."""
+    constructor's alone for r = 1, and for r >= 2 2(r - 1) lcm gcds
+    before it."""
     if r == 0:
         p = pre[0]
         return RationalFunction._canonical(p.den, p.den - p.num.shift(1))

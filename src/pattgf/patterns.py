@@ -34,9 +34,12 @@ from .errors import NotIn132Class, PatternError
 
 
 def _integers(values: Iterable[int]) -> tuple[int, ...]:
-    """``values`` as ``int``s, each equal to its ``int`` (see ``as_pattern``)."""
+    """``values`` as ``int``s, each equal to its ``int`` (see ``as_pattern``), else a ``PatternError``."""
     given = tuple(values)
-    ints = tuple(map(int, given))
+    try:
+        ints = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != given:
         raise PatternError(f"pattern values must be integers: {given}")
     return ints
@@ -270,6 +273,7 @@ def expand_wedge_top(k: int, m: int, p: int) -> tuple[int, ...]:
     >>> expand_wedge_top(5, 4, 2)
     (3, 4, 1, 2, 5)
     """
+    k, m, p = _integers((k, m, p))
     if not k > m > p > 0:
         raise PatternError(f"wedge-top parameters must satisfy k > m > p > 0: {(k, m, p)}")
     return tuple(range(p + 1, m + 1)) + tuple(range(1, p + 1)) + tuple(range(m + 1, k + 1))

@@ -95,7 +95,7 @@ from .chebyshev import r_func_or_zero
 from .engine import avoid_gf
 from .errors import PatternError
 from .oracle import ConstraintSpec, series as oracle_series
-from .patterns import as_pattern, blocks, expand_layered, inverse, require_132_avoiding
+from .patterns import _integers, blocks, expand_layered, inverse, require_132_avoiding
 
 
 class _Cleared:
@@ -182,10 +182,10 @@ def vanishes(expr, *inputs: RationalFunction) -> bool:
     |pq|_1 <= |p|_1 |q|_1 the final bound B is at least |N|_1, whatever
     X is.  If B < X/2, N's coefficients are the balanced base-X digits
     of N(X), which are unique, so N(X) = 0 iff N = 0.  Otherwise
-    ``expr`` runs again, for values alone (every bound 0), at X = 2**w
-    with w the smallest multiple of 8 (whole bytes, for ``_pack``) above
-    B's bit length.  f = x and g = 2**62 give w0 = 64, where f - 4g is
-    nonzero but vanishes; B = 2**64 + 1 sends it to the second run.
+    ``expr`` runs again, with the same bounds, at X = 2**w for w the
+    smallest multiple of 8 (whole bytes, for ``_pack``) above B's bit
+    length.  f = x and g = 2**62 give w0 = 64, where f - 4g is nonzero
+    but vanishes; B = 2**64 + 1 sends it to the second run.
 
     The l1 norms come from ``_NORMS``, which lives as long as the
     process and is keyed by packed value and slot width, as both
@@ -201,18 +201,18 @@ def vanishes(expr, *inputs: RationalFunction) -> bool:
     norms = list(map(_l1, index))
     bounds = [_l1(f.num) for f in inputs]
 
-    def run(w: int, keep: int) -> _Cleared:
-        """``expr`` at X = 2**w, every bound times ``keep`` (1, or 0 for values alone)."""
-        vals = [(d._packed(w), keep * l1) for d, l1 in zip(index, norms)]
-        values = [_Cleared(f.num._packed(w), keep * b, e, vals) for f, b, e in zip(inputs, bounds, exps)]
+    def run(w: int) -> _Cleared:
+        """``expr`` at X = 2**w."""
+        vals = [(d._packed(w), l1) for d, l1 in zip(index, norms)]
+        values = [_Cleared(f.num._packed(w), b, e, vals) for f, b, e in zip(inputs, bounds, exps)]
         # |1|_1 = |x|_1 = 1
-        return expr(_Cleared(1, keep, {}, vals), _Cleared(1 << w, keep, {}, vals), *values)
+        return expr(_Cleared(1, 1, {}, vals), _Cleared(1 << w, 1, {}, vals), *values)
 
     w0 = _slot(max((0, *norms, *bounds)).bit_length())
-    n = run(w0, 1)
+    n = run(w0)
     bits = n.b.bit_length()
     if bits >= w0:
-        n = run(bits // 8 * 8 + 8, 0)
+        n = run(bits // 8 * 8 + 8)
     return not n.n
 
 
@@ -273,30 +273,21 @@ def _left_factor(pre: list, i: int, n: int) -> PowerSeries:
     return _oracle_series(n, avoid=(avoided,), contain=pre[i - 1])
 
 
-class RelationCheck(namedtuple("RelationCheck", "label passed")):
+RelationCheck = namedtuple("RelationCheck", "label passed")
+
+
+class RelationReport(namedtuple("RelationReport", "relation instance checks")):
+    """One checked instance and its ``RelationCheck`` (label, passed) pairs."""
+
     __slots__ = ()
-
-
-class RelationReport:
-    __slots__ = ("relation", "instance", "checks")
-
-    def __init__(self, relation: str, instance: str):
-        self.relation, self.instance = relation, instance
-        self.checks: list[RelationCheck] = []
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, label: str, passed: bool) -> None:
-        self.checks.append(RelationCheck(label, passed))
-
     def lines(self) -> list[str]:
-        out = [f"{self.relation} {self.instance}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            if not c.passed:
-                out.append(f"  FAIL {c.label}")
-        return out
+        head = f"{self.relation} {self.instance}: {'PASS' if self.passed else 'FAIL'}"
+        return [head] + [f"  FAIL {c.label}" for c in self.checks if not c.passed]
 
 
 def _check_thm21(r: int, pre: list, suf: list, n: int):
@@ -330,11 +321,11 @@ def _resolve_pattern(seq: tuple) -> tuple[int, ...]:
     """Accept a pattern in one-line notation or layered layer tops."""
     if not seq:
         raise PatternError("empty pattern has no canonical decomposition")
+    seq = _integers(seq)
     if sorted(seq) != list(range(1, len(seq) + 1)):
         return expand_layered(seq)
-    pat = as_pattern(seq)
-    require_132_avoiding(pat)
-    return pat
+    require_132_avoiding(seq)
+    return seq
 
 
 def _once_recursion_holds(r: int, pre: list, suf: list, nus: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -371,9 +362,8 @@ def _check_remark31(r: int, pre: list, suf: list, n: int):
         yield f"j={j} coefficients 0..{n}", _once_recursion_holds(*_slices(pre[j - 1]), (pre[j],), n)
 
 
-def _check_feq(relation: str) -> RelationReport:
+def _check_feq(relation: str):
     """``thm22feq`` (Φ) or ``thm32feq`` (Ψ), as the module docstring says."""
-    report = RelationReport(relation, "closed form")
     one, x, y, f = Polynomial.one(), Polynomial.x(), Polynomial.x(8), Polynomial.x(64)
     two_x, four_x = Polynomial((0, 2)), Polynomial((0, 4))
     if relation == "thm22feq":
@@ -387,10 +377,9 @@ def _check_feq(relation: str) -> RelationReport:
         d = b * b - four_x * x * (one - x) * y
         b0, lowest = one - x, RationalFunction.zero()  # b at y = 0, and Ψ_0
     root = two_x * c * f - b
-    report.add("exact identity", root * root - d == -(four_x * e))
+    yield "exact identity", root * root - d == -(four_x * e)
     # (b0 - (1 - x)) / (2x) = lowest, cross-multiplied
-    report.add("series root", (b0 - (one - x)) * lowest.den == two_x * lowest.num)
-    return report
+    yield "series root", (b0 - (one - x)) * lowest.den == two_x * lowest.num
 
 
 # One row per pattern relation, read by ``verify_relation`` and ``pattgf verify``:
@@ -435,18 +424,19 @@ def verify_relation(relation: str, params=None, terms: int = DEFAULT_TERMS, orde
     if terms < 1:
         raise ValueError(f"{relation}: terms must be at least 1, got {terms}")
     if row is None:
-        if relation in ("thm22feq", "thm32feq"):
-            return _check_feq(relation)
-        raise PatternError(f"unknown relation {relation!r}")
-    seq = tuple(params)
-    # the tops are a layered instance's maxima: too few are refused before ``expand_layered`` reads them
-    r = len(seq) - 1 if row.layered else row.min_r
-    if r >= row.min_r:
-        r, pre, suf = _slices(expand_layered(seq) if row.layered else _resolve_pattern(seq))
-    if r < row.min_r:
-        raise PatternError(row.refusal)
-    # suffix i has m_i entries, so a layered instance is labelled by its tops
-    instance = f"layered {[len(s) for s in suf[: r + 1]]}" if row.layered else f"pattern {suf[0]}"
-    report = RelationReport(relation, instance + (f", n <= {terms}" if row.reads_terms else ""))
-    report.checks.extend(map(RelationCheck._make, row.check(r, pre, suf, terms)))
-    return report
+        if relation not in ("thm22feq", "thm32feq"):
+            raise PatternError(f"unknown relation {relation!r}")
+        instance, checks = "closed form", _check_feq(relation)
+    else:
+        seq = tuple(params)
+        # the tops are a layered instance's maxima: too few are refused before ``expand_layered`` reads them
+        r = len(seq) - 1 if row.layered else row.min_r
+        if r >= row.min_r:
+            r, pre, suf = _slices(expand_layered(seq) if row.layered else _resolve_pattern(seq))
+        if r < row.min_r:
+            raise PatternError(row.refusal)
+        # suffix i has m_i entries, so a layered instance is labelled by its tops
+        instance = f"layered {[len(s) for s in suf[: r + 1]]}" if row.layered else f"pattern {suf[0]}"
+        instance += f", n <= {terms}" if row.reads_terms else ""
+        checks = row.check(r, pre, suf, terms)
+    return RelationReport(relation, instance, tuple(map(RelationCheck._make, checks)))

@@ -275,6 +275,7 @@ class TestRationalFunction:
 
     def test_str(self):
         assert polynomial_str(Polynomial((1, -2, 2))) == "1 - 2x + 2x^2"
+        assert polynomial_str(Polynomial((0, -1))) == "-x"
         assert str(rf((0, 0, 1), (1, -1))) == "(x^2) / (1 - x)"
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ def test_u_small_values():
     assert chebyshev_u(1) == Polynomial((0, 2))
     assert chebyshev_u(2) == Polynomial((-1, 0, 4))
     assert chebyshev_u(3) == Polynomial((0, -4, 0, 8))
+    with pytest.raises(ValueError, match="^index must be nonnegative: -1$"):
+        chebyshev_u(-1)
 
 
 def test_u_recurrence_and_degree():
@@ -33,6 +36,8 @@ def test_v_small_values():
     assert v_poly(1) == Polynomial((1,))
     assert v_poly(2) == Polynomial((1, -1))
     assert v_poly(4) == Polynomial((1, -3, 1))
+    with pytest.raises(ValueError, match="^index must be nonnegative: -1$"):
+        v_poly(-1)
 
 
 def test_v_recurrence_degree_constant():
@@ -99,12 +104,19 @@ def test_identity_examples():
 
 
 def test_identity_range_validation():
-    with pytest.raises(ValueError):
-        check_identity("i", s=1, t=3, w=1)
-    with pytest.raises(ValueError):
-        check_identity("vi", a=2, b=2)
-    with pytest.raises(ValueError):
-        check_identity("vii", a=1, b=1)
+    refusals = [
+        (lambda: check_identity("i", s=1, t=3, w=1), "need s+w-1 >= t >= w >= 1, got s=1 t=3 w=1"),
+        (lambda: check_identity("ii", s=-1, t=0, w=1), "need s,t >= 0 and w >= 1, got s=-1 t=0 w=1"),
+        (lambda: check_identity("iii", p=0), "need p >= 1, got 0"),
+        (lambda: check_identity("iv", a=0, b=1), "need a,b >= 1, got a=0 b=1"),
+        (lambda: check_identity("v", a=1, b=0), "need a,b >= 1, got a=1 b=0"),
+        (lambda: check_identity("vi", a=2, b=2), "need a >= b+1 >= 2, got a=2 b=2"),
+        (lambda: check_identity("vii", a=1, b=1), "unknown identity 'vii'; expected one of i..vi"),
+        (lambda: identity_instances("vii", 5), "unknown identity 'vii'"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.mark.parametrize("which", ["i", "ii", "iii", "iv", "v", "vi"])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pattgf import relations
+from pattgf import chebyshev, relations
 from pattgf.algebra import RationalFunction
 from pattgf.chebyshev import r_func
 from pattgf.cli import _known_v_quotient, main
@@ -153,6 +153,38 @@ def test_identities_alias(capsys):
     code, out, _ = run(capsys, "identities", "--max", "6")
     assert code == 0
     assert out == "6/6 identities hold over 1..6"
+
+
+def test_identities_failure_exits_4(capsys, monkeypatch):
+    """A part with a failing instance is named with its count, and the
+    sweep exits 4."""
+    check = chebyshev.check_identity
+    monkeypatch.setattr(chebyshev, "check_identity", lambda which, **kw: kw != {"p": 3} and check(which, **kw))
+    assert main(["identities", "--max", "6"]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "identity (iii): 4/5 instances hold",
+        "5/6 identities hold over 1..6",
+    ]
+
+
+def test_verify_failure_exits_4(capsys, monkeypatch):
+    """Each failing report prints its header and failing checks before
+    the count, and the sweep exits 4."""
+    row = relations.PATTERN_RELATIONS["thm21"]
+
+    def check(r, pre, suf, n):
+        yield from row.check(r, pre, suf, n)
+        yield "planted", suf[0] not in ((3, 2, 1), (2, 3, 1))
+
+    monkeypatch.setitem(relations.PATTERN_RELATIONS, "thm21", row._replace(check=check))
+    assert main(["verify", "thm21", "--range", "3:3"]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "thm21 pattern (3, 2, 1): FAIL",
+        "  FAIL planted",
+        "thm21 pattern (2, 3, 1): FAIL",
+        "  FAIL planted",
+        "thm21: 3/5 instances hold",
+    ]
 
 
 def test_verify_thm21_sweep(capsys):

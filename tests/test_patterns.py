@@ -186,6 +186,7 @@ def test_classify_families():
     assert classify((3, 4, 1, 2, 5)) == FamilySpec("wedge-top", (5, 4, 2))
     # a wedge that is neither layered nor wedge-top is plain
     assert classify((6, 4, 5, 7, 8, 3, 9, 1, 2)) == FamilySpec("plain", ())
+    assert classify(()) == FamilySpec("plain", ())
 
 
 def test_classify_layered_roundtrip():

@@ -328,15 +328,12 @@ def sympy_poly(p):
 @example(rf((1,), (2,)), rf((1,), (6,)))  # constant denominators with content
 def test_plus_is_the_cancelled_sum_over_the_lcm(f, h):
     """``_plus`` returns a pair over d1 d2 / gcd(d1, d2), gcd primitive,
-    or over d1 itself when d1 = d2; the constructor then gives sympy's
+    equal denominators included; the constructor then gives sympy's
     cancellation of the plain sum, in canonical form."""
     fn, fd, hn, hd = map(sympy_poly, (f.num, f.den, h.num, h.den))
     n, d = _plus(f.num, f.den, h.num, h.den)
-    if f.den == h.den:
-        assert d == f.den
-    else:
-        g = fd.gcd(hd).primitive()[1]
-        assert sympy_poly(d) * g in (fd * hd, -fd * hd)
+    g = fd.gcd(hd).primitive()[1]
+    assert sympy_poly(d) * g in (fd * hd, -fd * hd)
     got = RationalFunction(n, d)
     num, den = (fn * hd + hn * fd).cancel(fd * hd, include=True)
     assert num * sympy_poly(got.den) == den * sympy_poly(got.num)

@@ -215,10 +215,21 @@ def test_unknown_relation():
         verify_relation("thm99", (3, 2, 1))
 
 
-def test_report_lines():
+def test_report_lines(monkeypatch):
     rep = verify_relation("thm21", (3, 2, 1))
-    lines = rep.lines()
-    assert lines[0].startswith("thm21") and lines[0].endswith("PASS")
+    assert rep.lines() == ["thm21 pattern (3, 2, 1): PASS"]
+    # a failing report names each failing check, and only those
+    row = relations.PATTERN_RELATIONS["thm21"]
+
+    def check(r, pre, suf, n):
+        yield from row.check(r, pre, suf, n)
+        yield "planted", False
+
+    monkeypatch.setitem(relations.PATTERN_RELATIONS, "thm21", row._replace(check=check))
+    rep = verify_relation("thm21", (3, 2, 1))
+    assert not rep.passed
+    assert rep.checks == (("symbolic identity", True), ("planted", False))
+    assert rep.lines() == ["thm21 pattern (3, 2, 1): FAIL", "  FAIL planted"]
 
 
 @pytest.mark.parametrize(
